@@ -5,8 +5,9 @@ Exit codes are part of the interface:
   2  command-line or config-file parse error
   3  validation error (bad dims/trials/f-spec/state file contents)
   4  I/O error (unreadable input, unwritable output)
-  5  verification failure (negative slack in a sweep, or a representation
-     round-trip outside tolerance)
+  5  verification failure (negative slack in a sweep, a representation
+     round-trip outside tolerance, or a quadrature that exhausted its
+     evaluation budget)
 
 No environment variables are consumed; a JSON config file may supply any
 long-flag value, with explicit flags taking precedence. All randomness is
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import sandwich
 from .conjecture import conjecture_search, save_record
 from .divergences import (
     SUPEROP_DIM_CAP,
@@ -43,14 +44,16 @@ from .functions import (
     parse_f_spec,
     tsallis_f,
 )
+from .quadrature import QuadratureError
 from .states import load_pair
 from .sweeps import (
     BOUNDS_COLUMNS,
-    report_rows,
     PAPER_EXAMPLE_COLUMNS,
+    batch_rows,
     paper_example_rows,
     sweep_bounds,
     trial_pair,
+    violation_rows,
 )
 
 EXIT_OK = 0
@@ -266,24 +269,61 @@ def make_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
 # Emission. CSV: '.' decimal, 17 significant digits, header row. JSON keeps
 # the same field names. Identical configs produce identical bytes.
 
+_BOOL_TEXT = ("false", "true")
+
 
 def _format_cell(value) -> str:
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL_TEXT[value]
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
 
 
+def _row_template(types: tuple) -> tuple:
+    """The %-format for a row with these cell types, and its bool positions."""
+    return (",".join("%.17g" if issubclass(t, float) else "%s" for t in types),
+            [i for i, t in enumerate(types) if t is bool])
+
+
+def _csv_lines(rows: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def render_rows(rows: list, columns: list, fmt: str) -> str:
+    """Rows as JSON, or as CSV with the cells formatted by _format_cell.
+
+    A CSV row is one %-format whose template follows the row's cell types.
+    A row whose text the csv module would quote goes through the csv module.
+    """
     if fmt == "json":
         return json.dumps(rows, indent=1) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    if len(columns) > 1:
+        cells_of = operator.itemgetter(*columns)
+    else:
+        cells_of = lambda row: (row[columns[0]],)
+    templates = {}
+    commas = len(columns) - 1
+    lines = [_csv_lines([columns])]
     for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in columns])
-    return buf.getvalue()
+        cells = cells_of(row)
+        types = tuple(map(type, cells))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = _row_template(types)
+        text, bools = template
+        if bools:
+            cells = list(cells)
+            for i in bools:
+                cells[i] = _BOOL_TEXT[cells[i]]
+        line = text % tuple(cells)
+        if not line or line.count(",") != commas or '"' in line or "\n" in line or "\r" in line:
+            lines.append(_csv_lines([[_format_cell(c) for c in cells_of(row)]]))
+        else:
+            lines.append(line + "\n")
+    return "".join(lines)
 
 
 def emit(text: str, output_path: Optional[str]) -> None:
@@ -354,15 +394,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
     specs = cfg._f_list()
     if (len(specs) + len(cfg.qs)) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
-    if specs:
-        swr = sandwich(pair, f=parse_f_spec(specs[0]), ae11_base=cfg.log_base)
-        rows = report_rows(swr, cfg.seed, pair.rho.dim, tag, None)
-    else:
-        swr = sandwich(pair, q=cfg.qs[0], ae11_base=cfg.log_base)
-        rows = report_rows(swr, cfg.seed, pair.rho.dim, tag, cfg.qs[0])
+    route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
+    rows = batch_rows(pair.batch, cfg.seed, [tag], [route], cfg.log_base)
     emit(render_rows(rows, BOUNDS_COLUMNS, cfg.format), cfg.output_path)
-    if swr.violations:
-        _note(f"negative slack: {', '.join(swr.violations)}")
+    violations = violation_rows(rows)
+    if violations:
+        _note(f"negative slack: {', '.join(r['bound_name'] for r in violations)}")
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -476,6 +513,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _note(f"error: {exc}")
         return EXIT_VALIDATION
+    except QuadratureError as exc:
+        _note(f"error: {exc}")
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .functions import OMDFunction
-from .linalg import ZERO_EIG_THRESHOLD, eigh, mat_func, vec
-from .states import ScalarSummary, StatePair, summarize, swapped
+from .linalg import ZERO_EIG_THRESHOLD, eigh, mat_func, spectral_matrix, vec
+from .states import PairBatch, StatePair, swapped
 
 OVERLAP_SKIP = 1e-16
 SUPEROP_DIM_CAP = 12
@@ -35,7 +35,6 @@ class DivergenceResult:
     value: float  # finite or +inf
     method: str  # "spectral" | "direct" | "superoperator"
     f_name: str
-    pair_summary: ScalarSummary
 
     @property
     def finite(self) -> bool:
@@ -64,101 +63,116 @@ def _zero_limit(f: ScalarMap) -> float:
     return math.inf
 
 
-def quasi_entropy_spectral(pair: StatePair, f: ScalarMap) -> DivergenceResult:
-    """The closed-form double sum over both eigensystems.
+def spectral_values(batch: PairBatch, f: ScalarMap) -> np.ndarray:
+    """The closed-form double sum over both eigensystems, one value per pair.
 
     Terms whose overlap weight is below 1e-16 are skipped. A zero eigenvalue
     of sigma with surviving weight contributes f's limit at 0+ when that is
-    finite and makes the whole divergence +inf when it is not.
+    finite and makes the whole divergence +inf when it is not. Each pair's
+    surviving terms are summed in row-major order, as one contiguous run,
+    so a pair's value does not depend on the batch it sits in.
     """
-    name, func = _as_callable(f)
-    rho, sigma = pair.rho, pair.sigma
-    if not rho.strictly_positive:
+    func = _as_callable(f)[1]
+    if not np.all(batch.rho_positive):
         raise ValueError("spectral route requires a strictly positive rho")
-    summ = summarize(pair)
-
-    lam = rho.eigenvalues  # descending, all > threshold
-    mu = sigma.eigenvalues
-    weights = pair.overlaps * lam[np.newaxis, :]  # [k, j] = overlap * lambda_j
-    live = pair.overlaps >= OVERLAP_SKIP
-
+    lam = batch.rho_spectral.eigenvalues  # descending, all > threshold
+    mu = batch.sigma_spectral.eigenvalues
+    weights = batch.overlaps * lam[:, np.newaxis, :]  # [n, k, j] = overlap * lambda_j
+    live = batch.overlaps >= OVERLAP_SKIP
     positive_mu = mu > ZERO_EIG_THRESHOLD
-    total = 0.0
-    zero_rows = ~positive_mu
-    if np.any(zero_rows):
-        zero_live = live[zero_rows, :]
+    counted = live & positive_mu[:, :, np.newaxis]
+    with np.errstate(all="ignore"):
+        fvals = np.asarray(func(mu[:, :, np.newaxis] / lam[:, np.newaxis, :]), dtype=float)
+        terms = fvals * weights
+    values = np.where(np.any(counted & ~np.isfinite(fvals), axis=(1, 2)), math.inf, 0.0)
+    regular = np.all(counted, axis=(1, 2)) & (values == 0.0)
+    values[regular] += terms[regular].reshape(-1, batch.dim ** 2).sum(axis=1)
+    for n in np.flatnonzero(~regular & (values == 0.0)):
+        # Skipped terms or a singular sigma: sum the survivors alone, since
+        # padding zeros into the run would regroup the pairwise sum.
+        zero_live = live[n][~positive_mu[n]]
         if np.any(zero_live):
             limit = _zero_limit(f)
             if not math.isfinite(limit):
-                return DivergenceResult(math.inf, "spectral", name, summ)
-            total += limit * float(np.sum(weights[zero_rows, :][zero_live]))
-
-    rows = np.where(positive_mu)[0]
-    if rows.size:
-        ratios = mu[rows, np.newaxis] / lam[np.newaxis, :]
-        mask = live[rows, :]
-        with np.errstate(all="ignore"):
-            fvals = np.asarray(func(ratios[mask]), dtype=float)
-        if not np.all(np.isfinite(fvals)):
-            return DivergenceResult(math.inf, "spectral", name, summ)
-        total += float(np.sum(fvals * weights[rows, :][mask]))
-    return DivergenceResult(total, "spectral", name, summ)
+                values[n] = math.inf
+                continue
+            values[n] += limit * float(np.sum(weights[n][~positive_mu[n]][zero_live]))
+        values[n] += float(np.sum(terms[n][counted[n]]))
+    return values
 
 
-def _support_violated(pair: StatePair) -> bool:
-    """True when sigma's kernel carries rho-mass above the rank threshold."""
-    mu = pair.sigma.eigenvalues
-    zero_rows = mu <= ZERO_EIG_THRESHOLD
-    if not np.any(zero_rows):
-        return False
-    lam = pair.rho.eigenvalues
+def quasi_entropy_spectral(pair: StatePair, f: ScalarMap) -> DivergenceResult:
+    """S_f(rho||sigma) by the spectral double sum; see spectral_values."""
+    return DivergenceResult(float(spectral_values(pair.batch, f)[0]), "spectral",
+                            _as_callable(f)[0])
+
+
+def _support_violated(batch: PairBatch) -> np.ndarray:
+    """Per pair: sigma's kernel carries rho-mass above the rank threshold."""
+    zero_rows = batch.sigma_spectral.eigenvalues <= ZERO_EIG_THRESHOLD
     # <phi_k| rho |phi_k> via the overlap matrix.
-    rho_mass = pair.overlaps[zero_rows, :] @ lam
-    return bool(np.any(rho_mass > ZERO_EIG_THRESHOLD))
+    rho_mass = (batch.overlaps @ batch.rho_spectral.eigenvalues[:, :, np.newaxis])[:, :, 0]
+    return np.any(zero_rows & (rho_mass > ZERO_EIG_THRESHOLD), axis=1)
+
+
+def umegaki_values(batch: PairBatch) -> np.ndarray:
+    """Relative entropy Tr(rho (log rho - log sigma)), natural log, per pair."""
+    violated = _support_violated(batch)
+    values = np.full(len(batch), math.inf)
+    full = batch.rho_positive & batch.sigma_positive & ~violated
+    if np.any(full):
+        logs = [spectral_matrix(sp.eigenvectors[full], np.log(sp.eigenvalues[full]))
+                for sp in (batch.rho_spectral, batch.sigma_spectral)]
+        values[full] = np.trace(batch.rho[full] @ (logs[0] - logs[1]),
+                                axis1=-2, axis2=-1).real
+    for n in np.flatnonzero(~full & ~violated):
+        # Singular but kernel-compatible: work on the supports.
+        lam = batch.rho_spectral.eigenvalues[n]
+        mu = batch.sigma_spectral.eigenvalues[n]
+        lam_pos = lam > ZERO_EIG_THRESHOLD
+        mu_pos = mu > ZERO_EIG_THRESHOLD
+        ent = float(np.sum(lam[lam_pos] * np.log(lam[lam_pos])))
+        rho_mass = batch.overlaps[n][mu_pos, :] @ lam
+        values[n] = ent - float(np.sum(rho_mass * np.log(mu[mu_pos])))
+    return values
 
 
 def umegaki(pair: StatePair) -> DivergenceResult:
     """Relative entropy Tr(rho (log rho - log sigma)), natural log."""
-    summ = summarize(pair)
-    if _support_violated(pair):
-        return DivergenceResult(math.inf, "direct", "neg-log", summ)
-    rho, sigma = pair.rho, pair.sigma
-    if rho.strictly_positive and sigma.strictly_positive:
-        inner = mat_func(rho.matrix, np.log) - mat_func(sigma.matrix, np.log)
-        value = float(np.trace(rho.matrix @ inner).real)
-        return DivergenceResult(value, "direct", "neg-log", summ)
-    # Singular but kernel-compatible: work on the supports.
-    lam, mu = rho.eigenvalues, sigma.eigenvalues
-    lam_pos = lam > ZERO_EIG_THRESHOLD
-    mu_pos = mu > ZERO_EIG_THRESHOLD
-    ent = float(np.sum(lam[lam_pos] * np.log(lam[lam_pos])))
-    rho_mass = pair.overlaps[mu_pos, :] @ lam
-    cross = float(np.sum(rho_mass * np.log(mu[mu_pos])))
-    return DivergenceResult(ent - cross, "direct", "neg-log", summ)
+    return DivergenceResult(float(umegaki_values(pair.batch)[0]), "direct", "neg-log")
 
 
-def _psd_power(dm, exponent: float) -> np.ndarray:
-    """Support-convention power of a density matrix: zero eigenvalues map to 0."""
-    vals, vecs = dm.spectral
+def _psd_power(spectral, exponent: float) -> np.ndarray:
+    """Support-convention power of density matrices: zero eigenvalues map to 0."""
+    vals, vecs = spectral
     powered = np.where(vals > ZERO_EIG_THRESHOLD,
                        np.power(np.clip(vals, ZERO_EIG_THRESHOLD, None), exponent),
                        0.0)
-    out = (vecs * powered) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    return spectral_matrix(vecs, powered)
+
+
+def _check_order(q: float) -> None:
+    if not 0.0 < q <= 2.0 or q == 1.0:
+        raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
+
+
+def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
+    """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q), per pair."""
+    _check_order(q)
+    overlap_trace = np.trace(
+        _psd_power(batch.rho_spectral, q) @ _psd_power(batch.sigma_spectral, 1.0 - q),
+        axis1=-2, axis2=-1).real
+    values = (1.0 - overlap_trace) / (1.0 - q)
+    if q > 1.0:
+        values[_support_violated(batch)] = math.inf
+    return values
 
 
 def tsallis_direct(pair: StatePair, q: float) -> DivergenceResult:
     """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q)."""
-    if not 0.0 < q <= 2.0 or q == 1.0:
-        raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
-    summ = summarize(pair)
-    name = f"tsallis:q={q:g}"
-    if q > 1.0 and _support_violated(pair):
-        return DivergenceResult(math.inf, "direct", name, summ)
-    overlap_trace = float(
-        np.trace(_psd_power(pair.rho, q) @ _psd_power(pair.sigma, 1.0 - q)).real
-    )
-    return DivergenceResult((1.0 - overlap_trace) / (1.0 - q), "direct", name, summ)
+    _check_order(q)
+    return DivergenceResult(float(tsallis_values(pair.batch, q)[0]), "direct",
+                            f"tsallis:q={q:g}")
 
 
 def relative_modular_matrix(pair: StatePair) -> np.ndarray:
@@ -185,25 +199,24 @@ def quasi_entropy_superoperator(pair: StatePair, f: ScalarMap) -> DivergenceResu
         raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {pair.dim}")
     if not (pair.rho.strictly_positive and pair.sigma.strictly_positive):
         raise ValueError("superoperator route requires strictly positive states")
-    summ = summarize(pair)
     # Diagonalize the half power kron(sqrt sigma, rho^{-1/2 T}) and square its
     # spectrum: plain eigh of the modular matrix only reaches absolute
     # accuracy eps*||M|| on the small eigenvalues, which generators singular
     # at 0+ amplify past the 1e-9 cross-route contract.
-    half = np.kron(
-        mat_func(pair.sigma.matrix, np.sqrt),
-        mat_func(pair.rho.matrix, lambda x: 1.0 / np.sqrt(x)).T,
-    )
+    lam, psi = pair.rho.spectral
+    mu, phi = pair.sigma.spectral
+    half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
+                   spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
     half_vals, vecs = eigh(half)
     vals = half_vals ** 2
-    v = vec(mat_func(pair.rho.matrix, np.sqrt))
+    v = vec(spectral_matrix(psi, np.sqrt(lam)))
     coeffs = vecs.conj().T @ v
     with np.errstate(all="ignore"):
         fvals = np.asarray(func(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
-        return DivergenceResult(math.inf, "superoperator", name, summ)
+        return DivergenceResult(math.inf, "superoperator", name)
     value = float(np.sum(fvals * np.abs(coeffs) ** 2))
-    return DivergenceResult(value, "superoperator", name, summ)
+    return DivergenceResult(value, "superoperator", name)
 
 
 def swapped_entropy(pair: StatePair, f: ScalarMap) -> DivergenceResult:

@@ -26,18 +26,25 @@ class SpectralDomainError(ValueError):
 def hermitian_part(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian within ``tol`` and return (A + A†)/2.
 
-    The symmetrized form is exactly Hermitian, so downstream spectral code
-    never sees asymmetry beyond floating-point addition error.
+    ``a`` is one matrix or a stack of them (shape (..., d, d)). The
+    symmetrized form is exactly Hermitian, so downstream spectral code never
+    sees asymmetry beyond floating-point addition error.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    deviation = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    adjoint = dagger(a)
+    deviation = np.max(np.abs(a - adjoint)) if a.size else 0.0
     if deviation > tol:
         raise ValueError(
             f"matrix is not Hermitian: max |A - A^dag| = {deviation:.3e} exceeds {tol:.1e}"
         )
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint) / 2.0
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 class EigenSystem(NamedTuple):
@@ -46,10 +53,13 @@ class EigenSystem(NamedTuple):
 
 
 def eigh(a: np.ndarray) -> EigenSystem:
-    """Spectral decomposition of a Hermitian matrix with descending eigenvalues."""
+    """Spectral decomposition of a Hermitian matrix with descending eigenvalues.
+
+    Stacks (shape (..., d, d)) are decomposed matrix by matrix in one call.
+    """
     h = hermitian_part(a)
     vals, vecs = np.linalg.eigh(h)
-    return EigenSystem(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return EigenSystem(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def eigvalsh_desc(a: np.ndarray) -> np.ndarray:
@@ -90,8 +100,13 @@ def mat_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
         raise SpectralDomainError(
             f"function returned non-finite values on spectrum {vals}"
         )
-    out = (vecs * fv) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    return spectral_matrix(vecs, fv)
+
+
+def spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V†, symmetrized; V and values may be stacks."""
+    out = (vecs * values[..., np.newaxis, :]) @ dagger(vecs)
+    return (out + dagger(out)) / 2.0
 
 
 class HolderCheck(NamedTuple):

@@ -1,8 +1,10 @@
 """Validated density matrices, state pairs, random generators, and summaries.
 
-A StatePair carries both states' spectral data plus the matrix of squared
-eigenvector overlaps, which is everything the spectral divergence route and
-the scalar bounds consume.
+The evaluation core works on a PairBatch: N pairs of one dimension held as
+stacked arrays, with both states' spectral data, the squared eigenvector
+overlaps and the scalar summary columns computed once, when the batch is
+built. Everything the spectral divergence route and the scalar bounds
+consume lives there. A StatePair is a batch of one with per-pair views.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 from .linalg import (
     ZERO_EIG_THRESHOLD,
     EigenSystem,
+    dagger,
     eigh,
     hermitian_part,
-    trace_norm,
 )
 
 TRACE_TOL = 1e-12
@@ -47,6 +49,27 @@ class DensityMatrix:
         return self.spectral.eigenvectors
 
 
+def _validated_states(mats: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
+    """Validate one density matrix or a stack of them in a single pass.
+
+    Checks Hermiticity, unit trace (1e-12), and positivity up to -1e-12 on
+    every spectrum. Returns the read-only symmetrized matrices and their
+    descending spectral data.
+    """
+    h = hermitian_part(mats)
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"trace is {float(tr[off].flat[0])!r}, not 1 within {TRACE_TOL:.1e}")
+    spectral = eigh(h)
+    min_eig = spectral.eigenvalues[..., -1]
+    if np.any(min_eig < EIGENVALUE_FLOOR):
+        raise ValueError(f"negative eigenvalue {float(np.min(min_eig))!r} "
+                         f"below floor {EIGENVALUE_FLOOR:.1e}")
+    h.setflags(write=False)
+    return h, spectral
+
+
 def density_matrix(mat: np.ndarray) -> DensityMatrix:
     """Validate and wrap a density matrix.
 
@@ -55,59 +78,10 @@ def density_matrix(mat: np.ndarray) -> DensityMatrix:
     exceeds the rank threshold, separating deliberately singular states from
     numerical noise.
     """
-    h = hermitian_part(mat)
-    tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {tr!r}, not 1 within {TRACE_TOL:.1e}")
-    spectral = eigh(h)
-    min_eig = float(spectral.eigenvalues[-1])
-    if min_eig < EIGENVALUE_FLOOR:
-        raise ValueError(f"negative eigenvalue {min_eig!r} below floor {EIGENVALUE_FLOOR:.1e}")
-    h.setflags(write=False)
-    return DensityMatrix(h, spectral, min_eig > ZERO_EIG_THRESHOLD)
-
-
-@dataclass(frozen=True)
-class StatePair:
-    """An ordered pair (rho, sigma) with squared eigenvector overlaps.
-
-    overlaps[k, j] = |<phi_k|psi_j>|^2 where psi are rho's eigenvectors and
-    phi are sigma's; the matrix is doubly stochastic.
-    """
-
-    rho: DensityMatrix
-    sigma: DensityMatrix
-    overlaps: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.rho.dim
-
-
-def state_pair(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> StatePair:
-    """Build a StatePair, computing and validating the overlap matrix."""
-    if not isinstance(rho, DensityMatrix):
-        rho = density_matrix(rho)
-    if not isinstance(sigma, DensityMatrix):
-        sigma = density_matrix(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    amp = sigma.eigenvectors.conj().T @ rho.eigenvectors
-    overlaps = np.abs(amp) ** 2
-    for axis, label in ((0, "column"), (1, "row")):
-        sums = overlaps.sum(axis=axis)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > DOUBLE_STOCHASTIC_TOL:
-            raise ValueError(f"overlap {label} sums off by {worst:.3e}; eigenbasis not unitary?")
-    overlaps.setflags(write=False)
-    return StatePair(rho, sigma, overlaps)
-
-
-def swapped(pair: StatePair) -> StatePair:
-    """The pair with rho and sigma exchanged (overlaps transpose)."""
-    overlaps = pair.overlaps.T.copy()
-    overlaps.setflags(write=False)
-    return StatePair(pair.sigma, pair.rho, overlaps)
+    h, spectral = _validated_states(np.asarray(mat))
+    if h.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    return DensityMatrix(h, spectral, bool(spectral.eigenvalues[-1] > ZERO_EIG_THRESHOLD))
 
 
 @dataclass(frozen=True)
@@ -116,7 +90,9 @@ class ScalarSummary:
 
     alpha_rho and alpha_sigma are the smallest eigenvalues strictly above the
     rank threshold (the "minimal non-zero eigenvalue" convention), so they are
-    well defined for rank-deficient states.
+    well defined for rank-deficient states. For one pair every field is a
+    number; a PairBatch holds the same summary as columns, one array entry
+    per pair in every field but dim.
     """
 
     dim: int
@@ -130,36 +106,170 @@ class ScalarSummary:
     commutator_norm: float  # ||[rho, sigma]||_F; gates the commuting-pair bounds
 
 
-def _min_positive(eigs: np.ndarray) -> float:
-    positive = eigs[eigs > ZERO_EIG_THRESHOLD]
-    if positive.size == 0:
+_COLUMNS = ("lambda_rho", "lambda_sigma", "alpha_rho", "alpha_sigma", "alpha",
+            "trace_distance_1", "T", "commutator_norm")
+
+
+def _min_positive(eigs: np.ndarray) -> np.ndarray:
+    positive = np.where(eigs > ZERO_EIG_THRESHOLD, eigs, np.inf).min(axis=-1)
+    if np.any(np.isinf(positive)):
         raise ValueError("state has no eigenvalue above the rank threshold")
-    return float(positive[-1])
+    return positive
+
+
+def _summary_columns(rho: np.ndarray, sigma: np.ndarray, lam: np.ndarray,
+                     mu: np.ndarray) -> ScalarSummary:
+    # Differences of exactly Hermitian matrices are exactly Hermitian.
+    dist = np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
+    product = rho @ sigma
+    alpha_rho = _min_positive(lam)
+    alpha_sigma = _min_positive(mu)
+    s = ScalarSummary(
+        dim=rho.shape[-1],
+        lambda_rho=lam[:, 0],
+        lambda_sigma=mu[:, 0],
+        alpha_rho=alpha_rho,
+        alpha_sigma=alpha_sigma,
+        alpha=np.minimum(alpha_rho, alpha_sigma),
+        trace_distance_1=dist,
+        T=dist / 2.0,
+        commutator_norm=np.linalg.norm(product - dagger(product), axis=(-2, -1)),
+    )
+    ok = (0.0 < s.alpha) & (s.alpha <= s.lambda_rho) & (s.lambda_rho <= 1.0 + 1e-12)
+    if not np.all(ok):
+        n = int(np.argmin(ok))
+        raise ValueError(f"summary invariant violated: alpha={s.alpha[n]}, "
+                         f"lambda_rho={s.lambda_rho[n]}")
+    ok = (-1e-12 <= dist) & (dist <= 2.0 + 1e-12)
+    if not np.all(ok):
+        raise ValueError(f"trace distance out of range: {dist[np.argmin(ok)]}")
+    return s
+
+
+@dataclass(frozen=True)
+class PairBatch:
+    """N ordered pairs (rho, sigma) of one dimension, as stacked arrays.
+
+    rho and sigma have shape (N, d, d); the spectral data is descending, and
+    overlaps[n, k, j] = |<phi_k|psi_j>|^2 where psi are rho's eigenvectors
+    and phi are sigma's, each (d, d) slice doubly stochastic. The summary
+    holds one column entry per pair. Every array is computed once, when the
+    batch is built, and none is written afterwards.
+    """
+
+    rho: np.ndarray
+    sigma: np.ndarray
+    rho_spectral: EigenSystem
+    sigma_spectral: EigenSystem
+    overlaps: np.ndarray
+    summary: ScalarSummary
+
+    @property
+    def dim(self) -> int:
+        return self.rho.shape[-1]
+
+    def __len__(self) -> int:
+        return self.rho.shape[0]
+
+    @property
+    def rho_positive(self) -> np.ndarray:
+        """Per pair: every eigenvalue of rho is above the rank threshold."""
+        return self.rho_spectral.eigenvalues[:, -1] > ZERO_EIG_THRESHOLD
+
+    @property
+    def sigma_positive(self) -> np.ndarray:
+        return self.sigma_spectral.eigenvalues[:, -1] > ZERO_EIG_THRESHOLD
+
+    def pair(self, n: int) -> StatePair:
+        """Pair n as a StatePair: views into a batch of one."""
+        sl = slice(n, n + 1)
+        rs, ss = self.rho_spectral, self.sigma_spectral
+        one = self if len(self) == 1 else PairBatch(
+            self.rho[sl], self.sigma[sl],
+            EigenSystem(rs.eigenvalues[sl], rs.eigenvectors[sl]),
+            EigenSystem(ss.eigenvalues[sl], ss.eigenvectors[sl]),
+            self.overlaps[sl],
+            ScalarSummary(self.dim, *(getattr(self.summary, c)[sl] for c in _COLUMNS)),
+        )
+        states = [
+            DensityMatrix(m[n], EigenSystem(sp.eigenvalues[n], sp.eigenvectors[n]),
+                          bool(positive[n]))
+            for m, sp, positive in ((self.rho, rs, self.rho_positive),
+                                    (self.sigma, ss, self.sigma_positive))
+        ]
+        summary = ScalarSummary(self.dim, *(float(getattr(self.summary, c)[n])
+                                            for c in _COLUMNS))
+        return StatePair(*states, self.overlaps[n], summary, one)
+
+
+def _assemble(rho_states: tuple, sigma_states: tuple) -> PairBatch:
+    (rho, rho_spectral), (sigma, sigma_spectral) = rho_states, sigma_states
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}")
+    amp = dagger(sigma_spectral.eigenvectors) @ rho_spectral.eigenvectors
+    overlaps = np.abs(amp) ** 2
+    for axis, label in ((-2, "column"), (-1, "row")):
+        worst = float(np.max(np.abs(overlaps.sum(axis=axis) - 1.0)))
+        if worst > DOUBLE_STOCHASTIC_TOL:
+            raise ValueError(f"overlap {label} sums off by {worst:.3e}; eigenbasis not unitary?")
+    overlaps.setflags(write=False)
+    summary = _summary_columns(rho, sigma, rho_spectral.eigenvalues,
+                               sigma_spectral.eigenvalues)
+    return PairBatch(rho, sigma, rho_spectral, sigma_spectral, overlaps, summary)
+
+
+def pair_batch(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
+    """Build and validate a PairBatch from two (N, d, d) stacks in one pass.
+
+    Every pair is checked for Hermiticity, unit trace, the eigenvalue floor
+    and doubly stochastic overlaps; the first failure raises ValueError.
+    """
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if rho.ndim != 3:
+        raise ValueError(f"expected a (N, d, d) stack, got shape {rho.shape}")
+    return _assemble(_validated_states(rho), _validated_states(sigma))
+
+
+@dataclass(frozen=True)
+class StatePair:
+    """An ordered pair (rho, sigma) with squared eigenvector overlaps.
+
+    overlaps[k, j] = |<phi_k|psi_j>|^2 where psi are rho's eigenvectors and
+    phi are sigma's; the matrix is doubly stochastic. The pair owns its
+    scalar summary, and ``batch`` is the same pair as a PairBatch of one,
+    which is what every divergence and bound evaluates.
+    """
+
+    rho: DensityMatrix
+    sigma: DensityMatrix
+    overlaps: np.ndarray
+    summary: ScalarSummary
+    batch: PairBatch
+
+    @property
+    def dim(self) -> int:
+        return self.rho.dim
+
+
+def state_pair(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> StatePair:
+    """Build a StatePair, computing and validating the overlap matrix."""
+    states = []
+    for dm in (rho, sigma):
+        if not isinstance(dm, DensityMatrix):
+            dm = density_matrix(dm)
+        states.append((dm.matrix[np.newaxis],
+                       EigenSystem(dm.eigenvalues[np.newaxis], dm.eigenvectors[np.newaxis])))
+    return _assemble(*states).pair(0)
+
+
+def swapped(pair: StatePair) -> StatePair:
+    """The pair with rho and sigma exchanged (overlaps transpose)."""
+    return state_pair(pair.sigma, pair.rho)
 
 
 def summarize(pair: StatePair) -> ScalarSummary:
     """Scalar summary of a pair: extreme eigenvalues and trace distance."""
-    dist = trace_norm(pair.rho.matrix - pair.sigma.matrix)
-    product = pair.rho.matrix @ pair.sigma.matrix
-    commutator = float(np.linalg.norm(product - product.conj().T))
-    alpha_rho = _min_positive(pair.rho.eigenvalues)
-    alpha_sigma = _min_positive(pair.sigma.eigenvalues)
-    s = ScalarSummary(
-        dim=pair.dim,
-        lambda_rho=float(pair.rho.eigenvalues[0]),
-        lambda_sigma=float(pair.sigma.eigenvalues[0]),
-        alpha_rho=alpha_rho,
-        alpha_sigma=alpha_sigma,
-        alpha=min(alpha_rho, alpha_sigma),
-        trace_distance_1=dist,
-        T=dist / 2.0,
-        commutator_norm=commutator,
-    )
-    if not (0.0 < s.alpha <= s.lambda_rho <= 1.0 + 1e-12):
-        raise ValueError(f"summary invariant violated: alpha={s.alpha}, lambda_rho={s.lambda_rho}")
-    if not (-1e-12 <= s.trace_distance_1 <= 2.0 + 1e-12):
-        raise ValueError(f"trace distance out of range: {s.trace_distance_1}")
-    return s
+    return pair.summary
 
 
 def default_rng(seed) -> np.random.Generator:
@@ -178,6 +288,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def _gaussian_states(z: np.ndarray) -> np.ndarray:
+    """G G†/Tr(G G†) for G = z[..., 0, :, :] + i z[..., 1, :, :]."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    m = g @ dagger(g)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+    return m
+
+
 def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random density matrix G G†/Tr(G G†) with complex Gaussian G.
 
@@ -187,17 +305,40 @@ def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     while True:
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = g @ g.conj().T
-        m /= np.trace(m).real
-        dm = density_matrix(m)
+        dm = density_matrix(_gaussian_states(rng.standard_normal((2, dim, dim))))
         if dm.strictly_positive:
             return dm
 
 
+def random_pairs(dim: int, rngs: Sequence) -> PairBatch:
+    """One pair of independent random states per generator, as a batch.
+
+    Pair n uses rngs[n] exactly as random_pair does: its first two accepted
+    random_state draws, rho then sigma. Both draws of every generator are
+    made and validated together; a pair with a rejected draw continues its
+    own stream with random_state, and the batch is rebuilt.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    z = np.stack([rng.standard_normal((2, 2, dim, dim)) for rng in rngs])
+    m = _gaussian_states(z)
+    batch = pair_batch(m[:, 0], m[:, 1])
+    rejected = np.flatnonzero(~(batch.rho_positive & batch.sigma_positive))
+    if rejected.size == 0:
+        return batch
+    rho, sigma = batch.rho.copy(), batch.sigma.copy()
+    for n in rejected:
+        accepted = [state[n] for state, ok in ((rho, batch.rho_positive[n]),
+                                               (sigma, batch.sigma_positive[n])) if ok]
+        while len(accepted) < 2:
+            accepted.append(random_state(dim, rngs[n]).matrix)
+        rho[n], sigma[n] = accepted
+    return pair_batch(rho, sigma)
+
+
 def random_pair(dim: int, rng: np.random.Generator) -> StatePair:
     """Two independent random states as a pair."""
-    return state_pair(random_state(dim, rng), random_state(dim, rng))
+    return random_pairs(dim, [rng]).pair(0)
 
 
 def _random_full_probabilities(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -205,6 +346,23 @@ def _random_full_probabilities(dim: int, rng: np.random.Generator) -> np.ndarray
         p = rng.dirichlet(np.ones(dim))
         if p.min() > ZERO_EIG_THRESHOLD:
             return np.sort(p)[::-1]
+
+
+def random_classical_pairs(dim: int, rngs: Sequence, shuffle: bool = False) -> PairBatch:
+    """One commuting pair per generator, as a batch; see random_classical_pair."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    unitaries, spectra = [], []
+    for rng in rngs:
+        unitaries.append(haar_unitary(dim, rng))
+        p = _random_full_probabilities(dim, rng)
+        q = _random_full_probabilities(dim, rng)
+        if shuffle:
+            q = q[rng.permutation(dim)]
+        spectra.append((p, q))
+    u = np.stack(unitaries)
+    spectra = np.array(spectra)[:, :, np.newaxis, :]
+    return pair_batch((u * spectra[:, 0]) @ dagger(u), (u * spectra[:, 1]) @ dagger(u))
 
 
 def random_classical_pair(dim: int, rng: np.random.Generator,
@@ -216,16 +374,7 @@ def random_classical_pair(dim: int, rng: np.random.Generator,
     spectrum is randomly permuted against rho's, giving a general commuting
     pair whose overlaps form a permutation matrix.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    u = haar_unitary(dim, rng)
-    p = _random_full_probabilities(dim, rng)
-    q = _random_full_probabilities(dim, rng)
-    if shuffle:
-        q = q[rng.permutation(dim)]
-    rho = (u * p) @ u.conj().T
-    sigma = (u * q) @ u.conj().T
-    return state_pair(rho, sigma)
+    return random_classical_pairs(dim, [rng], shuffle).pair(0)
 
 
 def example_pair(dim: int) -> StatePair:

@@ -1,25 +1,33 @@
 """Batch drivers shared by the command-line tool and the acceptance suite.
 
-A sweep evaluates sandwich reports over a grid of (dimension, trial,
-generator) and flattens them into plain-dict rows ready for CSV/JSON
-emission. Every trial owns a generator seeded by (tag, seed, dim, trial),
-so results are identical whether the sweep runs inline or sharded across a
-process pool, and rows are sorted by (dim, trial) before they are returned.
+A sweep evaluates every bound over a grid of (dimension, trial, generator)
+and flattens the results into plain-dict rows ready for CSV/JSON emission.
+The trials of one dimension are split into chunks, and each chunk is one
+PairBatch: sampled, validated, diagonalized and summarized once, after which
+every divergence and bound runs as array operations over the whole chunk
+and the rows are read straight off the resulting columns. With one job a
+dimension is a single chunk; with more, each dimension is cut into about
+four chunks per job, shared out over a process pool.
+
+Every trial owns a generator seeded by (tag, seed, dim, trial), so results
+are identical whether the sweep runs inline or sharded across a process
+pool, and rows are sorted by (dim, trial) before they are returned.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 
-from .bounds import SLACK_FLOOR, ae11_upper, relative_entropy_upper, sandwich
+from .bounds import SLACK_FLOOR, ae11_upper, relative_entropy_upper, sandwich_batch
 from .functions import parse_f_spec
 from .states import (
+    PairBatch,
     default_rng,
     example_pair,
-    random_classical_pair,
-    random_pair,
-    summarize,
+    random_classical_pairs,
+    random_pairs,
 )
 
 _TAG_SWEEP = 7001
@@ -39,50 +47,62 @@ def trial_rng(seed: int, dim: int, trial: int):
     return default_rng((_TAG_SWEEP, seed, dim, trial))
 
 
-def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random"):
-    rng = trial_rng(seed, dim, trial)
+def trial_batch(seed: int, dim: int, trials, pair_kind: str = "random") -> PairBatch:
+    """The pairs of the given trials at one dimension, each from its own generator."""
+    rngs = [trial_rng(seed, dim, trial) for trial in trials]
     if pair_kind == "random":
-        return random_pair(dim, rng)
+        return random_pairs(dim, rngs)
     if pair_kind == "classical":
-        return random_classical_pair(dim, rng, shuffle=True)
+        return random_classical_pairs(dim, rngs, shuffle=True)
     raise ValueError(f"unknown pair_kind {pair_kind!r}")
 
 
-def report_rows(swr, seed: int, dim: int, tag: str, route_q) -> list:
-    div = swr.divergence.value
-    rows = []
-    for rep in swr.reports:
-        q = rep.q if rep.q is not None else route_q
-        rows.append({
-            "dim": int(dim),
-            "seed": int(seed),
-            "pair_tag": tag,
-            "f_name": rep.f_name or swr.divergence.f_name,
-            "q": "" if q is None else float(q),
-            "bound_name": rep.bound_name,
-            "bound_value": float(rep.value),
-            "divergence": float(div),
-            "slack": "" if rep.slack is None else float(rep.slack),
-            "applicable": bool(rep.applicable),
-        })
-    return rows
+def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random"):
+    """One trial's pair: a batch of one from trial_batch."""
+    return trial_batch(seed, dim, [trial], pair_kind).pair(0)
+
+
+def batch_rows(batch: PairBatch, seed: int, tags: list, routes: list,
+               ae11_base: str) -> list:
+    """BOUNDS_COLUMNS rows for every pair of a batch.
+
+    ``routes`` lists (f, q) generator choices as sandwich takes them. Rows
+    come pair by pair (``tags`` names the pairs), then route by route, then
+    bound by bound.
+    """
+    columns = []
+    for f, q in routes:
+        gen, divergence, reports = sandwich_batch(batch, f=f, q=q, ae11_base=ae11_base)
+        divergence = divergence.tolist()
+        for rep in reports:
+            rep_q = rep.q if rep.q is not None else q
+            slack = ["" if s != s else s for s in rep.slack.tolist()]  # NaN: no slack
+            columns.append((rep.f_name or gen.name, "" if rep_q is None else float(rep_q),
+                            rep.bound_name, rep.value.tolist(), divergence, slack,
+                            rep.applicable.tolist()))
+    dim, seed = int(batch.dim), int(seed)
+    return [
+        {"dim": dim, "seed": seed, "pair_tag": tag, "f_name": f_name, "q": q,
+         "bound_name": name, "bound_value": values[n], "divergence": divergence[n],
+         "slack": slack[n], "applicable": applicable[n]}
+        for n, tag in enumerate(tags)
+        for f_name, q, name, values, divergence, slack, applicable in columns
+    ]
+
+
+def violation_rows(rows: list) -> list:
+    """The applicable rows whose slack fell below -1e-10."""
+    return [r for r in rows
+            if r["applicable"] and r["slack"] != "" and r["slack"] < SLACK_FLOOR]
 
 
 def sweep_chunk(seed: int, dim: int, trials: list, pair_kind: str,
                 f_specs: list, qs: list, ae11_base: str) -> list:
     """One shard: a block of trials at fixed dim. Top level for pickling."""
-    generators = [parse_f_spec(s) for s in f_specs]
-    rows = []
-    for trial in trials:
-        pair = trial_pair(seed, dim, trial, pair_kind)
-        tag = f"{pair_kind}:{trial:06d}"
-        for gen in generators:
-            swr = sandwich(pair, f=gen, ae11_base=ae11_base)
-            rows.extend(report_rows(swr, seed, dim, tag, None))
-        for q in qs:
-            swr = sandwich(pair, q=float(q), ae11_base=ae11_base)
-            rows.extend(report_rows(swr, seed, dim, tag, float(q)))
-    return rows
+    routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
+    batch = trial_batch(seed, dim, trials, pair_kind)
+    tags = [f"{pair_kind}:{trial:06d}" for trial in trials]
+    return batch_rows(batch, seed, tags, routes, ae11_base)
 
 
 def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
@@ -103,7 +123,7 @@ def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
     if not f_specs and not qs:
         raise ValueError("need at least one generator (f_specs or qs)")
 
-    block = max(1, math.ceil(trials / max(1, 4 * jobs)))
+    block = trials if jobs <= 1 else max(1, math.ceil(trials / (4 * jobs)))
     tasks = []
     for dim in dims:
         for start in range(0, trials, block):
@@ -124,12 +144,8 @@ def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
             for fut in futures:
                 rows.extend(fut.result())
 
-    rows.sort(key=lambda r: (r["dim"], r["pair_tag"]))
-    violations = [
-        r for r in rows
-        if r["applicable"] and r["slack"] != "" and r["slack"] < SLACK_FLOOR
-    ]
-    return rows, violations
+    rows.sort(key=operator.itemgetter("dim", "pair_tag"))
+    return rows, violation_rows(rows)
 
 
 def _winner(new: float, old: float, rtol: float = 1e-9) -> str:
@@ -149,8 +165,7 @@ def paper_example_rows(dims) -> list:
     """
     rows = []
     for d in sorted({int(d) for d in dims}):
-        pair = example_pair(d)
-        s = summarize(pair)
+        s = example_pair(d).summary
         tight = relative_entropy_upper(s)[0].value
         ae_e = ae11_upper(s, "e").value
         ae_2 = ae11_upper(s, "2").value

@@ -58,7 +58,7 @@ def test_qubit_classical_gated_off_in_higher_dim():
 
 
 def test_pinsker_lower_orientation():
-    rep = pinsker_lower(S, neg_log()).with_divergence(umegaki(PAIR).value)
+    rep = pinsker_lower(S, neg_log(), divergence=umegaki(PAIR).value)
     assert rep.is_lower
     assert rep.value == pytest.approx(0.125, rel=1e-12)  # 0.5 * 1 * 0.5^2
     # slack = divergence - bound for lower bounds
@@ -165,7 +165,7 @@ def test_bracket_core_guard_continuity():
 
 
 def test_with_divergence_skips_infinities():
-    rep = pinsker_lower(S, neg_log()).with_divergence(math.inf)
+    rep = pinsker_lower(S, neg_log(), divergence=math.inf)
     assert rep.slack is None
 
 

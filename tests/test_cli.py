@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from quasirel import cli, default_rng, random_pair, save_pair
+from quasirel import QuadratureError, cli, default_rng, functions, random_pair, save_pair
 from quasirel.cli import main, parse_dims, render_rows
 from quasirel.states import state_pair
 
@@ -110,14 +110,17 @@ def test_bounds_command_clean(capsys):
 
 
 def test_sweep_deterministic_across_jobs(tmp_path, capsys):
-    argv = ["sweep", "--dims", "2,3", "--trials", "6", "--seed", "9",
+    # --jobs 1 evaluates each dimension's 7 trials as one batch; 2 and 3
+    # jobs shard them into one-pair chunks over a process pool
+    argv = ["sweep", "--dims", "2,3", "--trials", "7", "--seed", "9",
             "--f", "neg-log", "--q", "0.5"]
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(argv + ["--out", str(out1), "--jobs", "1"]) == 0
-    assert main(argv + ["--out", str(out2), "--jobs", "3"]) == 0
+    outputs = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(argv + ["--out", str(out), "--jobs", str(jobs)]) == 0
+        outputs.append(out.read_bytes())
     capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sweep_classical_pairs(capsys):
@@ -152,6 +155,17 @@ def test_repr_check_reports_ok(capsys):
     assert rows[0]["ok"] == "true"
     assert float(rows[0]["max_rel_error"]) < 1e-6
     assert float(rows[0]["b"]) == pytest.approx(math.cos(math.pi / 4.0), abs=1e-12)
+
+
+def test_repr_check_quadrature_failure_exit_code(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise QuadratureError("evaluation budget 100000 exhausted")
+
+    monkeypatch.setattr(functions, "integrate_halfline", exhausted)
+    code, _, err = _run(capsys, ["repr-check", "--f", "neg-power:p=0.5"])
+    assert code == 5
+    assert err.startswith("error:") and "budget" in err
+    assert "Traceback" not in err
 
 
 def test_repr_check_rejects_density_free_generator(capsys):

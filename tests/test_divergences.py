@@ -24,7 +24,8 @@ from quasirel import (
     tsallis_f,
     umegaki,
 )
-from quasirel.states import state_pair
+from quasirel.divergences import spectral_values, tsallis_values, umegaki_values
+from quasirel.states import pair_batch, state_pair
 
 CLASSICAL = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 
@@ -72,7 +73,7 @@ def test_result_metadata():
     assert res.method == "spectral"
     assert res.f_name == "neg-log"
     assert res.finite
-    assert res.pair_summary.dim == 2
+    assert CLASSICAL.summary.dim == 2  # the pair owns its summary
     assert quasi_entropy_superoperator(CLASSICAL, neg_log()).method == "superoperator"
     assert umegaki(CLASSICAL).method == "direct"
 
@@ -171,3 +172,28 @@ def test_tsallis_direct_domain():
         with pytest.raises(ValueError):
             tsallis_direct(CLASSICAL, bad)
     assert tsallis_direct(CLASSICAL, 2.0).finite
+
+
+def test_batch_values_match_each_pair_alone():
+    # a pair's value must not depend on the batch it sits in: regular pairs,
+    # a commuting pair with skipped overlap terms, and a rank-deficient sigma
+    # (then, for umegaki, a rank-deficient rho) share one batch
+    rng = default_rng(39)
+    pairs = [random_pair(3, rng) for _ in range(4)]
+    pairs += [random_classical_pair(3, rng, shuffle=True), example_pair(3)]
+
+    def batch_of(group):
+        return pair_batch(np.stack([p.rho.matrix for p in group]),
+                          np.stack([p.sigma.matrix for p in group]))
+
+    batch = batch_of(pairs)
+    checks = [(spectral_values(batch, f), lambda p, f=f: quasi_entropy_spectral(p, f))
+              for f in (neg_log(), neg_power(0.5), tsallis_f(1.5))]
+    checks.append((tsallis_values(batch, 0.3), lambda p: tsallis_direct(p, 0.3)))
+    checks.append((umegaki_values(batch), umegaki))
+    for values, single in checks:
+        assert [single(p).value for p in pairs] == values.tolist()
+    assert np.isinf(checks[0][0][-1]) and np.isfinite(checks[1][0][-1])
+
+    pairs[-1] = swapped(pairs[-1])
+    assert [umegaki(p).value for p in pairs] == umegaki_values(batch_of(pairs)).tolist()

@@ -20,7 +20,13 @@ from quasirel import (
     summarize,
     swapped,
 )
-from quasirel.states import state_pair
+from quasirel.states import (
+    _random_full_probabilities,
+    pair_batch,
+    random_classical_pairs,
+    random_pairs,
+    state_pair,
+)
 
 
 def test_density_matrix_validation():
@@ -138,3 +144,82 @@ def test_pair_dict_round_trip():
     again = pair_from_dict(pair_to_dict(pair))
     np.testing.assert_array_equal(again.rho.matrix, pair.rho.matrix)
     np.testing.assert_array_equal(again.sigma.matrix, pair.sigma.matrix)
+
+
+class _FlatStream:
+    """Stub generator whose first Gaussian matrix has a zero last row.
+
+    standard_normal serves one fixed stream in order, whatever block shapes
+    it is asked for, so a state drawn from the stub is rank-deficient first.
+    """
+
+    def __init__(self, dim, seed):
+        self.stream = default_rng(seed).standard_normal(64 * dim * dim)
+        self.stream.reshape(-1, dim, dim)[:2, -1, :] = 0.0  # real and imaginary parts
+        self.used = 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out = self.stream[self.used:self.used + n].reshape(size)
+        self.used += n
+        return out.copy()
+
+
+class _ZeroWeightFirst:
+    """Stub generator: a real one whose first Dirichlet draw has a zero weight."""
+
+    def __init__(self, seed):
+        self.rng = default_rng(seed)
+        self.dirichlet_calls = 0
+
+    def dirichlet(self, alpha):
+        self.dirichlet_calls += 1
+        if self.dirichlet_calls == 1:
+            return np.eye(len(alpha))[0]
+        return self.rng.dirichlet(alpha)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_batch_sampler_continues_stream_after_rejection():
+    dim = 3
+    sequential, batched = _FlatStream(dim, 14), _FlatStream(dim, 14)
+    rho = random_state(dim, sequential).matrix
+    sigma = random_state(dim, sequential).matrix
+    batch = random_pairs(dim, [batched])
+    np.testing.assert_array_equal(batch.rho[0], rho)
+    np.testing.assert_array_equal(batch.sigma[0], sigma)
+    # the first draw was rejected: both paths consumed three Gaussian pairs
+    assert sequential.used == batched.used == 3 * 2 * dim * dim
+
+
+def test_classical_batch_sampler_continues_stream_after_rejection():
+    dim = 4
+    sequential, batched = _ZeroWeightFirst(15), _ZeroWeightFirst(15)
+    # the per-trial draw order random_classical_pair has always used
+    u = haar_unitary(dim, sequential)
+    p = _random_full_probabilities(dim, sequential)
+    q = _random_full_probabilities(dim, sequential)
+    q = q[sequential.permutation(dim)]
+    rho = density_matrix((u * p) @ u.conj().T).matrix
+    sigma = density_matrix((u * q) @ u.conj().T).matrix
+    batch = random_classical_pairs(dim, [batched], shuffle=True)
+    np.testing.assert_array_equal(batch.rho[0], rho)
+    np.testing.assert_array_equal(batch.sigma[0], sigma)
+    assert sequential.dirichlet_calls == batched.dirichlet_calls == 3
+
+
+def test_pair_batch_matches_pairs_built_one_by_one():
+    rng = default_rng(16)
+    pairs = [random_pair(3, rng) for _ in range(5)]
+    batch = pair_batch(np.stack([p.rho.matrix for p in pairs]),
+                       np.stack([p.sigma.matrix for p in pairs]))
+    assert len(batch) == 5 and batch.dim == 3
+    for n, pair in enumerate(pairs):
+        view = batch.pair(n)
+        np.testing.assert_array_equal(view.overlaps, pair.overlaps)
+        np.testing.assert_array_equal(view.rho.eigenvalues, pair.rho.eigenvalues)
+        assert view.summary == pair.summary
+    with pytest.raises(ValueError):
+        pair_batch(np.stack([np.eye(3), np.eye(3) / 3]), batch.sigma[:2])

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from quasirel import paper_example_rows, sweep_bounds
-from quasirel.sweeps import trial_pair
+from quasirel import bounds, paper_example_rows, sweep_bounds, sweeps
+from quasirel.sweeps import sweep_chunk, trial_pair
 
 
 def test_trial_pair_deterministic_and_kind():
@@ -40,6 +40,19 @@ def test_sweep_jobs_do_not_change_rows():
     serial = sweep_bounds([3], trials=4, seed=2, f_specs=["tsallis:q=1.5"])
     forked = sweep_bounds([3], trials=4, seed=2, f_specs=["tsallis:q=1.5"], jobs=2)
     assert serial == forked
+
+
+def test_sweep_chunk_evaluates_one_batch(monkeypatch):
+    # the whole chunk is one PairBatch: no per-pair sampling or sandwich
+    def per_pair(*args, **kwargs):
+        raise AssertionError("per-pair path used inside a sweep chunk")
+
+    monkeypatch.setattr(sweeps, "trial_pair", per_pair)
+    monkeypatch.setattr(bounds, "sandwich", per_pair)
+    rows = sweep_chunk(5, 3, [0, 1, 2], "classical", ["neg-log"], [1.5], "e")
+    assert len(rows) == 3 * (8 + 8)
+    assert [r["pair_tag"] for r in rows[::16]] == [
+        "classical:000000", "classical:000001", "classical:000002"]
 
 
 def test_paper_example_first_row_frozen():
