@@ -2,8 +2,10 @@
 
 Exit codes are part of the interface:
   0  success (and, for sweeps, zero violations)
-  2  command-line or config-file parse error
-  3  validation error (bad dims/trials/f-spec/state file contents)
+  2  command-line or config-file parse error (a --step, --steps or
+     --plateau flag out of range included)
+  3  validation error (bad dims/trials/f-spec/state file contents, or a
+     climb setting out of range in a config file)
   4  I/O error (unreadable input, unwritable output)
   5  verification failure (negative slack in a sweep, a representation
      round-trip outside tolerance, or a quadrature that exhausted its
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conjecture import conjecture_search, save_record
+from .conjecture import check_search_arguments, conjecture_search, save_record
 from .divergences import (
     SUPEROP_DIM_CAP,
     quasi_entropy_spectral,
@@ -101,8 +103,7 @@ class RunConfig:
             raise ValueError("dims must be nonempty (e.g. --dims 2,3,4)")
         if any(d < 2 for d in self.dims):
             raise ValueError(f"dims must all be >= 2, got {self.dims}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_search_arguments(self.trials, self.step, self.steps, self.plateau)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.log_base not in ("e", "2"):
@@ -150,6 +151,18 @@ def parse_dims(text: str) -> list:
     return dims
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: convert the flag's text, then require ok(value)."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in conversion errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasirel",
@@ -195,10 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["uniform", "modular"])
     p.add_argument("--commuting", action="store_true", default=None,
                    help="restrict the search to commuting pairs")
-    p.add_argument("--step", type=float, help="jitter scale (default 0.05)")
-    p.add_argument("--steps", type=int, help="climb steps per restart")
-    p.add_argument("--plateau", type=int,
-                   help="consecutive misses before a restart is abandoned")
+    p.add_argument("--step", help="jitter scale (default 0.05)",
+                   type=_checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                                 "a positive finite number"))
+    p.add_argument("--steps", type=_checked(int, lambda v: v >= 0, ">= 0"),
+                   help="climb steps per restart (default 200)")
+    p.add_argument("--plateau", type=_checked(int, lambda v: v >= 1, ">= 1"),
+                   help="consecutive misses before a restart is abandoned "
+                        "(default 30)")
 
     p = sub.add_parser("repr-check", help="integral-representation round-trips")
     common(p, "n/a")

@@ -14,17 +14,20 @@ asserted for the open case.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import hermitian_part
+from .linalg import dagger, hermitian_part
 from .states import (
     StatePair,
+    _matrix_to_json,
+    _random_probabilities,
     default_rng,
-    haar_unitary,
-    random_classical_pair,
+    haar_unitaries,
+    random_classical_pairs,
 )
 
 FUNCTIONAL_CROSS_TOL = 1e-10
@@ -67,9 +70,9 @@ class WeightedOverlapFunctional:
 def random_functional(dim: int, rng: np.random.Generator,
                       cap: float = 1.0) -> WeightedOverlapFunctional:
     """Independent uniform weights on [0, cap] over two Haar-random bases."""
-    return WeightedOverlapFunctional(
-        rng.uniform(0.0, cap, size=(dim, dim)), cap,
-        haar_unitary(dim, rng), haar_unitary(dim, rng))
+    c = rng.uniform(0.0, cap, size=(dim, dim))
+    u = haar_unitaries(rng.standard_normal((2, 2, dim, dim)))
+    return WeightedOverlapFunctional(c, cap, u[0], u[1])
 
 
 def modular_weight_matrix(pair: StatePair, t: float) -> WeightedOverlapFunctional:
@@ -93,9 +96,11 @@ def modular_weight_matrix(pair: StatePair, t: float) -> WeightedOverlapFunctiona
 
 
 def _sum_formula(c_entries: np.ndarray, lam: np.ndarray, mu: np.ndarray,
-                 overlaps: np.ndarray) -> float:
-    gaps = lam[np.newaxis, :] - mu[:, np.newaxis]
-    return float(np.sum(c_entries * gaps * overlaps))
+                 overlaps: np.ndarray) -> np.ndarray:
+    """sum_kj C_kj (lam_j - mu_k) overlaps_kj, for one pair or each of a stack."""
+    gaps = lam[..., np.newaxis, :] - mu[..., :, np.newaxis]
+    terms = c_entries * gaps * overlaps
+    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
 
 def functional_value(w: WeightedOverlapFunctional, pair: StatePair) -> float:
@@ -111,8 +116,8 @@ def functional_value(w: WeightedOverlapFunctional, pair: StatePair) -> float:
     if (w.basis_phi is not pair.sigma.eigenvectors
             and not np.allclose(w.basis_phi, pair.sigma.eigenvectors, atol=1e-12)):
         raise ValueError("functional basis_phi does not match sigma's eigenbasis")
-    value = _sum_formula(w.c_entries, pair.rho.eigenvalues,
-                         pair.sigma.eigenvalues, pair.overlaps)
+    value = float(_sum_formula(w.c_entries, pair.rho.eigenvalues,
+                               pair.sigma.eigenvalues, pair.overlaps))
     explicit = complex(np.trace(w.d_matrix() @ (pair.rho.matrix - pair.sigma.matrix)))
     if abs(explicit - value) > FUNCTIONAL_CROSS_TOL * max(1.0, abs(value)):
         raise ValueError(
@@ -182,103 +187,197 @@ def save_record(path, record: SearchRecord) -> None:
         fh.write("\n")
 
 
-class _Instance:
-    """Mutable search state: a pair's raw parts plus weights (cap fixed at 1)."""
+# Spectra of search instances stay above this floor when drawn and jittered.
+SPECTRUM_FLOOR = 1e-8
+# Random trials and climb restarts are drawn and evaluated this many at a
+# time, so memory does not grow with the trial count.
+_TRIAL_BLOCK = 256
+# A climb draws its steps' normals ahead this many steps at a time.
+_DRAW_STEPS = 32
+# Candidates in a climb's first round; the count doubles after a round of
+# misses and starts over after an accepted step.
+_FIRST_ROUND = 4
 
-    __slots__ = ("lam", "mu", "u_psi", "u_phi", "c_entries", "t")
 
-    def __init__(self, lam, mu, u_psi, u_phi, c_entries, t=None):
-        self.lam = lam
-        self.mu = mu
-        self.u_psi = u_psi
-        self.u_phi = u_phi
-        self.c_entries = c_entries
-        self.t = t  # modular mode only
+class _Instances(NamedTuple):
+    """N search instances of one dimension as stacked arrays (cap fixed at 1).
 
-    def ratio(self) -> float:
-        overlaps = np.abs(self.u_phi.conj().T @ self.u_psi) ** 2
+    lam[n] and mu[n] are descending spectra of rho and sigma with eigenbases
+    u_psi[n] and u_phi[n]. The weights are c[n] (uniform mode), or
+    1 / (t[n] + mu_k / lam_j) in modular mode, where c is None.
+    """
+
+    lam: np.ndarray
+    mu: np.ndarray
+    u_psi: np.ndarray
+    u_phi: np.ndarray
+    c: Optional[np.ndarray]
+    t: Optional[np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return self.lam.shape[-1]
+
+    def take(self, n: int) -> _Instances:
+        """Instance n as a batch of one."""
+        sl = slice(n, n + 1)
+        return _Instances(self.lam[sl], self.mu[sl], self.u_psi[sl], self.u_phi[sl],
+                          None if self.c is None else self.c[sl],
+                          None if self.t is None else self.t[sl])
+
+    def ratios(self) -> np.ndarray:
+        """|Tr(D(rho - sigma))| / (cap ||rho - sigma||_1) per instance, 0 where rho = sigma."""
+        lam, mu = self.lam, self.mu
+        phi_dagger = dagger(self.u_phi)
+        overlaps = np.abs(phi_dagger @ self.u_psi) ** 2
         if self.t is None:
-            c, cap = self.c_entries, 1.0
+            c, cap = self.c, 1.0
         else:
-            ratios = self.mu[:, np.newaxis] / self.lam[np.newaxis, :]
-            c = 1.0 / (self.t + ratios)
-            cap = 1.0 / (self.t + np.min(self.mu) / np.max(self.lam))
-        numerator = abs(_sum_formula(c, self.lam, self.mu, overlaps))
-        rho = (self.u_psi * self.lam) @ self.u_psi.conj().T
-        sigma = (self.u_phi * self.mu) @ self.u_phi.conj().T
-        dist = float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
-        if dist < 1e-14:
-            return 0.0
-        return numerator / (cap * dist)
+            c = 1.0 / (self.t[:, np.newaxis, np.newaxis]
+                       + mu[:, :, np.newaxis] / lam[:, np.newaxis, :])
+            cap = 1.0 / (self.t + mu.min(axis=-1) / lam.max(axis=-1))
+        numerator = np.abs(_sum_formula(c, lam, mu, overlaps))
+        rho = (self.u_psi * lam[:, np.newaxis, :]) @ dagger(self.u_psi)
+        sigma = (self.u_phi * mu[:, np.newaxis, :]) @ phi_dagger
+        dist = np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
+        equal = dist < 1e-14
+        return np.where(equal, 0.0, numerator / (cap * np.where(equal, 1.0, dist)))
 
-    def to_dict(self, ratio: float) -> dict:
-        rho = (self.u_psi * self.lam) @ self.u_psi.conj().T
-        sigma = (self.u_phi * self.mu) @ self.u_phi.conj().T
+    def to_dict(self, n: int, ratio: float) -> dict:
+        lam, mu, u_psi, u_phi = self.lam[n], self.mu[n], self.u_psi[n], self.u_phi[n]
         doc = {
-            "dim": int(self.lam.size),
+            "dim": self.dim,
             "ratio": float(ratio),
-            "rho": [[[float(v.real), float(v.imag)] for v in row] for row in rho],
-            "sigma": [[[float(v.real), float(v.imag)] for v in row] for row in sigma],
-            "t": None if self.t is None else float(self.t),
+            "rho": _matrix_to_json((u_psi * lam) @ u_psi.conj().T),
+            "sigma": _matrix_to_json((u_phi * mu) @ u_phi.conj().T),
+            "t": None if self.t is None else float(self.t[n]),
         }
         if self.t is None:
-            doc["c_entries"] = [[float(v) for v in row] for row in self.c_entries]
+            doc["c_entries"] = [[float(v) for v in row] for row in self.c[n]]
         return doc
 
 
-def _spectrum(dim: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        p = rng.dirichlet(np.ones(dim))
-        if p.min() > 1e-8:
-            return p
+def _random_instances(dim: int, rngs: list, weight_mode: str,
+                      commuting: bool) -> _Instances:
+    """One fresh instance per generator, each drawn from its own stream.
 
-
-def _random_instance(dim: int, rng: np.random.Generator, weight_mode: str,
-                     commuting: bool) -> _Instance:
+    A stream gives, in order: the pair (a shuffled commuting pair, or two
+    spectra and then the Gaussians of two Haar bases), then its weights
+    (d*d uniforms) or its modular t.
+    """
+    n = len(rngs)
     if commuting:
-        pair = random_classical_pair(dim, rng, shuffle=True)
-        lam, mu = pair.rho.eigenvalues.copy(), pair.sigma.eigenvalues.copy()
-        u_psi, u_phi = pair.rho.eigenvectors, pair.sigma.eigenvectors
+        pairs = random_classical_pairs(dim, rngs, shuffle=True)
+        lam, mu = pairs.rho_spectral.eigenvalues, pairs.sigma_spectral.eigenvalues
+        u_psi, u_phi = pairs.rho_spectral.eigenvectors, pairs.sigma_spectral.eigenvectors
     else:
-        lam = np.sort(_spectrum(dim, rng))[::-1]
-        mu = np.sort(_spectrum(dim, rng))[::-1]
-        u_psi = haar_unitary(dim, rng)
-        u_phi = haar_unitary(dim, rng)
+        spectra = np.empty((n, 2, dim))
+        z = np.empty((n, 2, 2, dim, dim))
+        for i, rng in enumerate(rngs):
+            spectra[i, 0] = _random_probabilities(dim, rng, SPECTRUM_FLOOR)
+            spectra[i, 1] = _random_probabilities(dim, rng, SPECTRUM_FLOOR)
+            z[i] = rng.standard_normal((2, 2, dim, dim))
+        lam, mu = spectra[:, 0], spectra[:, 1]
+        u = haar_unitaries(z)
+        u_psi, u_phi = u[:, 0], u[:, 1]
     if weight_mode == "modular":
-        t = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-        return _Instance(lam, mu, u_psi, u_phi, None, t)
-    return _Instance(lam, mu, u_psi, u_phi, rng.uniform(0.0, 1.0, (dim, dim)))
+        t = np.array([np.exp(rng.uniform(np.log(1e-2), np.log(1e2))) for rng in rngs])
+        return _Instances(lam, mu, u_psi, u_phi, None, t)
+    c = np.stack([rng.uniform(0.0, 1.0, (dim, dim)) for rng in rngs])
+    return _Instances(lam, mu, u_psi, u_phi, c, None)
 
 
-def _unitary_jitter(u: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
-    dim = u.shape[0]
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2.0
-    h /= max(np.linalg.norm(h), 1e-300)
+def _jitter(inst: _Instances, step: float, z: np.ndarray,
+            perm: Optional[np.ndarray]) -> _Instances:
+    """Candidate steps from a batch-of-one instance, one per row of z.
+
+    A row holds one step's standard normals in the order the step draws
+    them: the weight bumps (d*d for c, or 1 for log t), the spectrum bumps of
+    lam then mu, then the real and imaginary Gaussians of the rotations of
+    psi and of phi. With ``perm`` phi follows psi through the fixed
+    phase-permutation, and phi's rotation is skipped; its normals are still
+    part of the row.
+    """
+    k, d = z.shape[0], inst.dim
+    if inst.c is None:
+        w, c, t = 1, None, inst.t * np.exp(step * z[:, 0])
+    else:
+        w, t = d * d, None
+        c = np.clip(inst.c + step * z[:, :w].reshape(k, d, d), 0.0, 1.0)
+    spectra = np.stack((inst.lam, inst.mu), axis=1)
+    spectra = np.clip(spectra + step * z[:, w:w + 2 * d].reshape(k, 2, d),
+                      SPECTRUM_FLOOR, None)
+    spectra /= spectra.sum(axis=-1, keepdims=True)
+    spectra = np.sort(spectra, axis=-1)[..., ::-1]
+
+    rotated = 1 if perm is not None else 2
+    g = z[:, w + 2 * d:w + 2 * d + rotated * 2 * d * d].reshape(k * rotated, 2, d, d)
+    g = g[:, 0] + 1j * g[:, 1]
+    h = (g + dagger(g)) / 2.0
+    # One np.linalg.norm per matrix: a stacked sum of squares rounds
+    # differently, and a last-bit change moves the climb's path.
+    h /= np.array([max(np.linalg.norm(m), 1e-300) for m in h])[:, np.newaxis, np.newaxis]
     vals, vecs = np.linalg.eigh(h)
-    rot = (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
-    return u @ rot
+    rot = ((vecs * np.exp(1j * step * vals)[:, np.newaxis, :]) @ dagger(vecs)).reshape(
+        k, rotated, d, d)
+    u_psi = inst.u_psi @ rot[:, 0]
+    u_phi = u_psi @ perm if perm is not None else inst.u_phi @ rot[:, 1]
+    return _Instances(spectra[:, 0], spectra[:, 1], u_psi, u_phi, c, t)
 
 
-def _jitter(inst: _Instance, step: float, rng: np.random.Generator) -> _Instance:
-    def bump_spectrum(p):
-        p = np.clip(p + step * rng.standard_normal(p.size), 1e-8, None)
-        p /= p.sum()
-        return np.sort(p)[::-1]
+def _climb(inst: _Instances, ratio: float, rng: np.random.Generator, step: float,
+           steps: int, plateau: int, commuting: bool) -> tuple:
+    """Hill-climb a batch-of-one instance; return the final instance and ratio.
 
-    c = None
-    if inst.c_entries is not None:
-        c = np.clip(inst.c_entries + step * rng.standard_normal(inst.c_entries.shape),
-                    0.0, 1.0)
-    t = None if inst.t is None else float(inst.t * np.exp(step * rng.standard_normal()))
-    return _Instance(
-        bump_spectrum(inst.lam),
-        bump_spectrum(inst.mu),
-        _unitary_jitter(inst.u_psi, step, rng),
-        _unitary_jitter(inst.u_phi, step, rng),
-        c,
-        t,
-    )
+    Row j of ``draws`` holds step j's normals. A round evaluates the next k
+    steps' candidates from the current instance as one stack and accepts
+    the first that improves (see conjecture_search for why this is exact).
+    """
+    # For commuting pairs the two bases differ by a fixed phase-permutation;
+    # jitter must preserve that relation.
+    perm = inst.u_psi[0].conj().T @ inst.u_phi[0] if commuting else None
+    d = inst.dim
+    width = (1 if inst.c is None else d * d) + 2 * d + 4 * d * d  # normals per step
+    draws = np.empty((0, width))
+    first = 0  # step number of draws[0]
+    done = misses = 0
+    size = _FIRST_ROUND
+    while done < steps:
+        k = min(size, plateau - misses, steps - done)
+        drawn = first + len(draws)
+        if done + k > drawn:
+            # whole blocks, never past the last step
+            more = min(-(-(done + k - drawn) // _DRAW_STEPS) * _DRAW_STEPS, steps - drawn)
+            draws = np.concatenate((draws[done - first:], rng.standard_normal((more, width))))
+            first = done
+        cands = _jitter(inst, step, draws[done - first:done - first + k], perm)
+        cand_ratios = cands.ratios().tolist()
+        hit = next((j for j, r in enumerate(cand_ratios) if r > ratio), None)
+        if hit is None:
+            done += k
+            misses += k
+            if misses >= plateau:
+                break
+            size *= 2
+        else:
+            done += hit + 1
+            inst, ratio = cands.take(hit), cand_ratios[hit]
+            misses = 0
+            size = _FIRST_ROUND
+    return inst, ratio
+
+
+def check_search_arguments(trials: int, step: float, steps_per_restart: int,
+                           plateau: int) -> None:
+    """Raise ValueError unless the trial count and the climb settings are usable."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
+    if steps_per_restart < 0:
+        raise ValueError(f"steps per restart must be >= 0, got {steps_per_restart}")
+    if plateau < 1:
+        raise ValueError(f"plateau must be >= 1, got {plateau}")
 
 
 def conjecture_search(dims, trials: int, strategy: str, seed: int,
@@ -293,6 +392,29 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
     restart after ``plateau`` consecutive misses. Trials round-robin over
     ``dims``. Deterministic: every trial derives its own generator from
     (seed, dim, trial, tag), so results are independent of scheduling.
+
+    The work runs on stacked arrays and the record is the same, bit for
+    bit, as when trials and steps ran one at a time:
+
+    * Trials run in blocks of ``_TRIAL_BLOCK``, so memory does not grow
+      with ``trials``. Each trial draws from its own stream in the order a
+      lone trial would; then each dimension's instances of the block are
+      evaluated as one stack. numpy's stacked QR, eigh, eigvalsh and matmul
+      give each matrix the bits of the 2-D call. Ratios are scanned in
+      trial order, so the first maximum wins and violations keep their
+      order.
+    * A climb step draws the same count of normals whether or not it is
+      accepted, so step j's draws are a fixed slice of the restart's stream,
+      and a restart draws them ahead, ``_DRAW_STEPS`` steps at a time. A
+      round then evaluates the candidates of the next k steps from the
+      current instance, as one stack, and accepts the first that improves.
+      The one-at-a-time climb would have evaluated exactly these candidates
+      up to that one, from the same instance with the same draws, and
+      rejected all before it. Candidates after it are discarded, and their
+      steps are redone from the new instance with the draws already made.
+      k starts at ``_FIRST_ROUND``, doubles after a round of misses, and
+      never passes the plateau or the steps left, so no round reaches past
+      where the one-at-a-time climb stops.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
@@ -303,46 +425,39 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         raise ValueError(f"unknown strategy {strategy!r}")
     if weight_mode not in ("uniform", "modular"):
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    check_search_arguments(trials, step, steps_per_restart, plateau)
 
+    tag = _TAG_RANDOM if strategy == "random" else _TAG_CLIMB
     best_ratio = -1.0
     best_instance: Optional[dict] = None
     violations = []
-    for trial in range(trials):
-        dim = dims[trial % len(dims)]
-        if strategy == "random":
-            rng = default_rng((seed, dim, trial, _TAG_RANDOM))
-            inst = _random_instance(dim, rng, weight_mode, commuting)
-            ratio = inst.ratio()
-        else:
-            rng = default_rng((seed, dim, trial, _TAG_CLIMB))
-            inst = _random_instance(dim, rng, weight_mode, commuting)
-            ratio = inst.ratio()
-            # For commuting pairs the two bases differ by a fixed
-            # phase-permutation; jitter must preserve that relation.
-            perm = None
-            if commuting:
-                perm = inst.u_psi.conj().T @ inst.u_phi
-            misses = 0
-            for _ in range(steps_per_restart):
-                cand = _jitter(inst, step, rng)
-                if perm is not None:
-                    cand.u_phi = cand.u_psi @ perm
-                cand_ratio = cand.ratio()
-                if cand_ratio > ratio:
-                    inst, ratio = cand, cand_ratio
-                    misses = 0
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = range(start, min(start + _TRIAL_BLOCK, trials))
+        block_dims = [dims[trial % len(dims)] for trial in block]
+        rngs = [default_rng((seed, dim, trial, tag)) for dim, trial in zip(block_dims, block)]
+        # (instances, index, ratio) per trial of the block
+        outcomes: list = [None] * len(block)
+        for dim in dict.fromkeys(block_dims):
+            members = [i for i, d in enumerate(block_dims) if d == dim]
+            insts = _random_instances(dim, [rngs[i] for i in members], weight_mode,
+                                      commuting)
+            for n, (i, ratio) in enumerate(zip(members, insts.ratios().tolist())):
+                if strategy == "hill_climb":
+                    climbed, ratio = _climb(insts.take(n), ratio, rngs[i], step,
+                                            steps_per_restart, plateau, commuting)
+                    outcomes[i] = (climbed, 0, ratio)
                 else:
-                    misses += 1
-                    if misses >= plateau:
-                        break
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_instance = inst.to_dict(ratio)
-            best_instance["trial"] = trial
-        if ratio > VIOLATION_THRESHOLD:
-            doc = inst.to_dict(ratio)
-            doc["trial"] = trial
-            violations.append(doc)
+                    outcomes[i] = (insts, n, ratio)
+        # in trial order: the first maximum wins and violations keep their order
+        for trial, (insts, n, ratio) in zip(block, outcomes):
+            if ratio > best_ratio:
+                best_ratio = ratio
+                best_instance = insts.to_dict(n, ratio)
+                best_instance["trial"] = trial
+            if ratio > VIOLATION_THRESHOLD:
+                doc = insts.to_dict(n, ratio)
+                doc["trial"] = trial
+                violations.append(doc)
 
     return SearchRecord(
         seed=int(seed),

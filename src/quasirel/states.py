@@ -277,15 +277,24 @@ def default_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fixing."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries by one stacked QR of complex Gaussians.
+
+    z has shape (..., 2, d, d): the real then the imaginary part of each
+    Gaussian, in the order ``rng.standard_normal`` draws them. The result
+    has shape (..., d, d).
+    """
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     # Making R's diagonal positive removes the QR phase ambiguity; without it
     # the distribution is not Haar.
-    phases = np.diagonal(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., np.newaxis, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian with phase fixing."""
+    return haar_unitaries(rng.standard_normal((2, dim, dim)))
 
 
 def _gaussian_states(z: np.ndarray) -> np.ndarray:
@@ -341,10 +350,13 @@ def random_pair(dim: int, rng: np.random.Generator) -> StatePair:
     return random_pairs(dim, [rng]).pair(0)
 
 
-def _random_full_probabilities(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _random_probabilities(dim: int, rng: np.random.Generator, floor: float) -> np.ndarray:
+    """A flat-Dirichlet probability vector, redrawn until every entry exceeds
+    floor, in descending order."""
+    alpha = np.ones(dim)
     while True:
-        p = rng.dirichlet(np.ones(dim))
-        if p.min() > ZERO_EIG_THRESHOLD:
+        p = rng.dirichlet(alpha)
+        if p.min() > floor:
             return np.sort(p)[::-1]
 
 
@@ -352,15 +364,15 @@ def random_classical_pairs(dim: int, rngs: Sequence, shuffle: bool = False) -> P
     """One commuting pair per generator, as a batch; see random_classical_pair."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    unitaries, spectra = [], []
+    gaussians, spectra = [], []
     for rng in rngs:
-        unitaries.append(haar_unitary(dim, rng))
-        p = _random_full_probabilities(dim, rng)
-        q = _random_full_probabilities(dim, rng)
+        gaussians.append(rng.standard_normal((2, dim, dim)))
+        p = _random_probabilities(dim, rng, ZERO_EIG_THRESHOLD)
+        q = _random_probabilities(dim, rng, ZERO_EIG_THRESHOLD)
         if shuffle:
             q = q[rng.permutation(dim)]
         spectra.append((p, q))
-    u = np.stack(unitaries)
+    u = haar_unitaries(np.stack(gaussians))
     spectra = np.array(spectra)[:, :, np.newaxis, :]
     return pair_batch((u * spectra[:, 0]) @ dagger(u), (u * spectra[:, 1]) @ dagger(u))
 

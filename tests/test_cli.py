@@ -209,6 +209,29 @@ def test_exit_code_validation_errors(capsys):
     capsys.readouterr()
 
 
+def test_conjecture_climb_flags_are_checked(tmp_path, capsys):
+    base = ["conjecture", "--dims", "3", "--trials", "1", "--strategy", "hill_climb"]
+    for flag, bad in (("--step", "nan"), ("--step", "inf"), ("--step", "0"),
+                      ("--step", "-0.1"), ("--steps", "-5"), ("--plateau", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, flag, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err and "Traceback" not in err
+    for flag, good in (("--step", "1e-6"), ("--steps", "0"), ("--plateau", "1")):
+        code, out, _ = _run(capsys, [*base, "--steps", "3", flag, good])
+        assert code == 0
+        assert json.loads(out)["trial_count"] == 1
+    # values from a config file are checked when the config is validated
+    for key, bad in (("step", "NaN"), ("step", "0.0"), ("steps", "-1"),
+                     ("plateau", "0"), ("trials", "0")):
+        config = tmp_path / f"{key}.json"
+        config.write_text(f'{{"{key}": {bad}}}')
+        code, _, err = _run(capsys, ["conjecture", "--dims", "3", "--config", str(config)])
+        assert code == 3
+        assert err.startswith("error:") and key in err
+
+
 def test_exit_code_io_errors(tmp_path, capsys):
     missing_cfg = tmp_path / "nope.json"
     assert main(["sweep", "--config", str(missing_cfg)]) == 4

@@ -20,8 +20,10 @@ from quasirel import (
     save_record,
     trace_norm,
 )
+from quasirel import conjecture
 from quasirel.conjecture import VIOLATION_THRESHOLD
 from quasirel.states import state_pair
+from serial_search import haar_unitary as serial_haar_unitary, serial_search
 
 
 def _aligned_functional(pair, rng, cap=1.0):
@@ -41,6 +43,15 @@ def test_weight_validation():
         WeightedOverlapFunctional(np.full((3, 3), 2.0), 1.0, u, v)
     with pytest.raises(ValueError):
         WeightedOverlapFunctional(np.full((3, 3), -0.5), 1.0, u, v)
+
+
+def test_random_functional_draw_order():
+    # weights first, then the two bases, as two serial Haar draws would give them
+    rng, serial = default_rng(49), default_rng(49)
+    w = random_functional(4, rng, cap=2.0)
+    np.testing.assert_array_equal(w.c_entries, serial.uniform(0.0, 2.0, size=(4, 4)))
+    np.testing.assert_array_equal(w.basis_psi, serial_haar_unitary(4, serial))
+    np.testing.assert_array_equal(w.basis_phi, serial_haar_unitary(4, serial))
 
 
 def test_functional_value_dual_paths_agree():
@@ -204,3 +215,64 @@ def test_record_round_trips_and_replays(tmp_path):
     value = abs(functional_value(w, pair))
     dist = trace_norm(rho - sigma)
     assert value / dist == pytest.approx(record.max_ratio, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The batched search against the serial oracle in tests/serial_search.py.
+# Lowering the violation threshold to 0 records every trial and restart with
+# its full instance, so equal JSON means every ratio and instance is equal.
+
+def _same_records(monkeypatch, **kwargs):
+    monkeypatch.setattr(conjecture, "VIOLATION_THRESHOLD", 0.0)
+    batched = conjecture_search(**kwargs)
+    assert len(batched.violations) == batched.trial_count
+    assert batched.to_json() == serial_search(**kwargs).to_json()
+
+
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_random_search_matches_serial_oracle(monkeypatch, weight_mode, commuting):
+    # more trials than one trial block, over dims that include 2 and 8
+    _same_records(monkeypatch, dims=(2, 5, 8, 3), trials=2 * conjecture._TRIAL_BLOCK + 3,
+                  strategy="random", seed=41, weight_mode=weight_mode,
+                  commuting=commuting)
+
+
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_hill_climb_matches_serial_oracle(monkeypatch, weight_mode, commuting):
+    # the default climb settings, which the CLI and criterion 6 use
+    _same_records(monkeypatch, dims=(2, 3, 4), trials=4, strategy="hill_climb",
+                  seed=42, weight_mode=weight_mode, commuting=commuting)
+
+
+def test_hill_climb_matches_oracle_across_draw_blocks(monkeypatch):
+    # a plateau as long as the climb keeps every restart running past
+    # several blocks of drawn-ahead steps
+    steps = 2 * conjecture._DRAW_STEPS + 7
+    _same_records(monkeypatch, dims=(3, 9), trials=2, strategy="hill_climb",
+                  seed=43, steps_per_restart=steps, plateau=steps)
+
+
+@pytest.mark.parametrize("steps,plateau", [(40, 1), (0, 30), (1, 1), (25, 2)])
+def test_hill_climb_matches_oracle_at_edges(monkeypatch, steps, plateau):
+    _same_records(monkeypatch, dims=(3, 4), trials=3, strategy="hill_climb",
+                  seed=44, steps_per_restart=steps, plateau=plateau)
+
+
+def test_search_argument_bounds():
+    base = dict(dims=(3,), strategy="hill_climb", seed=0, steps_per_restart=2)
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -0.05):
+        with pytest.raises(ValueError, match="step"):
+            conjecture_search(trials=1, step=bad, **base)
+    with pytest.raises(ValueError, match="steps"):
+        conjecture_search(trials=1, **{**base, "steps_per_restart": -1})
+    with pytest.raises(ValueError, match="plateau"):
+        conjecture_search(trials=1, plateau=0, **base)
+    with pytest.raises(ValueError, match="trials"):
+        conjecture_search(trials=0, **base)
+    # values just inside every bound are accepted
+    conjecture_search(trials=1, step=1e-300, **base)
+    conjecture_search(trials=1, **{**base, "steps_per_restart": 0})
+    conjecture_search(trials=1, plateau=1, **base)
+    assert conjecture_search((3,), 1, "random", seed=0).argmax_instance["trial"] == 0

@@ -1,8 +1,10 @@
-"""Sweep output against golden files recorded before the batched core.
+"""CLI output against golden files recorded before each batched rewrite.
 
-Each case reruns a recorded `quasirel sweep` command and compares it with
-its file under tests/data/ the way the benchmark's reference gate does:
-text and integers exactly, floating-point tokens within 1e-13 relative.
+Each case reruns a recorded `quasirel sweep` command (recorded before the
+batched core) or `quasirel conjecture --strategy random` command (recorded
+before the batched search) and compares it with its file under tests/data/
+the way the benchmark's reference gate does: text and integers exactly,
+floating-point tokens within 1e-13 relative.
 """
 
 import gzip
@@ -25,6 +27,16 @@ CASES = {
     "sweep_classical.json": _SUITE + ["--pair-kind", "classical", "--format", "json"],
     "sweep_wide.csv": ["--dims", "9..10", "--f", "neg-log", "--q", "0.3,1.5",
                        "--trials", "7", "--seed", "11"],
+}
+SEARCH_CASES = {
+    "conjecture_uniform.json": ["--dims", "2..8", "--trials", "600", "--seed", "31"],
+    "conjecture_modular.json": ["--dims", "2,4,8", "--weights", "modular",
+                                "--trials", "300", "--seed", "32"],
+    "conjecture_commuting.json": ["--dims", "2,3,8", "--commuting",
+                                  "--trials", "300", "--seed", "33"],
+    "conjecture_commuting_modular.json": ["--dims", "3,5", "--commuting",
+                                          "--weights", "modular",
+                                          "--trials", "300", "--seed", "34"],
 }
 
 
@@ -50,6 +62,17 @@ def worst_deviation(expected: str, actual: str) -> float:
 def test_sweep_matches_golden_output(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(["sweep", *CASES[name], "--jobs", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with gzip.open(DATA / f"{name}.gz", "rt") as fh:
+        expected = fh.read()
+    assert worst_deviation(expected, out.read_text()) <= RTOL
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_search_matches_golden_record(name, tmp_path, capsys):
+    out = tmp_path / name
+    argv = ["conjecture", "--strategy", "random", *SEARCH_CASES[name], "--out", str(out)]
+    assert main(argv) == 0
     capsys.readouterr()
     with gzip.open(DATA / f"{name}.gz", "rt") as fh:
         expected = fh.read()

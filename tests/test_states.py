@@ -20,8 +20,10 @@ from quasirel import (
     summarize,
     swapped,
 )
+from quasirel.linalg import ZERO_EIG_THRESHOLD
 from quasirel.states import (
-    _random_full_probabilities,
+    _random_probabilities,
+    haar_unitaries,
     pair_batch,
     random_classical_pairs,
     random_pairs,
@@ -52,6 +54,15 @@ def test_haar_unitary_is_unitary():
     for dim in (2, 5):
         u = haar_unitary(dim, rng)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
+
+
+def test_stacked_haar_unitaries_match_one_by_one():
+    # one stacked QR gives every unitary the bits of its own 2-D QR
+    one, stacked = default_rng(70), default_rng(70)
+    singles = [haar_unitary(dim, one) for dim in (4, 4, 4)]
+    batch = haar_unitaries(stacked.standard_normal((3, 2, 4, 4)))
+    for n, u in enumerate(singles):
+        np.testing.assert_array_equal(batch[n], u)
 
 
 def test_random_state_strictly_positive():
@@ -182,6 +193,26 @@ class _ZeroWeightFirst:
         return getattr(self.rng, name)
 
 
+class _ScriptedDirichlet:
+    """Stub generator whose dirichlet returns the given vectors in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d) for d in draws]
+
+    def dirichlet(self, alpha):
+        return self.draws.pop(0)
+
+
+def test_random_probabilities_floor_both_sides():
+    floor = 1e-8
+    at_floor, above = [floor, 1.0 - floor], [2 * floor, 1.0 - 2 * floor]
+    # a draw with an entry at the floor is redrawn; one just above it is kept
+    got = _random_probabilities(2, _ScriptedDirichlet(at_floor, above), floor)
+    np.testing.assert_array_equal(got, above[::-1])
+    got = _random_probabilities(2, _ScriptedDirichlet(above, at_floor), floor)
+    np.testing.assert_array_equal(got, above[::-1])
+
+
 def test_batch_sampler_continues_stream_after_rejection():
     dim = 3
     sequential, batched = _FlatStream(dim, 14), _FlatStream(dim, 14)
@@ -199,8 +230,8 @@ def test_classical_batch_sampler_continues_stream_after_rejection():
     sequential, batched = _ZeroWeightFirst(15), _ZeroWeightFirst(15)
     # the per-trial draw order random_classical_pair has always used
     u = haar_unitary(dim, sequential)
-    p = _random_full_probabilities(dim, sequential)
-    q = _random_full_probabilities(dim, sequential)
+    p = _random_probabilities(dim, sequential, ZERO_EIG_THRESHOLD)
+    q = _random_probabilities(dim, sequential, ZERO_EIG_THRESHOLD)
     q = q[sequential.permutation(dim)]
     rho = density_matrix((u * p) @ u.conj().T).matrix
     sigma = density_matrix((u * q) @ u.conj().T).matrix
