@@ -2,18 +2,12 @@
 
 from .linalg import (
     EigenSystem,
-    HolderCheck,
     SpectralDomainError,
     eigh,
     eigvalsh_desc,
     hermitian_part,
-    holder3_check,
-    left_mult_matrix,
     mat_func,
-    operator_norm,
-    right_mult_matrix,
     trace_norm,
-    unvec,
     vec,
 )
 from .states import (
@@ -53,8 +47,6 @@ from .divergences import (
     DivergenceResult,
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
-    relative_modular_matrix,
-    swapped_entropy,
     tsallis_direct,
     umegaki,
 )
@@ -87,10 +79,8 @@ from .sweeps import paper_example_rows, sweep_bounds
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenSystem", "HolderCheck", "SpectralDomainError", "eigh",
-    "eigvalsh_desc", "hermitian_part", "holder3_check", "left_mult_matrix",
-    "mat_func", "operator_norm", "right_mult_matrix", "trace_norm", "unvec",
-    "vec",
+    "EigenSystem", "SpectralDomainError", "eigh", "eigvalsh_desc",
+    "hermitian_part", "mat_func", "trace_norm", "vec",
     "DensityMatrix", "ScalarSummary", "StatePair", "default_rng",
     "density_matrix", "example_pair", "haar_unitary", "load_pair",
     "pair_from_dict", "pair_to_dict", "random_classical_pair", "random_pair",
@@ -101,8 +91,7 @@ __all__ = [
     "neg_log", "neg_power", "normalization_residual", "parse_f_spec",
     "tsallis_f",
     "DivergenceResult", "quasi_entropy_spectral",
-    "quasi_entropy_superoperator", "relative_modular_matrix",
-    "swapped_entropy", "tsallis_direct", "umegaki",
+    "quasi_entropy_superoperator", "tsallis_direct", "umegaki",
     "BoundReport", "SandwichReport", "ae11_upper", "general_sqrt_d_upper",
     "guarded_log_diff_quot", "guarded_power_diff_quot", "pinsker_lower",
     "qubit_classical_upper", "qubit_relative_upper", "relative_entropy_upper",

@@ -2,8 +2,9 @@
 
 The spectral route sums lambda_j f(mu_k/lambda_j) |<phi_k|psi_j>|^2 over both
 eigensystems. The direct route uses trace formulas special to the Umegaki and
-Tsallis families. The superoperator route materializes the d^2 x d^2 matrix
-of the relative modular operator X -> sigma X rho^{-1} and pairs f of it with
+Tsallis families. The superoperator route diagonalizes the d^2 x d^2 matrix
+of the relative modular operator X -> sigma X rho^{-1} (the pair keeps that
+spectrum, see StatePair.modular_spectrum) and pairs f of it with
 vec(sqrt(rho)); it never touches the overlap sum, so the two routes check one
 another.
 
@@ -21,8 +22,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .functions import OMDFunction
-from .linalg import ZERO_EIG_THRESHOLD, eigh, mat_func, spectral_matrix, vec
-from .states import PairBatch, StatePair, swapped
+from .linalg import ZERO_EIG_THRESHOLD, spectral_matrix
+from .states import PairBatch, StatePair
 
 OVERLAP_SKIP = 1e-16
 SUPEROP_DIM_CAP = 12
@@ -175,18 +176,6 @@ def tsallis_direct(pair: StatePair, q: float) -> DivergenceResult:
                             f"tsallis:q={q:g}")
 
 
-def relative_modular_matrix(pair: StatePair) -> np.ndarray:
-    """The d^2 x d^2 matrix of X -> sigma X rho^{-1} on row-major vec(X).
-
-    Equals kron(sigma, transpose(rho^{-1})); its spectrum is exactly the set
-    of ratios mu_k/lambda_j.
-    """
-    if not pair.rho.strictly_positive:
-        raise ValueError("modular matrix requires a strictly positive rho")
-    rho_inv = mat_func(pair.rho.matrix, lambda x: 1.0 / x)
-    return np.kron(pair.sigma.matrix, rho_inv.T)
-
-
 def quasi_entropy_superoperator(pair: StatePair, f: ScalarMap) -> DivergenceResult:
     """Oracle route through the materialized relative modular operator.
 
@@ -199,26 +188,11 @@ def quasi_entropy_superoperator(pair: StatePair, f: ScalarMap) -> DivergenceResu
         raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {pair.dim}")
     if not (pair.rho.strictly_positive and pair.sigma.strictly_positive):
         raise ValueError("superoperator route requires strictly positive states")
-    # Diagonalize the half power kron(sqrt sigma, rho^{-1/2 T}) and square its
-    # spectrum: plain eigh of the modular matrix only reaches absolute
-    # accuracy eps*||M|| on the small eigenvalues, which generators singular
-    # at 0+ amplify past the 1e-9 cross-route contract.
-    lam, psi = pair.rho.spectral
-    mu, phi = pair.sigma.spectral
-    half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
-                   spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
-    half_vals, vecs = eigh(half)
-    vals = half_vals ** 2
-    v = vec(spectral_matrix(psi, np.sqrt(lam)))
-    coeffs = vecs.conj().T @ v
+    vals, weights = pair.modular_spectrum
     with np.errstate(all="ignore"):
         fvals = np.asarray(func(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
         return DivergenceResult(math.inf, "superoperator", name)
-    value = float(np.sum(fvals * np.abs(coeffs) ** 2))
+    value = float(np.sum(fvals * weights))
     return DivergenceResult(value, "superoperator", name)
 
-
-def swapped_entropy(pair: StatePair, f: ScalarMap) -> DivergenceResult:
-    """The divergence with the states' roles exchanged: S_f(sigma||rho)."""
-    return quasi_entropy_spectral(swapped(pair), f)

@@ -130,10 +130,11 @@ def eval_via_representation(f: OMDFunction, x: float) -> float:
     """Evaluate f at x through its integral representation instead of eval.
 
     Contract: agrees with f.eval(x) to 1e-6 relative for the builtins on
-    x in [1e-3, 1e3]. Raises QuadratureError if the budget runs out.
+    x in [1e-3, 1e3]. Raises ValueError unless x is positive and finite, and
+    QuadratureError if the budget runs out.
     """
-    if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
     w = f.measure_density
     if w is None:
         raise ValueError(f"{f.name} has no measure density to integrate")
@@ -213,9 +214,13 @@ def make_custom(name: str, eval: Callable, a: float, measure_density: Callable,
                 shift: float = 0.0) -> OMDFunction:
     """Register a user-supplied generator, validating it before returning.
 
-    Rejects descriptors with eval(1) != 0, a < 0, a negative measure density
-    on a sample grid, a large normalization residual, or a representation
-    that fails to reproduce eval on a spot grid.
+    Rejects descriptors with eval(1) != 0, a < 0, a negative or non-finite
+    measure density on a sample grid, a large normalization residual, or a
+    representation that fails to reproduce eval on a spot grid.
+
+    ``measure_density`` is called by the quadrature with one flat array per
+    round that mixes points from (0, 1) and (1, inf); it must evaluate
+    elementwise and return an array of the same shape.
     """
     if abs(float(eval(1.0))) > 1e-12:
         raise ValueError(f"{name}: eval(1) = {eval(1.0)!r}, must be 0")
@@ -223,6 +228,8 @@ def make_custom(name: str, eval: Callable, a: float, measure_density: Callable,
         raise ValueError(f"{name}: linear coefficient a must be >= 0, got {a}")
     tgrid = np.geomspace(1e-6, 1e6, 49)
     wvals = np.asarray(measure_density(tgrid), dtype=float)
+    if not np.all(np.isfinite(wvals)):
+        raise ValueError(f"{name}: measure density is not finite on the sample grid")
     if np.any(wvals < -1e-12):
         raise ValueError(f"{name}: measure density is negative on the sample grid")
     if value_at_zero is None:

@@ -72,13 +72,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix: the largest absolute eigenvalue."""
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
-
-
 def mat_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum: V f(Λ) V†.
 
@@ -109,41 +102,7 @@ def spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (out + dagger(out)) / 2.0
 
 
-class HolderCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def holder3_check(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                  slack: float = 1e-12) -> HolderCheck:
-    """Check the three-factor Hoelder bound |Tr(XYZ)| <= ||X||_inf ||Z||_inf ||Y||_1.
-
-    Returns both sides along with the verdict; ``ok`` allows ``slack``
-    (scaled by the bound's magnitude) for floating-point noise.
-    """
-    lhs = abs(complex(np.trace(x @ y @ z)))
-    rhs = operator_norm(x) * operator_norm(z) * trace_norm(y)
-    return HolderCheck(lhs, rhs, lhs <= rhs + slack * max(1.0, rhs))
-
-
 def vec(x: np.ndarray) -> np.ndarray:
     """Row-major vectorization of a d x d matrix into a length-d^2 vector."""
     return np.asarray(x).reshape(-1)
 
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape(dim, dim)
-
-
-def left_mult_matrix(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> AX acting on row-major vectorized X: kron(A, I)."""
-    d = a.shape[0]
-    return np.kron(a, np.eye(d))
-
-
-def right_mult_matrix(b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> XB acting on row-major vectorized X: kron(I, B^T)."""
-    d = b.shape[0]
-    return np.kron(np.eye(d), b.T)

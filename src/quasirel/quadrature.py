@@ -31,46 +31,32 @@ class QuadratureError(RuntimeError):
     """The integrator exhausted its evaluation budget before converging."""
 
 
-class _Counter:
-    __slots__ = ("evals", "budget")
-
-    def __init__(self, budget: int):
-        self.evals = 0
-        self.budget = budget
-
-    def spend(self, n: int) -> None:
-        self.evals += n
-        if self.evals > self.budget:
-            raise QuadratureError(
-                f"evaluation budget {self.budget} exhausted; integrand too rough"
-            )
+# A panel's halves, then its quarters, as index pairs into its edges
+# (a, q1, mid, q3, b).
+_SUBPANELS = ((0, 2), (2, 4), (0, 1), (1, 2), (2, 3), (3, 4))
 
 
-def _panel(g: Callable, a: float, b: float, counter: _Counter) -> float:
-    counter.spend(_NODES.size)
+def _panel_sums(integrand: Callable, panels: list, n_inner: int) -> list:
+    """Gauss-Legendre estimates of the panels (a, b) from one integrand call:
+    the first n_inner of h itself, the rest of the mapped tail h(1/s)/s^2."""
+    ends = np.array(panels)
+    a, b = ends[:, 0], ends[:, 1]
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    return half * float(np.sum(_WEIGHTS * g(x)))
+    x = np.multiply.outer(half, _NODES)
+    x += (0.5 * (a + b))[:, np.newaxis]
+    t = x.copy()
+    np.divide(1.0, x[n_inner:], out=t[n_inner:])
+    values = np.array(integrand(t.reshape(-1)), dtype=float).reshape(x.shape)
+    tail = values[n_inner:]
+    np.divide(tail, np.square(x[n_inner:]), out=tail)
+    return (half * np.add.reduce(values * _WEIGHTS, axis=1)).tolist()
 
 
-def _adaptive_unit(g: Callable, local_tol: float, counter: _Counter) -> float:
-    """Adaptively integrate g over (0, 1) by panel bisection.
-
-    A panel is accepted once splitting it changes its estimate by less than
-    local_tol; g is never evaluated at the endpoints (Gauss nodes are open).
-    """
+def _descending_sum(panels: list) -> float:
+    """Sum the (a, sum) panels by descending a, the depth-first order."""
     total = 0.0
-    stack = [(0.0, 1.0, _panel(g, 0.0, 1.0, counter))]
-    while stack:
-        a, b, coarse = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _panel(g, a, mid, counter)
-        right = _panel(g, mid, b, counter)
-        if abs(left + right - coarse) < local_tol or (b - a) < MIN_PANEL_WIDTH:
-            total += left + right
-        else:
-            stack.append((a, mid, left))
-            stack.append((mid, b, right))
+    for _, value in sorted(panels, reverse=True):
+        total += value
     return total
 
 
@@ -79,11 +65,65 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
                        budget: int = EVAL_BUDGET) -> float:
     """Integrate a vectorized integrand over t in (0, inf).
 
-    The integrand must accept a 1-d numpy array of strictly positive t and
-    return values of the same shape. Raises QuadratureError when the budget
-    runs out before every panel stabilizes to local_tol.
+    The integrand gets one flat 1-d array of positive t per round, mixing
+    the Gauss nodes of both pieces, and must evaluate it elementwise,
+    returning real values of the same shape.
+
+    Bisection is level-synchronous: each round evaluates the halves and the
+    quarters of every pending panel of both pieces in one call, settles the
+    panels and then the halves of those that split, and leaves pending the
+    quarters of halves that split too. A panel is accepted once its halves
+    change its estimate by less than local_tol, or it is narrower than
+    MIN_PANEL_WIDTH. These are the panels a depth-first bisection accepts,
+    and each piece sums them in its order, by descending left end, so the
+    result is the depth-first one bit for bit. The budget is charged only
+    for the points that bisection evaluates, so QuadratureError (budget
+    exhausted before every panel settles) is raised on the same inputs.
     """
-    counter = _Counter(budget)
-    inner = _adaptive_unit(lambda t: integrand(t), local_tol, counter)
-    outer = _adaptive_unit(lambda s: integrand(1.0 / s) / s ** 2, local_tol, counter)
+    spent = 0
+
+    def charge(panels: int) -> None:
+        nonlocal spent
+        spent += panels * _NODES.size
+        if spent > budget:
+            raise QuadratureError(
+                f"evaluation budget {budget} exhausted; integrand too rough")
+
+    accepted = ([], [])  # per piece, (0, 1) then the tail: (a, sum) per panel
+
+    def settle(piece: int, a: float, b: float, estimate: float, left: float,
+               right: float) -> bool:
+        if abs(left + right - estimate) < local_tol or (b - a) < MIN_PANEL_WIDTH:
+            accepted[piece].append((a, left + right))
+            return True
+        return False
+
+    charge(2)
+    root = _panel_sums(integrand, [(0.0, 1.0)] * 2, 1)
+    pending = ([(0.0, 1.0, root[0])], [(0.0, 1.0, root[1])])  # (a, b, estimate)
+    while pending[0] or pending[1]:
+        panels = pending[0] + pending[1]
+        charge(2 * len(panels))
+        edges = []
+        for a, b, _ in panels:
+            mid = 0.5 * (a + b)
+            edges.append((a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b))
+        sums = _panel_sums(integrand, [(e[i], e[j]) for e in edges for i, j in _SUBPANELS],
+                           6 * len(pending[0]))
+        grown = ([], [])
+        split = 0
+        for n, ((a, b, estimate), (_, q1, mid, q3, _)) in enumerate(zip(panels, edges)):
+            piece = int(n >= len(pending[0]))
+            left, right, ll, lr, rl, rr = sums[6 * n:6 * n + 6]
+            if settle(piece, a, b, estimate, left, right):
+                continue
+            split += 1
+            for lo, md, hi, half, ql, qr in ((a, q1, mid, left, ll, lr),
+                                             (mid, q3, b, right, rl, rr)):
+                if not settle(piece, lo, hi, half, ql, qr):
+                    grown[piece].extend([(lo, md, ql), (md, hi, qr)])
+        charge(4 * split)
+        pending = grown
+
+    inner, outer = (_descending_sum(panels) for panels in accepted)
     return inner + outer

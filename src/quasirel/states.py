@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,8 @@ from .linalg import (
     dagger,
     eigh,
     hermitian_part,
+    spectral_matrix,
+    vec,
 )
 
 TRACE_TOL = 1e-12
@@ -249,6 +252,28 @@ class StatePair:
     @property
     def dim(self) -> int:
         return self.rho.dim
+
+    @cached_property
+    def modular_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of X -> sigma X rho^{-1} and the weights
+        |<e_k|vec sqrt(rho)>|^2 of its eigenvectors; computed on first use.
+
+        Both states must be strictly positive. The eigenvalues are squares of
+        those of the half power kron(sqrt sigma, rho^{-1/2 T}): eigh of the
+        modular matrix itself is only accurate to eps*||M|| on the small
+        eigenvalues, which generators singular at 0+ amplify past the 1e-9
+        cross-route contract.
+        """
+        lam, psi = self.rho.spectral
+        mu, phi = self.sigma.spectral
+        half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
+                       spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
+        half_vals, vecs = eigh(half)
+        coeffs = vecs.conj().T @ vec(spectral_matrix(psi, np.sqrt(lam)))
+        spectrum = (half_vals ** 2, np.abs(coeffs) ** 2)
+        for array in spectrum:
+            array.setflags(write=False)
+        return spectrum
 
 
 def state_pair(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> StatePair:

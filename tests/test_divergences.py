@@ -17,14 +17,14 @@ from quasirel import (
     quasi_entropy_superoperator,
     random_classical_pair,
     random_pair,
-    relative_modular_matrix,
     swapped,
-    swapped_entropy,
     tsallis_direct,
     tsallis_f,
     umegaki,
 )
+from quasirel import states
 from quasirel.divergences import spectral_values, tsallis_values, umegaki_values
+from quasirel.linalg import eigh, spectral_matrix, vec
 from quasirel.states import pair_batch, state_pair
 
 CLASSICAL = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
@@ -118,15 +118,6 @@ def test_support_conventions():
     assert tsallis_direct(rev, 1.5).finite
 
 
-def test_swapped_entropy_matches_swapped_pair():
-    rng = default_rng(34)
-    pair = random_pair(3, rng)
-    for f in (neg_log(), tsallis_f(0.3)):
-        assert swapped_entropy(pair, f).value == pytest.approx(
-            quasi_entropy_spectral(swapped(pair), f).value, rel=1e-12
-        )
-
-
 def test_dual_generator_swaps_arguments():
     # S_f(rho||sigma) = S_g(sigma||rho) with g(x) = x f(1/x), exactly
     rng = default_rng(35)
@@ -141,11 +132,38 @@ def test_dual_generator_swaps_arguments():
 def test_modular_matrix_spectrum_is_ratio_multiset():
     rng = default_rng(36)
     pair = random_pair(3, rng)
-    m = relative_modular_matrix(pair)
+    vals, weights = pair.modular_spectrum
     lam = pair.rho.eigenvalues
     mu = pair.sigma.eigenvalues
     expected = np.sort(np.outer(mu, 1.0 / lam).ravel())
-    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(m)), expected, rtol=1e-9)
+    np.testing.assert_allclose(np.sort(vals), expected, rtol=1e-9)
+    # the weights split ||vec sqrt(rho)||^2 = Tr rho = 1
+    assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _superoperator_recomputed(pair, f):
+    """The superoperator value from a fresh half-power eigh, as the route
+    computed it before the pair kept its modular spectrum."""
+    lam, psi = pair.rho.spectral
+    mu, phi = pair.sigma.spectral
+    half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
+                   spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
+    half_vals, vecs = eigh(half)
+    coeffs = vecs.conj().T @ vec(spectral_matrix(psi, np.sqrt(lam)))
+    return float(np.sum(np.asarray(f.eval(half_vals ** 2), dtype=float)
+                        * np.abs(coeffs) ** 2))
+
+
+def test_modular_spectrum_diagonalized_once_per_pair(monkeypatch):
+    rng = default_rng(40)
+    for dim in (2, 5, 8):
+        pair = random_pair(dim, rng)
+        calls = []
+        monkeypatch.setattr(states, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        values = [quasi_entropy_superoperator(pair, f).value for f in builtin_suite()]
+        monkeypatch.undo()
+        assert calls == [(dim * dim, dim * dim)]
+        assert values == [_superoperator_recomputed(pair, f) for f in builtin_suite()]
 
 
 def test_superoperator_route_guards():

@@ -163,6 +163,21 @@ def test_make_custom_rejections():
         )
 
 
+def test_make_custom_rejects_non_finite_density():
+    # NaN slips past the negativity check; it must not reach the quadrature
+    with pytest.raises(ValueError, match="not finite"):
+        make_custom(
+            "nan-measure", lambda x: -np.log(x), 0.0,
+            lambda t: np.where(t > 1e3, np.nan, 1.0), -1.0, 1.0,
+        )
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 0.0])
+def test_representation_rejects_non_finite_or_non_positive_x(x):
+    with pytest.raises(ValueError, match="positive and finite"):
+        eval_via_representation(neg_log(), x)
+
+
 def test_parse_f_spec():
     assert parse_f_spec("neg-log").name == "neg-log"
     assert parse_f_spec("neg-power:p=0.5").name == neg_power(0.5).name
