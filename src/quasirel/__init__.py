@@ -7,7 +7,6 @@ from .linalg import (
     eigvalsh_desc,
     hermitian_part,
     mat_func,
-    trace_norm,
     vec,
 )
 from .states import (
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigenSystem", "SpectralDomainError", "eigh", "eigvalsh_desc",
-    "hermitian_part", "mat_func", "trace_norm", "vec",
+    "hermitian_part", "mat_func", "vec",
     "DensityMatrix", "ScalarSummary", "StatePair", "default_rng",
     "density_matrix", "example_pair", "haar_unitary", "load_pair",
     "pair_from_dict", "pair_to_dict", "random_classical_pair", "random_pair",

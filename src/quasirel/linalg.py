@@ -1,9 +1,8 @@
 """Dense Hermitian linear algebra at small dimension.
 
-Eigendecompositions, trace/operator norms, spectral matrix functions, and the
-vectorization helpers used by the superoperator route. Eigenvalues are always
-reported in descending order; column k of the eigenvector matrix pairs with
-eigenvalue k.
+Eigendecompositions, spectral matrix functions, and the vectorization helper
+used by the superoperator route. Eigenvalues are always reported in
+descending order; column k of the eigenvector matrix pairs with eigenvalue k.
 """
 
 from __future__ import annotations
@@ -52,24 +51,20 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray  # unitary; column k pairs with eigenvalues[k]
 
 
-def eigh(a: np.ndarray) -> EigenSystem:
+def eigh(a: np.ndarray, *, symmetrized: bool = False) -> EigenSystem:
     """Spectral decomposition of a Hermitian matrix with descending eigenvalues.
 
     Stacks (shape (..., d, d)) are decomposed matrix by matrix in one call.
+    ``symmetrized`` says ``a`` already came from hermitian_part, which would
+    return it unchanged, so it is decomposed as it is.
     """
-    h = hermitian_part(a)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(a if symmetrized else hermitian_part(a))
     return EigenSystem(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def eigvalsh_desc(a: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a Hermitian matrix (no eigenvectors)."""
     return np.linalg.eigvalsh(hermitian_part(a))[::-1].copy()
-
-
-def trace_norm(a: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
 
 
 def mat_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

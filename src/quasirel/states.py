@@ -64,7 +64,7 @@ def _validated_states(mats: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
     off = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(off):
         raise ValueError(f"trace is {float(tr[off].flat[0])!r}, not 1 within {TRACE_TOL:.1e}")
-    spectral = eigh(h)
+    spectral = eigh(h, symmetrized=True)
     min_eig = spectral.eigenvalues[..., -1]
     if np.any(min_eig < EIGENVALUE_FLOOR):
         raise ValueError(f"negative eigenvalue {float(np.min(min_eig))!r} "

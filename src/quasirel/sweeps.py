@@ -2,12 +2,13 @@
 
 A sweep evaluates every bound over a grid of (dimension, trial, generator)
 and flattens the results into plain-dict rows ready for CSV/JSON emission.
-The trials of one dimension are split into chunks, and each chunk is one
-PairBatch: sampled, validated, diagonalized and summarized once, after which
-every divergence and bound runs as array operations over the whole chunk
-and the rows are read straight off the resulting columns. With one job a
-dimension is a single chunk; with more, each dimension is cut into about
-four chunks per job, shared out over a process pool.
+The grid is cut into chunks of trials at one dimension (chunk_plan), and
+each chunk is one PairBatch: sampled, validated, diagonalized and
+summarized once, after which every divergence and bound runs as array
+operations over the whole chunk and the rows are read straight off the
+resulting columns. One job takes each dimension as one chunk; N jobs share
+about 4N chunks over the whole grid in a pool of at most one worker per
+chunk, and a plan of a single chunk runs inline, with no pool.
 
 Every trial owns a generator seeded by (tag, seed, dim, trial), so results
 are identical whether the sweep runs inline or sharded across a process
@@ -16,6 +17,7 @@ pool, and rows are sorted by (dim, trial) before they are returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -96,13 +98,21 @@ def violation_rows(rows: list) -> list:
             if r["applicable"] and r["slack"] != "" and r["slack"] < SLACK_FLOOR]
 
 
-def sweep_chunk(seed: int, dim: int, trials: list, pair_kind: str,
+def sweep_chunk(seed: int, dim: int, trials, pair_kind: str,
                 f_specs: list, qs: list, ae11_base: str) -> list:
     """One shard: a block of trials at fixed dim. Top level for pickling."""
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
     batch = trial_batch(seed, dim, trials, pair_kind)
     tags = [f"{pair_kind}:{trial:06d}" for trial in trials]
     return batch_rows(batch, seed, tags, routes, ae11_base)
+
+
+def chunk_plan(dims: list, trials: int, jobs: int) -> list:
+    """(dim, trials) chunks in dims order, then trial order: each dimension whole
+    for one job, else blocks of ceil(trials * len(dims) / 4N) trials for N jobs."""
+    block = trials if jobs <= 1 else math.ceil(trials * len(dims) / (4 * jobs))
+    return [(dim, range(start, min(start + block, trials)))
+            for dim in dims for start in range(0, trials, block)]
 
 
 def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
@@ -123,28 +133,20 @@ def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
     if not f_specs and not qs:
         raise ValueError("need at least one generator (f_specs or qs)")
 
-    block = trials if jobs <= 1 else max(1, math.ceil(trials / (4 * jobs)))
-    tasks = []
-    for dim in dims:
-        for start in range(0, trials, block):
-            tasks.append((dim, list(range(start, min(start + block, trials)))))
-
-    rows = []
-    if jobs <= 1:
-        for dim, chunk in tasks:
-            rows.extend(sweep_chunk(seed, dim, chunk, pair_kind, f_specs, qs,
-                                    ae11_base))
+    tasks = chunk_plan(dims, trials, jobs)
+    args = (pair_kind, f_specs, qs, ae11_base)
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        results = [sweep_chunk(seed, dim, chunk, *args) for dim, chunk in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(sweep_chunk, seed, dim, chunk, pair_kind,
-                            f_specs, qs, ae11_base)
-                for dim, chunk in tasks
-            ]
-            for fut in futures:
-                rows.extend(fut.result())
-
-    rows.sort(key=operator.itemgetter("dim", "pair_tag"))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(sweep_chunk, seed, dim, chunk, *args) for dim, chunk in tasks]
+            results = [fut.result() for fut in futures]
+    # A stable sort of each pair's rows by (dim, numeric trial): duplicate dims
+    # keep their input order, and a 7-digit tag sorts after every 6-digit one.
+    pairs = [(dim, int(tag.rpartition(":")[2]), list(group)) for (dim, tag), group
+             in itertools.groupby(itertools.chain(*results), operator.itemgetter("dim", "pair_tag"))]
+    rows = [row for *_, group in sorted(pairs, key=operator.itemgetter(0, 1)) for row in group]
     return rows, violation_rows(rows)
 
 

@@ -25,6 +25,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def trace_norm(a: np.ndarray) -> float:
+    """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+
+
 def _sum_formula(c_entries, lam, mu, overlaps) -> float:
     gaps = lam[np.newaxis, :] - mu[:, np.newaxis]
     return float(np.sum(c_entries * gaps * overlaps))
@@ -52,7 +57,7 @@ class Instance:
         numerator = abs(_sum_formula(c, self.lam, self.mu, overlaps))
         rho = (self.u_psi * self.lam) @ self.u_psi.conj().T
         sigma = (self.u_phi * self.mu) @ self.u_phi.conj().T
-        dist = float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
+        dist = trace_norm(rho - sigma)
         if dist < 1e-14:
             return 0.0
         return numerator / (cap * dist)

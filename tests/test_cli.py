@@ -13,6 +13,7 @@ import pytest
 from quasirel import QuadratureError, cli, default_rng, functions, random_pair, save_pair
 from quasirel.cli import main, parse_dims, render_rows
 from quasirel.states import state_pair
+from quasirel.sweeps import chunk_plan
 
 
 def _csv_rows(text):
@@ -110,17 +111,25 @@ def test_bounds_command_clean(capsys):
 
 
 def test_sweep_deterministic_across_jobs(tmp_path, capsys):
-    # --jobs 1 evaluates each dimension's 7 trials as one batch; 2 and 3
-    # jobs shard them into one-pair chunks over a process pool
-    argv = ["sweep", "--dims", "2,3", "--trials", "7", "--seed", "9",
-            "--f", "neg-log", "--q", "0.5"]
-    outputs = []
-    for jobs in (1, 2, 3):
-        out = tmp_path / f"jobs{jobs}.csv"
-        assert main(argv + ["--out", str(out), "--jobs", str(jobs)]) == 0
-        outputs.append(out.read_bytes())
+    # --jobs 1 evaluates each dimension as one batch; 2 and 3 jobs cut the
+    # grid into chunks over a process pool, each dimension ending on a
+    # shorter chunk: 2-trial chunks for the CSV sweep of 2 x 7 trials, 3-
+    # and 2-trial chunks for the JSON sweep of 3 x 7 classical pairs
+    assert [[len(c) for _, c in chunk_plan([2, 3, 4], 7, jobs)] for jobs in (2, 3)] == [
+        [3, 3, 1] * 3, [2, 2, 2, 1] * 3]
+    for n, argv in enumerate((
+            ["sweep", "--dims", "2,3", "--trials", "7", "--seed", "9",
+             "--f", "neg-log", "--q", "0.5"],
+            ["sweep", "--dims", "2..4", "--trials", "7", "--seed", "21",
+             "--pair-kind", "classical", "--f", "neg-log,tsallis:q=1.5",
+             "--format", "json"])):
+        outputs = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"sweep{n}-jobs{jobs}"
+            assert main(argv + ["--out", str(out), "--jobs", str(jobs)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
     capsys.readouterr()
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sweep_classical_pairs(capsys):

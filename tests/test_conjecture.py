@@ -18,12 +18,11 @@ from quasirel import (
     random_functional,
     random_pair,
     save_record,
-    trace_norm,
 )
 from quasirel import conjecture
 from quasirel.conjecture import VIOLATION_THRESHOLD
 from quasirel.states import state_pair
-from serial_search import haar_unitary as serial_haar_unitary, serial_search
+from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
 
 
 def _aligned_functional(pair, rng, cap=1.0):

@@ -9,9 +9,10 @@ from quasirel import (
     eigvalsh_desc,
     hermitian_part,
     mat_func,
-    trace_norm,
     vec,
 )
+from quasirel import linalg, states
+from serial_search import trace_norm
 
 
 def _rng(seed=0):
@@ -31,6 +32,35 @@ def test_hermitian_part_symmetrizes_and_rejects():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         hermitian_part(skew)
+
+
+def test_hermitian_part_is_idempotent_bit_for_bit():
+    # eigh(h, symmetrized=True) skips the second symmetrization on this premise
+    rng = _rng(5)
+    stack = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    h = hermitian_part((stack + stack.conj().swapaxes(-1, -2)) / 2.0
+                       + 1e-14 * rng.standard_normal((6, 5, 5)))
+    assert hermitian_part(h).tobytes() == h.tobytes()
+    for a in (h, h[0]):  # a stack and one matrix
+        skipped, checked = eigh(a, symmetrized=True), eigh(a)
+        assert skipped.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
+        assert skipped.eigenvectors.tobytes() == checked.eigenvectors.tobytes()
+
+
+def test_state_stack_symmetrized_once(monkeypatch):
+    # one hermitian_part per validated stack: two per batch of pairs
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return hermitian_part(a, *args, **kwargs)
+
+    batch = states.random_pairs(3, [np.random.default_rng(seed) for seed in range(4)])
+    monkeypatch.setattr(linalg, "hermitian_part", counted)
+    monkeypatch.setattr(states, "hermitian_part", counted)
+    again = states.pair_batch(batch.rho, batch.sigma)
+    assert calls == [(4, 3, 3), (4, 3, 3)]
+    assert again.rho_spectral.eigenvalues.tobytes() == batch.rho_spectral.eigenvalues.tobytes()
 
 
 def test_eigh_descending_and_reconstructs():

@@ -1,11 +1,12 @@
 """Batch drivers shared by the CLI: grids, flattening, worked table."""
 
 import math
+from concurrent.futures import Future
 
 import pytest
 
 from quasirel import bounds, paper_example_rows, sweep_bounds, sweeps
-from quasirel.sweeps import sweep_chunk, trial_pair
+from quasirel.sweeps import chunk_plan, sweep_chunk, trial_pair
 
 
 def test_trial_pair_deterministic_and_kind():
@@ -53,6 +54,106 @@ def test_sweep_chunk_evaluates_one_batch(monkeypatch):
     assert len(rows) == 3 * (8 + 8)
     assert [r["pair_tag"] for r in rows[::16]] == [
         "classical:000000", "classical:000001", "classical:000002"]
+
+
+@pytest.mark.parametrize("dims,trials,jobs", [
+    ([2], 1, 1), ([2], 1, 4), ([3, 2, 3], 7, 1), ([2, 3, 4], 7, 2),
+    ([2, 3, 4], 7, 3), (list(range(9, 17)), 25, 2), ([5], 100, 3), ([2, 3], 2, 16)])
+def test_chunk_plan_covers_grid_once_in_order(dims, trials, jobs):
+    plan = chunk_plan(dims, trials, jobs)
+    cells = [(dim, trial) for dim, chunk in plan for trial in chunk]
+    assert cells == [(dim, trial) for dim in dims for trial in range(trials)]
+    assert all(len(chunk) > 0 for _, chunk in plan)
+    if jobs == 1:
+        assert plan == [(dim, range(trials)) for dim in dims]
+    else:
+        # about four chunks per job over the whole grid, plus at most one
+        # per dimension for the uneven last chunk of each
+        block = math.ceil(trials * len(dims) / (4 * jobs))
+        assert all(len(chunk) == block for _, chunk in plan
+                   if chunk.stop != trials)
+        assert len(plan) <= 4 * jobs + len(dims)
+
+
+def test_chunk_plan_sweep_wide_grid():
+    # the benchmark's sweep_wide grid, d = 9..16 at 25 trials and 2 jobs:
+    # one 25-trial chunk per dimension
+    plan = chunk_plan(list(range(9, 17)), 25, 2)
+    assert [len(chunk) for _, chunk in plan] == [25] * 8
+    assert len(chunk_plan([2, 3, 4], 200, 2)) == 9  # 75-trial blocks: 3 per dim
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    started = []
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(started, max_workers))
+    return started
+
+
+def test_pool_never_larger_than_the_plan(pools_started):
+    serial = sweep_bounds([2], trials=3, seed=4, f_specs=["neg-log"])
+    pooled = sweep_bounds([2], trials=3, seed=4, f_specs=["neg-log"], jobs=8)
+    assert pools_started == [3]  # three one-trial chunks, three workers
+    assert pooled == serial
+    sweep_bounds([2, 3], trials=40, seed=4, qs=[0.5], jobs=2)
+    assert pools_started == [3, 2]
+
+
+def test_single_chunk_sweep_starts_no_pool(pools_started):
+    rows, _ = sweep_bounds([3], trials=1, seed=4, f_specs=["neg-log"], jobs=2)
+    assert len(chunk_plan([3], 1, 2)) == 1
+    assert rows and pools_started == []
+
+
+_BOUNDARY = (99_999, 100_000, 100_001, 999_999, 1_000_000, 1_000_001)
+
+
+def test_rows_sorted_by_numeric_trial_past_a_million(monkeypatch, pools_started):
+    # a stub chunk emits two rows for each boundary trial it holds; trial
+    # 1 000 000 has a 7-digit tag, which sorts between 100000 and 100001
+    # as a string
+    calls = []
+
+    def stub_chunk(seed, dim, trials, pair_kind, f_specs, qs, ae11_base):
+        calls.append(dim)
+        return [{"dim": dim, "pair_tag": f"{pair_kind}:{trial:06d}", "call": len(calls),
+                 "row": k, "applicable": True, "slack": 0.0}
+                for trial in _BOUNDARY if trial in trials for k in range(2)]
+
+    monkeypatch.setattr(sweeps, "sweep_chunk", stub_chunk)
+    for jobs in (1, 2):
+        rows, violations = sweep_bounds([3, 2, 3], trials=1_000_002, seed=0,
+                                        f_specs=["neg-log"], jobs=jobs)
+        assert violations == []
+        keys = [(r["dim"], int(r["pair_tag"].split(":")[1])) for r in rows]
+        assert keys == sorted(keys)
+        assert [t for d, t in keys[::2] if d == 2] == list(_BOUNDARY)
+        # duplicate dims keep their input order within each trial: the rows
+        # of the first dims entry's chunk (the earlier call), then the third's
+        dim3 = [(int(r["pair_tag"].split(":")[1]), r["call"], r["row"])
+                for r in rows if r["dim"] == 3]
+        assert [t for t, _, _ in dim3] == [t for t in _BOUNDARY for _ in range(4)]
+        assert dim3 == sorted(dim3)
+    assert pools_started == [2]  # nine 375001-trial chunks over two workers
 
 
 def test_paper_example_first_row_frozen():
