@@ -1,14 +1,6 @@
 """Quasi-relative entropies of density matrices and their trace-distance bounds."""
 
-from .linalg import (
-    EigenSystem,
-    SpectralDomainError,
-    eigh,
-    eigvalsh_desc,
-    hermitian_part,
-    mat_func,
-    vec,
-)
+from .linalg import EigenSystem, eigh, hermitian_part, vec
 from .states import (
     DensityMatrix,
     ScalarSummary,
@@ -35,7 +27,6 @@ from .functions import (
     dual_function,
     eval_via_representation,
     make_custom,
-    monotonicity_spot_check,
     neg_log,
     neg_power,
     normalization_residual,
@@ -78,17 +69,15 @@ from .sweeps import paper_example_rows, sweep_bounds
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenSystem", "SpectralDomainError", "eigh", "eigvalsh_desc",
-    "hermitian_part", "mat_func", "vec",
+    "EigenSystem", "eigh", "hermitian_part", "vec",
     "DensityMatrix", "ScalarSummary", "StatePair", "default_rng",
     "density_matrix", "example_pair", "haar_unitary", "load_pair",
     "pair_from_dict", "pair_to_dict", "random_classical_pair", "random_pair",
     "random_state", "save_pair", "state_pair", "summarize", "swapped",
     "QuadratureError", "integrate_halfline",
     "OMDFunction", "builtin_suite", "dual_function",
-    "eval_via_representation", "make_custom", "monotonicity_spot_check",
-    "neg_log", "neg_power", "normalization_residual", "parse_f_spec",
-    "tsallis_f",
+    "eval_via_representation", "make_custom", "neg_log", "neg_power",
+    "normalization_residual", "parse_f_spec", "tsallis_f",
     "DivergenceResult", "quasi_entropy_spectral",
     "quasi_entropy_superoperator", "tsallis_direct", "umegaki",
     "BoundReport", "SandwichReport", "ae11_upper", "general_sqrt_d_upper",

@@ -1,19 +1,25 @@
 """Command-line harness: single computations, sweeps, and searches.
 
+A command takes the flags of the settings it reads and no others. A JSON
+config file (--config) may set the same settings, keyed by the flags' dests
+(f_spec for --f, output_path for --out, weight_mode for --weights, log_base
+for --log-base, ...); each value must have the setting's JSON type and then
+passes the flag's check. Flags win over the file.
+
 Exit codes are part of the interface:
   0  success (and, for sweeps, zero violations)
-  2  command-line or config-file parse error (a --step, --steps or
-     --plateau flag out of range included)
-  3  validation error (bad dims/trials/f-spec/state file contents, or a
-     climb setting out of range in a config file)
+  2  command-line or config-file parse error (an unknown flag or config
+     key, and a --step, --steps or --plateau flag out of range included)
+  3  validation error (bad dims/trials/f-spec/state file contents, a
+     config value of the wrong JSON type, or a climb setting out of range
+     in a config file)
   4  I/O error (unreadable input, unwritable output)
   5  verification failure (negative slack in a sweep, a representation
      round-trip outside tolerance, or a quadrature that exhausted its
      evaluation budget)
 
-No environment variables are consumed; a JSON config file may supply any
-long-flag value, with explicit flags taking precedence. All randomness is
-seeded, and a fixed config reproduces byte-identical output.
+No environment variables are consumed. All randomness is seeded, and a
+fixed config reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .conjecture import check_search_arguments, conjecture_search, save_record
+from .conjecture import conjecture_search, save_record
 from .divergences import (
     SUPEROP_DIM_CAP,
     quasi_entropy_spectral,
@@ -77,61 +83,34 @@ _DEFAULT_REPR_SPECS = [
 ]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    dims: list = field(default_factory=lambda: [2])
-    trials: int = 100
-    seed: int = 0
-    f_spec: Optional[str] = None
-    qs: list = field(default_factory=list)
-    log_base: str = "e"
-    output_path: Optional[str] = None
-    format: str = "csv"
-    jobs: int = 1
-    pair_kind: str = "random"
-    pair_file: Optional[str] = None
-    strategy: str = "random"
-    weight_mode: str = "uniform"
-    commuting: bool = False
-    step: float = 0.05
-    steps: int = 200
-    plateau: int = 30
+# ---------------------------------------------------------------------------
+# Settings: each declared once, in SETTINGS; _COMMAND_SETTINGS lists the ones
+# each command reads. Both build_parser and make_config work from these two.
 
-    def validate(self) -> None:
-        if not self.dims:
-            raise ValueError("dims must be nonempty (e.g. --dims 2,3,4)")
-        if any(d < 2 for d in self.dims):
-            raise ValueError(f"dims must all be >= 2, got {self.dims}")
-        check_search_arguments(self.trials, self.step, self.steps, self.plateau)
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.log_base not in ("e", "2"):
-            raise ValueError(f"log-base must be 'e' or '2', got {self.log_base!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.pair_kind not in ("random", "classical"):
-            raise ValueError(
-                f"pair-kind must be 'random' or 'classical', got {self.pair_kind!r}")
-        if self.f_spec is not None:
-            for spec in self._f_list():
-                parse_f_spec(spec)  # raises with the offending spec named
-        for q in self.qs:
-            if not 0.0 < q <= 2.0 or q == 1.0:
-                raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
+
+class Setting(NamedTuple):
+    flag: str
+    kind: tuple  # the JSON types a config file may give; int or float first parses the flag
+    check: Callable  # value -> the setting; raises ValueError
+    help: str
+    default: object = None  # None: unset
+    choices: Optional[tuple] = None
+    strict: bool = False  # a flag value the check rejects is a parse error (exit 2)
+
+
+class RunConfig(SimpleNamespace):
+    """The settings one command reads, checked, under their config keys."""
+
+    @property
+    def qs(self) -> list:
+        return self.q or []
 
     def _f_list(self) -> list:
-        if self.f_spec is None:
-            return []
-        if self.f_spec == "all":
-            return [f.name for f in builtin_suite()]
-        return [s.strip() for s in self.f_spec.split(",") if s.strip()]
+        return self.f_spec or []
 
 
-# ---------------------------------------------------------------------------
-# Parsing and config merging.
+class ConfigError(Exception):
+    """A config file that is no JSON object, or holds a key the command does not read."""
 
 
 def parse_dims(text: str) -> list:
@@ -151,15 +130,109 @@ def parse_dims(text: str) -> list:
     return dims
 
 
-def _checked(convert, ok, requirement: str):
-    """An argparse type: convert the flag's text, then require ok(value)."""
-    def parse(text):
-        value = convert(text)
+def _is_json(value, kinds: tuple) -> bool:
+    """Whether a config value has one of these types; a bool is no number."""
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def _require(ok, requirement: str):
+    """The check that passes a value for which ok(value) holds."""
+    def check(value):
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+            raise ValueError(f"must be {requirement}, got {value!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in conversion errors
+    return check
+
+
+def _dims(value) -> list:
+    dims = parse_dims(value) if isinstance(value, str) else value
+    if not dims or not all(_is_json(d, (int,)) and d >= 2 for d in dims):
+        raise ValueError(f"must be a nonempty list of integers >= 2, got {value!r}")
+    return dims
+
+
+def _orders(value) -> list:
+    if isinstance(value, str):
+        value = [float(tok) for tok in value.split(",") if tok.strip()]
+    qs = value if isinstance(value, list) else [value]
+    for q in qs:
+        if not _is_json(q, (float, int)) or not 0.0 < q <= 2.0 or q == 1.0:
+            raise ValueError(f"must lie in (0, 2] excluding 1, got {q!r}")
+    return [float(q) for q in qs]
+
+
+def _f_specs(value: str) -> list:
+    if value == "all":
+        return [f.name for f in builtin_suite()]
+    specs = [spec for spec in map(str.strip, value.split(",")) if spec]
+    for spec in specs:
+        parse_f_spec(spec)  # raises with the offending spec named
+    return specs
+
+
+def _choice(flag: str, options: tuple, help: str) -> Setting:
+    """A setting that takes one of ``options``; the first is the default."""
+    return Setting(flag, (str,), _require(options.__contains__, f"one of {', '.join(options)}"),
+                   help, options[0], options)
+
+
+_AT_LEAST_0 = _require(lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = _require(lambda v: v >= 1, ">= 1")
+
+SETTINGS = {
+    "dims": Setting("--dims", (str, list), _dims, "dimensions, e.g. 2,3 or 3..16", "2"),
+    "trials": Setting("--trials", (int,), _AT_LEAST_1,
+                      "trials: per dimension in a sweep, in all in a search", 100),
+    "seed": Setting("--seed", (int,), _AT_LEAST_0, "random seed", 0),
+    "f_spec": Setting("--f", (str,), _f_specs, "generator spec: neg-log, neg-power:p=0.5, "
+                                               "tsallis:q=0.3, comma list, or 'all'"),
+    "q": Setting("--q", (str, float, int, list), _orders,
+                 "Tsallis orders, comma-separated floats"),
+    "log_base": _choice("--log-base", ("e", "2"),
+                        "logarithm base for the logarithmic bound column"),
+    "output_path": Setting("--out", (str,), str, "output file path"),
+    "format": _choice("--format", ("csv", "json"), "output format"),
+    "jobs": Setting("--jobs", (int,), _AT_LEAST_1, "worker processes", os.cpu_count() or 1),
+    "pair_kind": _choice("--pair-kind", ("random", "classical"), "pair ensemble"),
+    "pair_file": Setting("--pair-file", (str,), str, "serialized state pair (JSON)"),
+    "strategy": _choice("--strategy", ("random", "hill_climb"), "search strategy"),
+    "weight_mode": _choice("--weights", ("uniform", "modular"), "overlap weights"),
+    "commuting": Setting("--commuting", (bool,), bool, "restrict the search to commuting pairs",
+                         False),
+    "step": Setting("--step", (float, int), _require(lambda v: math.isfinite(v) and v > 0.0,
+                                                     "a positive finite number"),
+                    "jitter scale", 0.05, strict=True),
+    "steps": Setting("--steps", (int,), _AT_LEAST_0, "climb steps per restart", 200, strict=True),
+    "plateau": Setting("--plateau", (int,), _AT_LEAST_1,
+                       "consecutive misses before a restart is abandoned", 30, strict=True),
+}
+
+# command -> (summary, the settings it reads, its defaults that differ from the settings')
+_COMMAND_SETTINGS = {
+    "divergence": ("one pair, every evaluation method",
+                   "dims seed f_spec q output_path format pair_kind pair_file", {}),
+    "bounds": ("one pair, full sandwich report",
+               "dims seed f_spec q log_base output_path format pair_kind pair_file", {}),
+    "sweep": ("bound verification over a random grid",
+              "dims trials seed f_spec q log_base output_path format jobs pair_kind", {}),
+    "conjecture": ("counterexample search", "dims trials seed output_path strategy weight_mode "
+                   "commuting step steps plateau", {"dims": "3..6", "trials": 1000}),
+    "repr-check": ("integral-representation round-trips", "f_spec output_path format",
+                   {"f_spec": ",".join(_DEFAULT_REPR_SPECS)}),
+    "paper-example": ("worked bound-comparison table", "dims output_path format",
+                      {"dims": "3..16"}),
+}
+
+
+def _strict(convert, check):
+    """An argparse type: convert the flag's text, then check it; both exit 2."""
+    def parse(text):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     return parse
 
 
@@ -170,116 +243,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "a counterexample search harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, dims_default_doc):
-        p.add_argument("--config", help="JSON file of flag defaults")
-        p.add_argument("--dims", help=f"dimensions, e.g. 2,3 or 3..16 "
-                                      f"(default {dims_default_doc})")
-        p.add_argument("--trials", type=int, help="trials per dimension")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--f", dest="f_spec",
-                       help="generator spec: neg-log, neg-power:p=0.5, "
-                            "tsallis:q=0.3, comma list, or 'all'")
-        p.add_argument("--q", help="Tsallis orders, comma-separated floats")
-        p.add_argument("--log-base", choices=["e", "2"],
-                       help="logarithm base for the logarithmic bound column")
-        p.add_argument("--out", dest="output_path", help="output file path")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--jobs", type=int,
-                       help="worker processes for sweeps (default: CPU count)")
-
-    p = sub.add_parser("divergence", help="one pair, every evaluation method")
-    common(p, "2")
-    p.add_argument("--pair-file", help="serialized state pair (JSON)")
-
-    p = sub.add_parser("bounds", help="one pair, full sandwich report")
-    common(p, "2")
-    p.add_argument("--pair-file", help="serialized state pair (JSON)")
-
-    p = sub.add_parser("sweep", help="bound verification over a random grid")
-    common(p, "2")
-    p.add_argument("--pair-kind", choices=["random", "classical"],
-                   help="pair ensemble (default random)")
-
-    p = sub.add_parser("conjecture", help="counterexample search")
-    common(p, "3..6")
-    p.add_argument("--strategy", choices=["random", "hill_climb"])
-    p.add_argument("--weights", dest="weight_mode",
-                   choices=["uniform", "modular"])
-    p.add_argument("--commuting", action="store_true", default=None,
-                   help="restrict the search to commuting pairs")
-    p.add_argument("--step", help="jitter scale (default 0.05)",
-                   type=_checked(float, lambda v: math.isfinite(v) and v > 0.0,
-                                 "a positive finite number"))
-    p.add_argument("--steps", type=_checked(int, lambda v: v >= 0, ">= 0"),
-                   help="climb steps per restart (default 200)")
-    p.add_argument("--plateau", type=_checked(int, lambda v: v >= 1, ">= 1"),
-                   help="consecutive misses before a restart is abandoned "
-                        "(default 30)")
-
-    p = sub.add_parser("repr-check", help="integral-representation round-trips")
-    common(p, "n/a")
-
-    p = sub.add_parser("paper-example", help="worked bound-comparison table")
-    common(p, "3..16")
-
+    for command, (summary, names, defaults) in _COMMAND_SETTINGS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON object of settings by config key")
+        for name in names.split():
+            s = SETTINGS[name]
+            if s.kind == (bool,):
+                p.add_argument(s.flag, dest=name, action="store_true", default=None,
+                               help=s.help)
+                continue
+            default = defaults.get(name, s.default)
+            convert = s.kind[0] if s.kind[0] in (int, float) else None
+            p.add_argument(s.flag, dest=name, choices=s.choices,
+                           type=_strict(convert, s.check) if s.strict else convert,
+                           help=s.help if default is None else f"{s.help} (default {default})")
     return parser
 
 
-_DIMS_DEFAULTS = {"conjecture": [3, 4, 5, 6], "paper-example": list(range(3, 17))}
-_TRIALS_DEFAULTS = {"conjecture": 1000, "sweep": 100}
-
-
 def make_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
-    def pick(name, default):
-        cli = getattr(args, name, None)
-        if cli is not None:
-            return cli
-        if name in file_config:
-            return file_config[name]
-        return default
-
-    command = args.command
-    dims = pick("dims", None)
-    if dims is None:
-        dims = _DIMS_DEFAULTS.get(command, [2])
-    elif isinstance(dims, str):
-        dims = parse_dims(dims)
-    else:
-        dims = [int(d) for d in dims]
-
-    qs = pick("q", None)
-    if qs is None:
-        qs = []
-    elif isinstance(qs, str):
-        qs = [float(tok) for tok in qs.split(",") if tok.strip()]
-    elif isinstance(qs, (int, float)):
-        qs = [float(qs)]
-    else:
-        qs = [float(v) for v in qs]
-
-    cfg = RunConfig(
-        command=command,
-        dims=dims,
-        trials=int(pick("trials", _TRIALS_DEFAULTS.get(command, 100))),
-        seed=int(pick("seed", 0)),
-        f_spec=pick("f_spec", None),
-        qs=qs,
-        log_base=str(pick("log_base", "e")),
-        output_path=pick("output_path", None),
-        format=str(pick("format", "csv")),
-        jobs=int(pick("jobs", os.cpu_count() or 1)),
-        pair_kind=str(pick("pair_kind", "random")),
-        pair_file=pick("pair_file", None),
-        strategy=str(pick("strategy", "random")),
-        weight_mode=str(pick("weight_mode", "uniform")),
-        commuting=bool(pick("commuting", False)),
-        step=float(pick("step", 0.05)),
-        steps=int(pick("steps", 200)),
-        plateau=int(pick("plateau", 30)),
-    )
-    cfg.validate()
-    return cfg
+    """The settings the command reads: each from its flag, else the config
+    file, else the default, turned into the setting by the setting's check."""
+    _, names, defaults = _COMMAND_SETTINGS[args.command]
+    names = names.split()
+    for key in file_config:
+        if key not in names:
+            raise ConfigError(f"{args.command} reads no config key {key!r} "
+                              f"(it reads {', '.join(names)})")
+    values = {}
+    for name in names:
+        s = SETTINGS[name]
+        value, source = getattr(args, name), s.flag
+        if value is None and name in file_config:
+            value, source = file_config[name], f"config key {name!r}"
+            if not _is_json(value, s.kind):
+                raise ValueError(f"{source}: must be "
+                                 f"{' or '.join(k.__name__ for k in s.kind)}, got {value!r}")
+        elif value is None:
+            value = defaults.get(name, s.default)
+        if value is not None:
+            try:
+                value = s.check(value)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
+        values[name] = value
+    return RunConfig(command=args.command, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +460,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
 
 
 def cmd_repr_check(cfg: RunConfig) -> int:
-    specs = cfg._f_list() or list(_DEFAULT_REPR_SPECS)
+    specs = cfg._f_list()
     rows = []
     all_ok = True
     for spec in specs:
@@ -497,42 +504,30 @@ def run(cfg: RunConfig) -> int:
     return _COMMANDS[cfg.command](cfg)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    file_config = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_config = json.load(fh)
-        except OSError as exc:
-            _note(f"error: cannot read config file: {exc}")
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            _note(f"error: config file is not valid JSON: {exc}")
-            return EXIT_PARSE
-        if not isinstance(file_config, dict):
-            _note("error: config file must hold a JSON object")
-            return EXIT_PARSE
-
+def read_config(path) -> dict:
     try:
-        cfg = make_config(args, file_config)
-    except (ValueError, TypeError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_VALIDATION
-
-    try:
-        return run(cfg)
+        with open(path) as fh:
+            doc = json.load(fh)
     except OSError as exc:
+        raise OSError(f"cannot read config file: {exc}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return doc
+
+
+_EXIT_CODES = {ConfigError: EXIT_PARSE, OSError: EXIT_IO, ValueError: EXIT_VALIDATION,
+               QuadratureError: EXIT_VERIFICATION}
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return run(make_config(args, read_config(args.config) if args.config else {}))
+    except tuple(_EXIT_CODES) as exc:
         _note(f"error: {exc}")
-        return EXIT_IO
-    except ValueError as exc:
-        _note(f"error: {exc}")
-        return EXIT_VALIDATION
-    except QuadratureError as exc:
-        _note(f"error: {exc}")
-        return EXIT_VERIFICATION
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -171,7 +171,6 @@ def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
 
 def tsallis_direct(pair: StatePair, q: float) -> DivergenceResult:
     """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q)."""
-    _check_order(q)
     return DivergenceResult(float(tsallis_values(pair.batch, q)[0]), "direct",
                             f"tsallis:q={q:g}")
 

@@ -28,9 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import mat_func, eigvalsh_desc
 from .quadrature import integrate_halfline
-from .states import default_rng, random_state
 
 REPRESENTATION_RTOL = 1e-6
 
@@ -171,41 +169,6 @@ def dual_function(f: Callable) -> Callable:
     """
     inner = f.eval if isinstance(f, OMDFunction) else f
     return lambda x: x * inner(1.0 / x)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    f_name: str
-    dim: int
-    trials: int
-    violations: list
-    worst_min_eigenvalue: float
-
-
-def monotonicity_spot_check(f, dim: int, trials: int, seed) -> MonotonicityReport:
-    """Sample pairs A >= B > 0 and check f(B) - f(A) >= -1e-10 I.
-
-    Operator monotone decreasing means exactly that; functions that are not
-    (x^2, say) show up with negative eigenvalues in the report. ``f`` may be
-    a descriptor or a bare scalar map.
-    """
-    if dim > 8:
-        raise ValueError(f"dim capped at 8 for the spot check, got {dim}")
-    func = f.eval if isinstance(f, OMDFunction) else f
-    name = f.name if isinstance(f, OMDFunction) else getattr(f, "__name__", "<callable>")
-    rng = default_rng(seed)
-    violations = []
-    worst = math.inf
-    for trial in range(trials):
-        b = random_state(dim, rng).matrix * dim  # spectrum O(1), strictly positive
-        bump = random_state(dim, rng).matrix * float(rng.uniform(0.0, 2.0))
-        a = b + bump
-        gap = mat_func(b, func) - mat_func(a, func)
-        min_eig = float(eigvalsh_desc(gap)[-1])
-        worst = min(worst, min_eig)
-        if min_eig < -1e-10:
-            violations.append({"trial": trial, "min_eigenvalue": min_eig})
-    return MonotonicityReport(name, dim, trials, violations, worst)
 
 
 def make_custom(name: str, eval: Callable, a: float, measure_density: Callable,

@@ -438,8 +438,11 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def _matrix_from_json(rows: Sequence) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _matrix_from_json(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in doc[key]])
+    except (TypeError, ValueError):  # not rows of [re, im] cells, or ragged
+        raise ValueError(f"{key} must be a list of rows of [re, im] pairs") from None
 
 
 def pair_to_dict(pair: StatePair, seed=None, tags: Optional[list[str]] = None) -> dict:
@@ -453,9 +456,17 @@ def pair_to_dict(pair: StatePair, seed=None, tags: Optional[list[str]] = None) -
 
 
 def pair_from_dict(doc: dict) -> StatePair:
-    dim = int(doc["dim"])
-    rho = _matrix_from_json(doc["rho"])
-    sigma = _matrix_from_json(doc["sigma"])
+    """The pair a pair_to_dict document holds; ValueError names what is missing
+    or malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a state pair must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in ("dim", "rho", "sigma") if key not in doc]
+    if missing:
+        raise ValueError(f"state pair lacks {', '.join(missing)}")
+    dim = doc["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    rho, sigma = _matrix_from_json(doc, "rho"), _matrix_from_json(doc, "sigma")
     if rho.shape != (dim, dim) or sigma.shape != (dim, dim):
         raise ValueError(f"matrix shapes {rho.shape}/{sigma.shape} disagree with dim {dim}")
     return state_pair(rho, sigma)

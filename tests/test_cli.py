@@ -271,3 +271,128 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "1.2" in proc.stdout
+
+
+def _config_run(tmp_path, capsys, argv, doc):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(doc))
+    return _run(capsys, [*argv, "--config", str(config)])
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["conjecture", "--dims", "3", "--trials", "2"], {"commuting": "false"}),
+    (["conjecture", "--dims", "3", "--trials", "2"], {"seed": 1.7}),
+    (["sweep", "--dims", "2", "--f", "neg-log"], {"trials": "3"}),
+    (["sweep", "--dims", "2", "--f", "neg-log"], {"trials": True}),
+    (["sweep", "--dims", "2", "--trials", "1", "--f", "neg-log"], {"jobs": 1.9}),
+    (["sweep", "--trials", "1", "--f", "neg-log"], {"dims": [2, True]}),
+    (["sweep", "--dims", "2", "--trials", "1"], {"q": [0.5, "1.5"]}),
+    (["divergence"], {"pair_kind": 1}),
+])
+def test_config_value_of_wrong_json_type_exits_3(tmp_path, capsys, argv, doc):
+    # converting instead would run another experiment: bool("false") is True, int(1.7) is 1
+    code, out, err = _config_run(tmp_path, capsys, argv, doc)
+    (key,) = doc
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sweep", {"trails": 5}),
+    ("sweep", {"step": -1}),
+    ("paper-example", {"trials": 0}),
+    ("conjecture", {"jobs": 0}),
+    ("repr-check", {"dims": "3"}),
+])
+def test_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, doc):
+    code, out, err = _config_run(tmp_path, capsys, [command], doc)
+    (key,) = doc
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "--dims", "3", "--trials", "1", "--q", "0.5"],
+    ["conjecture", "--dims", "3", "--trials", "1", "--format", "csv"],
+    ["conjecture", "--dims", "3", "--trials", "1", "--f", "neg-log"],
+    ["conjecture", "--dims", "3", "--trials", "1", "--jobs", "0"],
+    ["paper-example", "--trials", "0"],
+    ["repr-check", "--dims", "3"],
+    ["sweep", "--step", "0.1"],
+])
+def test_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and argv[-2] in err and "Traceback" not in err
+
+
+def test_config_values_of_the_right_type_run_as_flags(tmp_path, capsys):
+    base = ["conjecture", "--dims", "3", "--trials", "20"]
+    code, flagged, _ = _run(capsys, [*base, "--commuting", "--seed", "4"])
+    assert code == 0 and json.loads(flagged)["commuting"] is True
+    assert _config_run(tmp_path, capsys, base, {"commuting": True, "seed": 4})[:2] == (0, flagged)
+    sweep = ["sweep", "--trials", "2", "--jobs", "1"]
+    code, flagged, _ = _run(capsys, [*sweep, "--dims", "2,3", "--q", "0.5,1.5"])
+    assert code == 0
+    for doc in ({"dims": "2,3", "q": "0.5,1.5"}, {"dims": [2, 3], "q": [0.5, 1.5]}):
+        assert _config_run(tmp_path, capsys, sweep, doc)[:2] == (0, flagged)
+
+
+def test_bounds_pair_kind_flag_matches_config(tmp_path, capsys):
+    argv = ["bounds", "--dims", "3", "--seed", "2", "--f", "neg-log"]
+    code, flagged, _ = _run(capsys, [*argv, "--pair-kind", "classical"])
+    assert code == 0 and "classical:000000" in flagged
+    assert _config_run(tmp_path, capsys, argv, {"pair_kind": "classical"})[:2] == (0, flagged)
+    assert _run(capsys, argv)[1] != flagged
+
+
+# Each command run on small inputs: every branch that reads a setting is taken.
+_SMALL_RUNS = {
+    "divergence": ["--q", "0.5"],
+    "bounds": ["--f", "neg-log"],
+    "sweep": ["--trials", "1", "--f", "neg-log", "--jobs", "1"],
+    "conjecture": ["--dims", "3", "--trials", "1"],
+    "repr-check": ["--f", "neg-power:p=0.5"],
+    "paper-example": ["--dims", "3"],
+}
+
+
+def test_each_command_takes_the_flags_of_the_settings_it_reads(capsys):
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    assert set(subparsers.choices) == set(cli._COMMANDS) == set(_SMALL_RUNS)
+    total = 0
+    for command, sub in subparsers.choices.items():
+        flags = {a.dest: a.option_strings for a in sub._actions
+                 if a.dest not in ("help", "config")}
+        assert all(opts == [cli.SETTINGS[dest].flag] for dest, opts in flags.items())
+        read = set()
+
+        class Recording(cli.RunConfig):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        cfg = cli.make_config(parser.parse_args([command, *_SMALL_RUNS[command]]), {})
+        assert cli._COMMANDS[command](Recording(**vars(cfg))) == 0
+        assert read & set(cli.SETTINGS) == set(flags), command
+        total += len(flags)
+    assert total == 43
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"rho": [[[1, 0]]]},
+    [[[1, 0]]],
+    {"dim": 1, "rho": [[1]], "sigma": [[[1, 0]]]},
+    {"dim": 2, "rho": [[[1, 0], [0, 0]], [[0, 0]]], "sigma": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    {"dim": "2", "rho": [], "sigma": []},
+])
+def test_malformed_pair_file_exits_3(tmp_path, capsys, doc):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["divergence", "--pair-file", str(path)])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -12,13 +12,13 @@ from quasirel import (
     dual_function,
     eval_via_representation,
     make_custom,
-    monotonicity_spot_check,
     neg_log,
     neg_power,
     normalization_residual,
     parse_f_spec,
     tsallis_f,
 )
+from spectral_oracle import monotonicity_spot_check
 
 GRID = np.geomspace(1e-3, 1e3, 13)
 

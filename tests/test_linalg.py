@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from quasirel import (
-    SpectralDomainError,
-    eigh,
-    eigvalsh_desc,
-    hermitian_part,
-    mat_func,
-    vec,
-)
+from quasirel import eigh, hermitian_part, vec
 from quasirel import linalg, states
 from serial_search import trace_norm
+from spectral_oracle import SpectralDomainError, eigvalsh_desc, mat_func
 
 
 def _rng(seed=0):

@@ -20,8 +20,10 @@ from quasirel import (
     summarize,
     swapped,
 )
-from quasirel.linalg import ZERO_EIG_THRESHOLD
+from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD
 from quasirel.states import (
+    EIGENVALUE_FLOOR,
+    TRACE_TOL,
     _random_probabilities,
     haar_unitaries,
     pair_batch,
@@ -254,3 +256,25 @@ def test_pair_batch_matches_pairs_built_one_by_one():
         assert view.summary == pair.summary
     with pytest.raises(ValueError):
         pair_batch(np.stack([np.eye(3), np.eye(3) / 3]), batch.sigma[:2])
+
+
+def _off_hermitian(size):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1] = size  # max |A - A^dag| = size
+    return m
+
+
+@pytest.mark.parametrize("make, bound, message", [
+    (_off_hermitian, HERMITICITY_TOL, "not Hermitian"),
+    (lambda size: np.diag([0.5 + size, 0.5]), TRACE_TOL, "trace"),
+    (lambda size: np.diag([1.0 - size, size]), EIGENVALUE_FLOOR, "negative eigenvalue"),
+], ids=["HERMITICITY_TOL", "TRACE_TOL", "EIGENVALUE_FLOOR"])
+def test_validation_threshold_both_sides(make, bound, message):
+    good = np.diag([0.75, 0.25]).astype(complex)
+    inside, outside = make(0.9 * bound), make(1.1 * bound)
+    density_matrix(inside)
+    pair_batch(np.stack([good, inside]), np.stack([good, good]))
+    with pytest.raises(ValueError, match=message):
+        density_matrix(outside)
+    with pytest.raises(ValueError, match=message):
+        pair_batch(np.stack([good, good]), np.stack([good, outside]))
