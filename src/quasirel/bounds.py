@@ -25,7 +25,7 @@ from .divergences import (
     spectral_values,
     tsallis_values,
 )
-from .functions import OMDFunction, tsallis_f
+from .functions import OMDFunction, is_tsallis_order, tsallis_f
 from .states import PairBatch, ScalarSummary, StatePair
 
 COMMUTING_TOL = 1e-10
@@ -35,7 +35,7 @@ SLACK_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound evaluation.
+    """One bound evaluation; the generator and order it belongs to are the caller's.
 
     ``slack`` is the signed margin by which the bound holds against the
     divergence given when the report was built: bound - divergence for upper
@@ -52,18 +52,14 @@ class BoundReport:
 
     bound_name: str
     value: float
-    summary: ScalarSummary
     applicable: bool
     reason: str = ""
-    f_name: Optional[str] = None
-    q: Optional[float] = None
     is_lower: bool = False
     slack: Optional[float] = None
     alt_value: Optional[float] = None
 
 
-def _report(name: str, value, summary: ScalarSummary, applicable=True, reason: str = "",
-            divergence=None, *, f_name: Optional[str] = None, q: Optional[float] = None,
+def _report(name: str, value, applicable=True, reason: str = "", divergence=None, *,
             is_lower: bool = False, alt_value=None) -> BoundReport:
     """Build a report with its slack: arrays for a batch, plain numbers for one pair."""
     slack = None
@@ -80,8 +76,7 @@ def _report(name: str, value, summary: ScalarSummary, applicable=True, reason: s
             slack = (divergence - value) if is_lower else (value - divergence)
         reason = "" if applicable else reason
         alt_value = None if alt_value is None else float(alt_value)
-    return BoundReport(name, value, summary, applicable, reason, f_name=f_name, q=q,
-                       is_lower=is_lower, slack=slack, alt_value=alt_value)
+    return BoundReport(name, value, applicable, reason, is_lower, slack, alt_value)
 
 
 def _libm(fn: Callable, x, *args):
@@ -135,8 +130,7 @@ def _bracket_core(summary: ScalarSummary, f: OMDFunction):
 def pinsker_lower(summary: ScalarSummary, f: OMDFunction, divergence=None) -> BoundReport:
     """Lower bound f''(1)/2 * ||rho - sigma||_1^2."""
     value = 0.5 * f.d2_at_1 * _libm(pow, summary.trace_distance_1, 2)
-    return _report("pinsker_lower", value, summary, divergence=divergence,
-                   f_name=f.name, is_lower=True)
+    return _report("pinsker_lower", value, divergence=divergence, is_lower=True)
 
 
 def qubit_classical_upper(summary: ScalarSummary, f: OMDFunction,
@@ -155,9 +149,8 @@ def qubit_classical_upper(summary: ScalarSummary, f: OMDFunction,
     if f.a != 0.0:
         x = summary.alpha_sigma / summary.lambda_rho
         alt = summary.trace_distance_1 * (core - f.a * (1.0 - x))
-    return _report("qubit_classical_upper", value, summary, applicable,
-                   "requires a qubit or commuting pair", divergence,
-                   f_name=f.name, alt_value=alt)
+    return _report("qubit_classical_upper", value, applicable,
+                   "requires a qubit or commuting pair", divergence, alt_value=alt)
 
 
 def general_sqrt_d_upper(summary: ScalarSummary, f: OMDFunction,
@@ -165,7 +158,7 @@ def general_sqrt_d_upper(summary: ScalarSummary, f: OMDFunction,
     """The dimension-penalized upper bound: sqrt(d) times the bracket form."""
     core = _bracket_core(summary, f)
     value = math.sqrt(summary.dim) * summary.trace_distance_1 * (core - f.a)
-    return _report("sqrt_d_upper", value, summary, divergence=divergence, f_name=f.name)
+    return _report("sqrt_d_upper", value, divergence=divergence)
 
 
 def relative_entropy_upper(summary: ScalarSummary, divergence=None) -> list[BoundReport]:
@@ -178,10 +171,8 @@ def relative_entropy_upper(summary: ScalarSummary, divergence=None) -> list[Boun
     tight = dist * lam * guarded_log_diff_quot(summary.alpha_rho, summary.alpha_sigma)
     loose = dist * lam / summary.alpha
     return [
-        _report("relative_entropy_tight_upper", tight, summary, divergence=divergence,
-                f_name="neg-log"),
-        _report("relative_entropy_loose_upper", loose, summary, divergence=divergence,
-                f_name="neg-log"),
+        _report("relative_entropy_tight_upper", tight, divergence=divergence),
+        _report("relative_entropy_loose_upper", loose, divergence=divergence),
     ]
 
 
@@ -201,7 +192,7 @@ def ae11_upper(summary: ScalarSummary, base: str = "e", divergence=None) -> Boun
     if base == "2":
         value = value / math.log(2.0)
     name = "ae11_upper" if base == "e" else "ae11_upper_base2"
-    return _report(name, value, summary, divergence=divergence, f_name="neg-log")
+    return _report(name, value, divergence=divergence)
 
 
 def qubit_relative_upper(summary: ScalarSummary, divergence=None) -> list[BoundReport]:
@@ -212,10 +203,8 @@ def qubit_relative_upper(summary: ScalarSummary, divergence=None) -> list[BoundR
     tight = dist * lam * guarded_log_diff_quot(lam, alph)
     loose = dist * lam / alph
     return [
-        _report("qubit_relative_tight_upper", tight, summary, applicable, reason,
-                divergence, f_name="neg-log"),
-        _report("qubit_relative_loose_upper", loose, summary, applicable, reason,
-                divergence, f_name="neg-log"),
+        _report("qubit_relative_tight_upper", tight, applicable, reason, divergence),
+        _report("qubit_relative_loose_upper", loose, applicable, reason, divergence),
     ]
 
 
@@ -229,9 +218,9 @@ def tsallis_bounds(summary: ScalarSummary, q: float, divergence=None) -> list[Bo
     additionally get a dedicated tight/loose pair at any valid q.
     """
     dist, lam_r = summary.trace_distance_1, summary.lambda_rho
-    if not 0.0 < q <= 2.0 or q == 1.0:
-        return [_report("tsallis_bounds", dist * math.nan, summary, False,
-                        f"q={q:g} outside (0,2)\\{{1}}", divergence, q=q)]
+    if not is_tsallis_order(q):
+        return [_report("tsallis_bounds", dist * math.nan, False,
+                        f"q={q:g} outside (0,2)\\{{1}}", divergence)]
     alpha, alph_s = summary.alpha, summary.alpha_sigma
     lam_q = _libm(pow, lam_r, q)
     values = []
@@ -248,16 +237,15 @@ def tsallis_bounds(summary: ScalarSummary, q: float, divergence=None) -> list[Bo
         diff_quot = guarded_power_diff_quot(summary.alpha_rho, alph_s, q)
         values.append(("tsallis_tight_upper", dist * lam_q * diff_quot / (1.0 - q)))
         values.append(("tsallis_loose_upper", dist * lam_q / _libm(pow, alpha, q)))
-    reports = [_report(name, value, summary, divergence=divergence, q=q)
-               for name, value in values]
+    reports = [_report(name, value, divergence=divergence) for name, value in values]
     qubit_ok = summary.dim == 2
     qubit_reason = "requires a qubit pair"
     qubit_quot = guarded_power_diff_quot(lam_r, alph_s, q)
     reports.append(_report("tsallis_qubit_tight_upper",
                            dist * lam_q * qubit_quot / (1.0 - q),
-                           summary, qubit_ok, qubit_reason, divergence, q=q))
+                           qubit_ok, qubit_reason, divergence))
     reports.append(_report("tsallis_qubit_loose_upper", dist * lam_q / _libm(pow, alph_s, q),
-                           summary, qubit_ok, qubit_reason, divergence, q=q))
+                           qubit_ok, qubit_reason, divergence))
     return reports
 
 

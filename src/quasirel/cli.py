@@ -39,7 +39,6 @@ import numpy as np
 
 from .conjecture import conjecture_search, save_record
 from .divergences import (
-    SUPEROP_DIM_CAP,
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
     tsallis_direct,
@@ -48,6 +47,7 @@ from .divergences import (
 from .functions import (
     builtin_suite,
     eval_via_representation,
+    is_tsallis_order,
     normalization_residual,
     parse_f_spec,
     tsallis_f,
@@ -157,7 +157,7 @@ def _orders(value) -> list:
         value = [float(tok) for tok in value.split(",") if tok.strip()]
     qs = value if isinstance(value, list) else [value]
     for q in qs:
-        if not _is_json(q, (float, int)) or not 0.0 < q <= 2.0 or q == 1.0:
+        if not _is_json(q, (float, int)) or not is_tsallis_order(q):
             raise ValueError(f"must lie in (0, 2] excluding 1, got {q!r}")
     return [float(q) for q in qs]
 
@@ -269,6 +269,13 @@ def make_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
         if key not in names:
             raise ConfigError(f"{args.command} reads no config key {key!r} "
                               f"(it reads {', '.join(names)})")
+    given = {name: SETTINGS[name].flag if getattr(args, name) is not None
+             else f"config key {name!r}"
+             for name in names if getattr(args, name) is not None or name in file_config}
+    clash = [given[name] for name in ("dims", "seed", "pair_kind") if name in given]
+    if "pair_file" in given and clash:  # settings the file's pair would silently override
+        raise ConfigError(f"{given['pair_file']} cannot be combined with {' or '.join(clash)}: "
+                          f"the file fixes the pair")
     values = {}
     for name in names:
         s = SETTINGS[name]
@@ -363,10 +370,11 @@ def emit(text: str, output_path: Optional[str]) -> None:
 
 
 def _resolve_pair(cfg: RunConfig):
+    """(pair, seed cell, pair tag): a file pair has no seed."""
     if cfg.pair_file:
-        return load_pair(cfg.pair_file), "file:000000"
-    dim = cfg.dims[0]
-    return trial_pair(cfg.seed, dim, 0, cfg.pair_kind), f"{cfg.pair_kind}:000000"
+        return load_pair(cfg.pair_file), "", "file:000000"
+    pair = trial_pair(cfg.seed, cfg.dims[0], 0, cfg.pair_kind)
+    return pair, cfg.seed, f"{cfg.pair_kind}:000000"
 
 
 def _note(msg: str) -> None:
@@ -374,7 +382,7 @@ def _note(msg: str) -> None:
 
 
 def cmd_divergence(cfg: RunConfig) -> int:
-    pair, tag = _resolve_pair(cfg)
+    pair, seed, tag = _resolve_pair(cfg)
     specs = cfg._f_list() or ["neg-log"]
     if len(specs) > 1:
         raise ValueError("divergence takes a single --f spec")
@@ -387,17 +395,16 @@ def cmd_divergence(cfg: RunConfig) -> int:
 
     def add(method, value):
         rows.append({
-            "dim": pair.rho.dim, "seed": cfg.seed, "pair_tag": tag,
+            "dim": pair.rho.dim, "seed": seed, "pair_tag": tag,
             "f_name": gen.name, "q": "" if q is None else float(q),
             "method": method, "value": float(value),
         })
 
     add("spectral", quasi_entropy_spectral(pair, gen).value)
-    if (pair.rho.dim <= SUPEROP_DIM_CAP and pair.rho.strictly_positive
-            and pair.sigma.strictly_positive):
+    try:
         add("superoperator", quasi_entropy_superoperator(pair, gen).value)
-    else:
-        _note("superoperator route skipped (dimension cap or support)")
+    except ValueError as exc:  # the route does not apply to this pair
+        _note(f"superoperator route skipped: {exc}")
     if gen.name == "neg-log":
         add("direct", umegaki(pair).value)
     elif q is not None:
@@ -414,12 +421,12 @@ def cmd_divergence(cfg: RunConfig) -> int:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    pair, tag = _resolve_pair(cfg)
+    pair, seed, tag = _resolve_pair(cfg)
     specs = cfg._f_list()
     if (len(specs) + len(cfg.qs)) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
     route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
-    rows = batch_rows(pair.batch, cfg.seed, [tag], [route], cfg.log_base)
+    rows = batch_rows(pair.batch, seed, [tag], [route], cfg.log_base)
     emit(render_rows(rows, BOUNDS_COLUMNS, cfg.format), cfg.output_path)
     violations = violation_rows(rows)
     if violations:

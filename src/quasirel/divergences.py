@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .functions import OMDFunction
+from .functions import OMDFunction, is_tsallis_order
 from .linalg import ZERO_EIG_THRESHOLD, spectral_matrix
 from .states import PairBatch, StatePair
 
@@ -152,14 +152,10 @@ def _psd_power(spectral, exponent: float) -> np.ndarray:
     return spectral_matrix(vecs, powered)
 
 
-def _check_order(q: float) -> None:
-    if not 0.0 < q <= 2.0 or q == 1.0:
-        raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
-
-
 def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
     """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q), per pair."""
-    _check_order(q)
+    if not is_tsallis_order(q):
+        raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
     overlap_trace = np.trace(
         _psd_power(batch.rho_spectral, q) @ _psd_power(batch.sigma_spectral, 1.0 - q),
         axis1=-2, axis2=-1).real

@@ -91,6 +91,11 @@ def neg_power(p: float) -> OMDFunction:
     )
 
 
+def is_tsallis_order(q: float) -> bool:
+    """Whether q is an order the Tsallis generator takes: 0 < q <= 2, q != 1."""
+    return 0.0 < q <= 2.0 and q != 1.0
+
+
 def tsallis_f(q: float) -> OMDFunction:
     """f(x) = (1 - x^(1-q))/(1-q) for q in (0,2], q != 1: the Tsallis generator.
 
@@ -102,7 +107,7 @@ def tsallis_f(q: float) -> OMDFunction:
     generator is 1/x - 1, whose measure is a point mass at t = 0: no density
     exists, so measure_density is None and round-trips are unavailable.
     """
-    if not 0.0 < q <= 2.0 or q == 1.0:
+    if not is_tsallis_order(q):
         raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
     r = 1.0 - q
     if q == 2.0:

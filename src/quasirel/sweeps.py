@@ -2,24 +2,23 @@
 
 A sweep evaluates every bound over a grid of (dimension, trial, generator)
 and flattens the results into plain-dict rows ready for CSV/JSON emission.
-The grid is cut into chunks of trials at one dimension (chunk_plan), and
-each chunk is one PairBatch: sampled, validated, diagonalized and
+chunk_plan alone decides how the grid is cut and the order of its rows:
+dimensions ascending, then trials, at most _CHUNK_TRIALS trials a chunk.
+Each chunk is one PairBatch: sampled, validated, diagonalized and
 summarized once, after which every divergence and bound runs as array
 operations over the whole chunk and the rows are read straight off the
-resulting columns. One job takes each dimension as one chunk; N jobs share
-about 4N chunks over the whole grid in a pool of at most one worker per
-chunk, and a plan of a single chunk runs inline, with no pool.
+resulting columns. The chunks run inline or in a pool of at most one
+worker per chunk, and their rows are concatenated in plan order.
 
-Every trial owns a generator seeded by (tag, seed, dim, trial), so results
-are identical whether the sweep runs inline or sharded across a process
-pool, and rows are sorted by (dim, trial) before they are returned.
+Every trial owns a generator seeded by (tag, seed, dim, trial), so a pair's
+rows do not depend on the chunk it sits in or on the number of jobs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
-import operator
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import SLACK_FLOOR, ae11_upper, relative_entropy_upper, sandwich_batch
@@ -33,6 +32,7 @@ from .states import (
 )
 
 _TAG_SWEEP = 7001
+_CHUNK_TRIALS = 256  # caps a batch's memory; measured the fastest per pair of 64..1024
 
 BOUNDS_COLUMNS = [
     "dim", "seed", "pair_tag", "f_name", "q", "bound_name",
@@ -68,21 +68,20 @@ def batch_rows(batch: PairBatch, seed: int, tags: list, routes: list,
                ae11_base: str) -> list:
     """BOUNDS_COLUMNS rows for every pair of a batch.
 
-    ``routes`` lists (f, q) generator choices as sandwich takes them. Rows
-    come pair by pair (``tags`` names the pairs), then route by route, then
-    bound by bound.
+    ``routes`` lists (f, q) generator choices as sandwich takes them; each
+    fills the f_name and q cells of its rows. Rows come pair by pair
+    (``tags`` names the pairs), then route by route, then bound by bound.
     """
     columns = []
     for f, q in routes:
         gen, divergence, reports = sandwich_batch(batch, f=f, q=q, ae11_base=ae11_base)
         divergence = divergence.tolist()
+        q_cell = "" if q is None else float(q)
         for rep in reports:
-            rep_q = rep.q if rep.q is not None else q
             slack = ["" if s != s else s for s in rep.slack.tolist()]  # NaN: no slack
-            columns.append((rep.f_name or gen.name, "" if rep_q is None else float(rep_q),
-                            rep.bound_name, rep.value.tolist(), divergence, slack,
-                            rep.applicable.tolist()))
-    dim, seed = int(batch.dim), int(seed)
+            columns.append((gen.name, q_cell, rep.bound_name, rep.value.tolist(),
+                            divergence, slack, rep.applicable.tolist()))
+    dim = int(batch.dim)
     return [
         {"dim": dim, "seed": seed, "pair_tag": tag, "f_name": f_name, "q": q,
          "bound_name": name, "bound_value": values[n], "divergence": divergence[n],
@@ -104,15 +103,18 @@ def sweep_chunk(seed: int, dim: int, trials, pair_kind: str,
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
     batch = trial_batch(seed, dim, trials, pair_kind)
     tags = [f"{pair_kind}:{trial:06d}" for trial in trials]
-    return batch_rows(batch, seed, tags, routes, ae11_base)
+    return batch_rows(batch, int(seed), tags, routes, ae11_base)
 
 
-def chunk_plan(dims: list, trials: int, jobs: int) -> list:
-    """(dim, trials) chunks in dims order, then trial order: each dimension whole
-    for one job, else blocks of ceil(trials * len(dims) / 4N) trials for N jobs."""
-    block = trials if jobs <= 1 else math.ceil(trials * len(dims) / (4 * jobs))
-    return [(dim, range(start, min(start + block, trials)))
-            for dim in dims for start in range(0, trials, block)]
+def chunk_plan(dims: list, trials: int) -> list:
+    """(dim, trials) chunks in row order: dims ascending, then trials, at most
+    _CHUNK_TRIALS trials a chunk. A dimension listed k times gives each of its
+    trials k times in a row, so each listing gets its own copy of the rows."""
+    copies = Counter(dims)
+    blocks = [range(start, min(start + _CHUNK_TRIALS, trials))
+              for start in range(0, trials, _CHUNK_TRIALS)]
+    return [(dim, block if copies[dim] == 1 else [t for t in block for _ in range(copies[dim])])
+            for dim in sorted(copies) for block in blocks]
 
 
 def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
@@ -133,20 +135,16 @@ def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
     if not f_specs and not qs:
         raise ValueError("need at least one generator (f_specs or qs)")
 
-    tasks = chunk_plan(dims, trials, jobs)
-    args = (pair_kind, f_specs, qs, ae11_base)
-    workers = min(jobs, len(tasks))
+    plan = chunk_plan(dims, trials)
+    run = functools.partial(sweep_chunk, seed, pair_kind=pair_kind, f_specs=f_specs,
+                            qs=qs, ae11_base=ae11_base)
+    workers = min(jobs, len(plan))
     if workers <= 1:
-        results = [sweep_chunk(seed, dim, chunk, *args) for dim, chunk in tasks]
+        results = itertools.starmap(run, plan)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(sweep_chunk, seed, dim, chunk, *args) for dim, chunk in tasks]
-            results = [fut.result() for fut in futures]
-    # A stable sort of each pair's rows by (dim, numeric trial): duplicate dims
-    # keep their input order, and a 7-digit tag sorts after every 6-digit one.
-    pairs = [(dim, int(tag.rpartition(":")[2]), list(group)) for (dim, tag), group
-             in itertools.groupby(itertools.chain(*results), operator.itemgetter("dim", "pair_tag"))]
-    rows = [row for *_, group in sorted(pairs, key=operator.itemgetter(0, 1)) for row in group]
+            results = list(pool.map(run, *zip(*plan)))
+    rows = list(itertools.chain.from_iterable(results))
     return rows, violation_rows(rows)
 
 

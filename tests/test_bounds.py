@@ -1,5 +1,6 @@
 """Bound formulas on worked pairs, guard continuity, sandwich assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from quasirel import (
     tsallis_bounds,
     umegaki,
 )
-from quasirel.bounds import _bracket_core
+from quasirel.bounds import COMMUTING_TOL, _bracket_core
 from quasirel.states import state_pair
 
 PAIR = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
@@ -220,3 +221,12 @@ def test_sandwich_random_pairs_no_violations():
         pair = random_pair(int(rng.integers(2, 6)), rng)
         for kwargs in ({"f": neg_log()}, {"q": 0.3}, {"q": 1.5}):
             assert sandwich(pair, **kwargs).violations == []
+
+
+@pytest.mark.parametrize("scale, applicable", [(0.9, True), (1.1, False)])
+def test_commuting_tolerance_both_sides(scale, applicable):
+    # a d = 3 pair counts as commuting below COMMUTING_TOL, and only then
+    # gets the qubit/commuting bound
+    summary = dataclasses.replace(summarize(random_pair(3, default_rng(71))),
+                                  commutator_norm=scale * COMMUTING_TOL)
+    assert qubit_classical_upper(summary, neg_log()).applicable is applicable

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from quasirel import QuadratureError, cli, default_rng, functions, random_pair, save_pair
+from quasirel import QuadratureError, cli, default_rng, functions, random_pair, save_pair, sweeps
 from quasirel.cli import main, parse_dims, render_rows
 from quasirel.states import state_pair
 from quasirel.sweeps import chunk_plan
@@ -110,13 +110,11 @@ def test_bounds_command_clean(capsys):
             assert float(row["slack"]) >= -1e-10
 
 
-def test_sweep_deterministic_across_jobs(tmp_path, capsys):
-    # --jobs 1 evaluates each dimension as one batch; 2 and 3 jobs cut the
-    # grid into chunks over a process pool, each dimension ending on a
-    # shorter chunk: 2-trial chunks for the CSV sweep of 2 x 7 trials, 3-
-    # and 2-trial chunks for the JSON sweep of 3 x 7 classical pairs
-    assert [[len(c) for _, c in chunk_plan([2, 3, 4], 7, jobs)] for jobs in (2, 3)] == [
-        [3, 3, 1] * 3, [2, 2, 2, 1] * 3]
+def test_sweep_deterministic_across_jobs(tmp_path, capsys, monkeypatch):
+    # with the cap at 3 trials a chunk each dimension ends on an uneven
+    # chunk, and --jobs 2 and 3 share the chunks over a process pool
+    monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 3)
+    assert [len(c) for _, c in chunk_plan([2, 3, 4], 7)] == [3, 3, 1] * 3
     for n, argv in enumerate((
             ["sweep", "--dims", "2,3", "--trials", "7", "--seed", "9",
              "--f", "neg-log", "--q", "0.5"],
@@ -396,3 +394,50 @@ def test_malformed_pair_file_exits_3(tmp_path, capsys, doc):
     code, out, err = _run(capsys, ["divergence", "--pair-file", str(path)])
     assert code == 3 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _saved_pair(tmp_path):
+    path = tmp_path / "pair.json"
+    save_pair(path, random_pair(3, default_rng(63)), seed=63)
+    return path
+
+
+@pytest.mark.parametrize("command", ["divergence", "bounds"])
+@pytest.mark.parametrize("flag, key, value", [
+    ("--dims", "dims", "5"), ("--seed", "seed", 7), ("--pair-kind", "pair_kind", "classical")])
+def test_pair_file_rejects_the_settings_it_overrides(tmp_path, capsys, command, flag, key,
+                                                     value):
+    # the file fixes the pair, so a dimension, seed or ensemble beside it
+    # would be silently ignored: exit 2, naming both settings
+    argv = [command, "--pair-file", str(_saved_pair(tmp_path)), "--f", "neg-log"]
+    code, out, err = _run(capsys, [*argv, flag, str(value)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--pair-file" in err and flag in err
+    code, out, err = _config_run(tmp_path, capsys, argv, {key: value})
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--pair-file" in err and repr(key) in err
+    code, out, err = _config_run(tmp_path, capsys, [command, "--f", "neg-log", flag, str(value)],
+                                 {"pair_file": str(_saved_pair(tmp_path))})
+    assert code == 2 and out == ""
+    assert "'pair_file'" in err and flag in err
+
+
+@pytest.mark.parametrize("command", ["divergence", "bounds"])
+def test_file_pair_rows_have_no_seed(tmp_path, capsys, command):
+    code, out, _ = _run(capsys, [command, "--pair-file", str(_saved_pair(tmp_path)),
+                                 "--f", "neg-log"])
+    assert code == 0
+    rows = _csv_rows(out)
+    assert rows and all(r["seed"] == "" and r["pair_tag"] == "file:000000" for r in rows)
+    code, out, _ = _run(capsys, [command, "--dims", "3", "--seed", "7", "--f", "neg-log"])
+    assert code == 0 and {r["seed"] for r in _csv_rows(out)} == {"7"}
+
+
+def test_divergence_past_the_superoperator_cap_notes_the_route_reason(capsys):
+    code, out, err = _run(capsys, ["divergence", "--dims", "13", "--f", "neg-log"])
+    assert code == 0
+    assert [r["method"] for r in _csv_rows(out)] == ["spectral", "direct"]
+    assert "superoperator route skipped: superoperator route capped at dim 12, got 13" in err
+    code, out, err = _run(capsys, ["divergence", "--dims", "12", "--f", "neg-log"])
+    assert code == 0 and "skipped" not in err
+    assert [r["method"] for r in _csv_rows(out)] == ["spectral", "superoperator", "direct"]

@@ -1,5 +1,6 @@
 """Divergence routes: spectral sum, superoperator oracle, direct formulas."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,13 @@ from quasirel import (
     umegaki,
 )
 from quasirel import states
-from quasirel.divergences import spectral_values, tsallis_values, umegaki_values
+from quasirel.divergences import (
+    OVERLAP_SKIP,
+    SUPEROP_DIM_CAP,
+    spectral_values,
+    tsallis_values,
+    umegaki_values,
+)
 from quasirel.linalg import eigh, spectral_matrix, vec
 from quasirel.states import pair_batch, state_pair
 
@@ -215,3 +222,24 @@ def test_batch_values_match_each_pair_alone():
 
     pairs[-1] = swapped(pairs[-1])
     assert [umegaki(p).value for p in pairs] == umegaki_values(batch_of(pairs)).tolist()
+
+
+def test_superoperator_dimension_cap_both_sides():
+    pair = random_pair(SUPEROP_DIM_CAP, default_rng(72))
+    assert math.isfinite(quasi_entropy_superoperator(pair, neg_log()).value)
+    with pytest.raises(ValueError, match="capped at dim"):
+        quasi_entropy_superoperator(random_pair(SUPEROP_DIM_CAP + 1, default_rng(72)), neg_log())
+
+
+@pytest.mark.parametrize("scale, finite", [(0.9, True), (1.1, False)])
+def test_overlap_skip_both_sides(scale, finite):
+    # sigma = diag(1, 0): its kernel row carries rho's weight 0.4 in a valid
+    # pair, since every overlap row sums to 1, so the row is set by hand to
+    # one weight just below or just above the skip threshold
+    batch = state_pair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0])).batch
+    overlaps = np.array([[[1.0, 0.0], [0.0, scale * OVERLAP_SKIP]]])
+    value = spectral_values(dataclasses.replace(batch, overlaps=overlaps), neg_log())[0]
+    if finite:
+        assert value == pytest.approx(0.6 * math.log(0.6), rel=1e-15)
+    else:
+        assert value == math.inf

@@ -18,6 +18,7 @@ from quasirel import (
     parse_f_spec,
     tsallis_f,
 )
+from quasirel.functions import REPRESENTATION_RTOL
 from spectral_oracle import monotonicity_spot_check
 
 GRID = np.geomspace(1e-3, 1e3, 13)
@@ -185,3 +186,22 @@ def test_parse_f_spec():
     for bad in ("sinh", "neg-power", "neg-power:q=0.5", "tsallis:p=1.5", "tsallis:q=zz"):
         with pytest.raises(ValueError):
             parse_f_spec(bad)
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+def test_representation_tolerance_both_sides(scale, accepted):
+    # neg-log's density w = 1 scaled by 1 + e represents (1 + e)(-log x): its
+    # relative round-trip error is e wherever |log x| >= 1, at x = 40 as well
+    offset = scale * REPRESENTATION_RTOL
+
+    def register():
+        return make_custom("scaled-neg-log", lambda x: -np.log(x), 0.0,
+                           lambda t: (1.0 + offset) * np.ones_like(t), -1.0, 1.0)
+
+    if not accepted:
+        with pytest.raises(ValueError, match="representation disagrees"):
+            register()
+        return
+    f = register()
+    error = abs(eval_via_representation(f, 40.0) + math.log(40.0)) / math.log(40.0)
+    assert error == pytest.approx(offset, rel=1e-6)

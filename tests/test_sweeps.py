@@ -1,7 +1,6 @@
 """Batch drivers shared by the CLI: grids, flattening, worked table."""
 
 import math
-from concurrent.futures import Future
 
 import pytest
 
@@ -58,33 +57,51 @@ def test_sweep_chunk_evaluates_one_batch(monkeypatch):
 
 @pytest.mark.parametrize("dims,trials,jobs", [
     ([2], 1, 1), ([2], 1, 4), ([3, 2, 3], 7, 1), ([2, 3, 4], 7, 2),
-    ([2, 3, 4], 7, 3), (list(range(9, 17)), 25, 2), ([5], 100, 3), ([2, 3], 2, 16)])
-def test_chunk_plan_covers_grid_once_in_order(dims, trials, jobs):
-    plan = chunk_plan(dims, trials, jobs)
+    ([2, 3, 4], 7, 3), (list(range(9, 17)), 25, 2), ([5], 100, 3), ([2, 3], 2, 16),
+    ([4, 2], 600, 1), ([3, 3, 2, 3], 300, 2), ([5], 257, 3)])
+def test_chunk_plan_covers_grid_once_in_order(monkeypatch, pools_started, dims, trials, jobs):
+    plan = chunk_plan(dims, trials)
     cells = [(dim, trial) for dim, chunk in plan for trial in chunk]
-    assert cells == [(dim, trial) for dim in dims for trial in range(trials)]
-    assert all(len(chunk) > 0 for _, chunk in plan)
-    if jobs == 1:
-        assert plan == [(dim, range(trials)) for dim in dims]
-    else:
-        # about four chunks per job over the whole grid, plus at most one
-        # per dimension for the uneven last chunk of each
-        block = math.ceil(trials * len(dims) / (4 * jobs))
-        assert all(len(chunk) == block for _, chunk in plan
-                   if chunk.stop != trials)
-        assert len(plan) <= 4 * jobs + len(dims)
+    # dims ascending, then trials; a dimension listed k times gives each of
+    # its trials k times in a row, the interleaving the rows have always had
+    assert cells == [(dim, trial) for dim in sorted(set(dims)) for trial in range(trials)
+                     for _ in range(dims.count(dim))]
+    for dim, chunk in plan:
+        assert 0 < len(chunk) <= sweeps._CHUNK_TRIALS * dims.count(dim)
+        assert len(set(chunk)) <= sweeps._CHUNK_TRIALS
+    # the sweep runs exactly this plan, in this order, at any number of jobs
+    ran = []
+    monkeypatch.setattr(sweeps, "sweep_chunk",
+                        lambda seed, dim, chunk, **settings: ran.append((dim, chunk)) or [])
+    sweep_bounds(dims, trials, seed=0, f_specs=["neg-log"], jobs=jobs)
+    assert ran == plan
 
 
 def test_chunk_plan_sweep_wide_grid():
-    # the benchmark's sweep_wide grid, d = 9..16 at 25 trials and 2 jobs:
-    # one 25-trial chunk per dimension
-    plan = chunk_plan(list(range(9, 17)), 25, 2)
-    assert [len(chunk) for _, chunk in plan] == [25] * 8
-    assert len(chunk_plan([2, 3, 4], 200, 2)) == 9  # 75-trial blocks: 3 per dim
+    # the benchmark's sweep_wide grid, d = 9..16 at 25 trials: one chunk of
+    # 25 per dimension, whatever the number of jobs
+    plan = chunk_plan(list(range(9, 17)), 25)
+    assert plan == [(dim, range(25)) for dim in range(9, 17)]
+    assert [len(chunk) for _, chunk in chunk_plan([4, 2], 600)] == [256, 256, 88] * 2
+
+
+def test_one_job_builds_no_batch_past_the_cap(monkeypatch):
+    sizes = []
+    trial_batch = sweeps.trial_batch
+
+    def recording(seed, dim, trials, pair_kind="random"):
+        sizes.append(len(trials))
+        return trial_batch(seed, dim, trials, pair_kind)
+
+    monkeypatch.setattr(sweeps, "trial_batch", recording)
+    trials = sweeps._CHUNK_TRIALS + 3
+    rows, _ = sweep_bounds([2], trials=trials, seed=4, f_specs=["neg-log"], jobs=1)
+    assert sizes == [sweeps._CHUNK_TRIALS, 3]
+    assert len(rows) == 8 * trials
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
 
     def __init__(self, started, max_workers):
         started.append(max_workers)
@@ -95,10 +112,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture
@@ -109,19 +124,21 @@ def pools_started(monkeypatch):
     return started
 
 
-def test_pool_never_larger_than_the_plan(pools_started):
+def test_pool_never_larger_than_the_plan(monkeypatch, pools_started):
+    sweep_bounds([2, 3], trials=40, seed=4, qs=[0.5], jobs=8)
+    assert pools_started == [2]  # one chunk per dimension, two workers
+    monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 1)
     serial = sweep_bounds([2], trials=3, seed=4, f_specs=["neg-log"])
     pooled = sweep_bounds([2], trials=3, seed=4, f_specs=["neg-log"], jobs=8)
-    assert pools_started == [3]  # three one-trial chunks, three workers
+    assert pools_started == [2, 3]  # three one-trial chunks, three workers
     assert pooled == serial
-    sweep_bounds([2, 3], trials=40, seed=4, qs=[0.5], jobs=2)
-    assert pools_started == [3, 2]
 
 
 def test_single_chunk_sweep_starts_no_pool(pools_started):
-    rows, _ = sweep_bounds([3], trials=1, seed=4, f_specs=["neg-log"], jobs=2)
-    assert len(chunk_plan([3], 1, 2)) == 1
-    assert rows and pools_started == []
+    rows, _ = sweep_bounds([3], trials=sweeps._CHUNK_TRIALS, seed=4, f_specs=["neg-log"],
+                           jobs=2)
+    assert len(chunk_plan([3], sweeps._CHUNK_TRIALS)) == 1
+    assert len(rows) == 8 * sweeps._CHUNK_TRIALS and pools_started == []
 
 
 _BOUNDARY = (99_999, 100_000, 100_001, 999_999, 1_000_000, 1_000_001)
@@ -131,29 +148,20 @@ def test_rows_sorted_by_numeric_trial_past_a_million(monkeypatch, pools_started)
     # a stub chunk emits two rows for each boundary trial it holds; trial
     # 1 000 000 has a 7-digit tag, which sorts between 100000 and 100001
     # as a string
-    calls = []
-
     def stub_chunk(seed, dim, trials, pair_kind, f_specs, qs, ae11_base):
-        calls.append(dim)
-        return [{"dim": dim, "pair_tag": f"{pair_kind}:{trial:06d}", "call": len(calls),
-                 "row": k, "applicable": True, "slack": 0.0}
+        return [{"dim": dim, "pair_tag": f"{pair_kind}:{trial:06d}", "row": k,
+                 "applicable": True, "slack": 0.0}
                 for trial in _BOUNDARY if trial in trials for k in range(2)]
 
     monkeypatch.setattr(sweeps, "sweep_chunk", stub_chunk)
     for jobs in (1, 2):
-        rows, violations = sweep_bounds([3, 2, 3], trials=1_000_002, seed=0,
+        rows, violations = sweep_bounds([3, 2], trials=1_000_002, seed=0,
                                         f_specs=["neg-log"], jobs=jobs)
         assert violations == []
-        keys = [(r["dim"], int(r["pair_tag"].split(":")[1])) for r in rows]
-        assert keys == sorted(keys)
-        assert [t for d, t in keys[::2] if d == 2] == list(_BOUNDARY)
-        # duplicate dims keep their input order within each trial: the rows
-        # of the first dims entry's chunk (the earlier call), then the third's
-        dim3 = [(int(r["pair_tag"].split(":")[1]), r["call"], r["row"])
-                for r in rows if r["dim"] == 3]
-        assert [t for t, _, _ in dim3] == [t for t in _BOUNDARY for _ in range(4)]
-        assert dim3 == sorted(dim3)
-    assert pools_started == [2]  # nine 375001-trial chunks over two workers
+        assert [(r["dim"], r["pair_tag"], r["row"]) for r in rows] == [
+            (dim, f"random:{trial:06d}", k) for dim in (2, 3) for trial in _BOUNDARY
+            for k in range(2)]
+    assert pools_started == [2]
 
 
 def test_paper_example_first_row_frozen():
