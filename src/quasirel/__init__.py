@@ -3,8 +3,8 @@
 from .linalg import EigenSystem, eigh, hermitian_part, vec
 from .states import (
     DensityMatrix,
+    PairBatch,
     ScalarSummary,
-    StatePair,
     default_rng,
     density_matrix,
     example_pair,
@@ -18,7 +18,6 @@ from .states import (
     save_pair,
     state_pair,
     summarize,
-    swapped,
 )
 from .quadrature import QuadratureError, integrate_halfline
 from .functions import (
@@ -70,10 +69,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigenSystem", "eigh", "hermitian_part", "vec",
-    "DensityMatrix", "ScalarSummary", "StatePair", "default_rng",
+    "DensityMatrix", "PairBatch", "ScalarSummary", "default_rng",
     "density_matrix", "example_pair", "haar_unitary", "load_pair",
     "pair_from_dict", "pair_to_dict", "random_classical_pair", "random_pair",
-    "random_state", "save_pair", "state_pair", "summarize", "swapped",
+    "random_state", "save_pair", "state_pair", "summarize",
     "QuadratureError", "integrate_halfline",
     "OMDFunction", "builtin_suite", "dual_function",
     "eval_via_representation", "make_custom", "neg_log", "neg_power",

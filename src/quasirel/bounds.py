@@ -26,7 +26,7 @@ from .divergences import (
     tsallis_values,
 )
 from .functions import OMDFunction, is_tsallis_order, tsallis_f
-from .states import PairBatch, ScalarSummary, StatePair
+from .states import PairBatch, ScalarSummary, summarize
 
 COMMUTING_TOL = 1e-10
 DIVIDED_DIFF_GAP = 1e-8
@@ -41,11 +41,9 @@ class BoundReport:
     divergence given when the report was built: bound - divergence for upper
     bounds, divergence - bound for lower bounds, so a sound report always has
     slack >= -1e-10 regardless of orientation. It is None when no divergence
-    was given or either side is infinite. ``alt_value`` carries a second
-    reading where the source formula is ambiguous (only the affine-part
-    variant of the qubit/commuting bound uses it).
+    was given or either side is infinite.
 
-    For a batch summary, value, applicable, slack and alt_value are arrays
+    For a batch summary, value, applicable and slack are arrays
     with one entry per pair, slack being NaN where a pair has none, and
     ``reason`` says why the pairs with applicable False are excluded.
     """
@@ -56,11 +54,10 @@ class BoundReport:
     reason: str = ""
     is_lower: bool = False
     slack: Optional[float] = None
-    alt_value: Optional[float] = None
 
 
 def _report(name: str, value, applicable=True, reason: str = "", divergence=None, *,
-            is_lower: bool = False, alt_value=None) -> BoundReport:
+            is_lower: bool = False) -> BoundReport:
     """Build a report with its slack: arrays for a batch, plain numbers for one pair."""
     slack = None
     if isinstance(value, np.ndarray):
@@ -75,8 +72,7 @@ def _report(name: str, value, applicable=True, reason: str = "", divergence=None
         if divergence is not None and math.isfinite(divergence) and math.isfinite(value):
             slack = (divergence - value) if is_lower else (value - divergence)
         reason = "" if applicable else reason
-        alt_value = None if alt_value is None else float(alt_value)
-    return BoundReport(name, value, applicable, reason, is_lower, slack, alt_value)
+    return BoundReport(name, value, applicable, reason, is_lower, slack)
 
 
 def _libm(fn: Callable, x, *args):
@@ -138,19 +134,12 @@ def qubit_classical_upper(summary: ScalarSummary, f: OMDFunction,
     """Upper bound for qubit or commuting pairs.
 
     ||rho - sigma||_1 [lambda_rho/(lambda_rho - alpha_sigma)
-    f(alpha_sigma/lambda_rho) - a]. With an affine part (a != 0) the source
-    admits a second reading that scales a by (1 - alpha_sigma/lambda_rho);
-    the displayed form is the value, the other reading rides in alt_value.
+    f(alpha_sigma/lambda_rho) - a].
     """
     applicable = (summary.dim == 2) | (summary.commutator_norm < COMMUTING_TOL)
-    core = _bracket_core(summary, f)
-    value = summary.trace_distance_1 * (core - f.a)
-    alt = None
-    if f.a != 0.0:
-        x = summary.alpha_sigma / summary.lambda_rho
-        alt = summary.trace_distance_1 * (core - f.a * (1.0 - x))
+    value = summary.trace_distance_1 * (_bracket_core(summary, f) - f.a)
     return _report("qubit_classical_upper", value, applicable,
-                   "requires a qubit or commuting pair", divergence, alt_value=alt)
+                   "requires a qubit or commuting pair", divergence)
 
 
 def general_sqrt_d_upper(summary: ScalarSummary, f: OMDFunction,
@@ -298,20 +287,21 @@ class SandwichReport:
     violations: list
 
 
-def sandwich(pair: StatePair, f: Optional[OMDFunction] = None,
+def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
              q: Optional[float] = None, ae11_base: str = "e") -> SandwichReport:
     """Divergence plus every applicable bound, with signed slacks.
 
     Exactly one of ``f`` and ``q`` must be given; q selects the Tsallis
     generator of that order (divergence by the direct route) and
     additionally attaches the Tsallis-specific bounds. The
-    relative-entropy-specific bounds attach only to neg-log. The pair is
-    evaluated as a batch of one.
+    relative-entropy-specific bounds attach only to neg-log. The pair is a
+    batch of one, and its bounds are evaluated on its summary as numbers.
     """
-    gen, divergence = _divergence_route(pair.batch, f, q)
+    summary = summarize(pair)
+    gen, divergence = _divergence_route(pair, f, q)
     result = DivergenceResult(float(divergence[0]), "spectral" if q is None else "direct",
                               gen.name)
-    reports = bound_reports(pair.summary, gen, q, ae11_base, result.value)
+    reports = bound_reports(summary, gen, q, ae11_base, result.value)
     violations = [rep.bound_name for rep in reports
                   if rep.applicable and rep.slack is not None and rep.slack < SLACK_FLOOR]
     return SandwichReport(result, reports, not result.finite, violations)

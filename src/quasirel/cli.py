@@ -11,8 +11,9 @@ Exit codes are part of the interface:
   2  command-line or config-file parse error (an unknown flag or config
      key, and a --step, --steps or --plateau flag out of range included)
   3  validation error (bad dims/trials/f-spec/state file contents, a
-     config value of the wrong JSON type, or a climb setting out of range
-     in a config file)
+     config value of the wrong JSON type, a climb setting out of range
+     in a config file, or more than one value for a setting of which the
+     command takes one)
   4  I/O error (unreadable input, unwritable output)
   5  verification failure (negative slack in a sweep, a representation
      round-trip outside tolerance, or a quadrature that exhausted its
@@ -224,6 +225,9 @@ _COMMAND_SETTINGS = {
                       {"dims": "3..16"}),
 }
 
+# The list settings a command takes one entry of: more would be silently dropped.
+_ONE_VALUE = dict.fromkeys(("divergence", "bounds"), ("dims", "f_spec", "q"))
+
 
 def _strict(convert, check):
     """An argparse type: convert the flag's text, then check it; both exit 2."""
@@ -292,6 +296,8 @@ def make_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
                 value = s.check(value)
             except ValueError as exc:
                 raise ValueError(f"{source}: {exc}") from None
+            if name in _ONE_VALUE.get(args.command, ()) and len(value) > 1:
+                raise ValueError(f"{source}: {args.command} takes a single value, got {value!r}")
         values[name] = value
     return RunConfig(command=args.command, **values)
 
@@ -384,8 +390,6 @@ def _note(msg: str) -> None:
 def cmd_divergence(cfg: RunConfig) -> int:
     pair, seed, tag = _resolve_pair(cfg)
     specs = cfg._f_list() or ["neg-log"]
-    if len(specs) > 1:
-        raise ValueError("divergence takes a single --f spec")
     q = cfg.qs[0] if cfg.qs else None
     if q is not None and cfg.f_spec is not None:
         raise ValueError("divergence takes --f or --q, not both")
@@ -395,7 +399,7 @@ def cmd_divergence(cfg: RunConfig) -> int:
 
     def add(method, value):
         rows.append({
-            "dim": pair.rho.dim, "seed": seed, "pair_tag": tag,
+            "dim": pair.dim, "seed": seed, "pair_tag": tag,
             "f_name": gen.name, "q": "" if q is None else float(q),
             "method": method, "value": float(value),
         })
@@ -426,7 +430,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     if (len(specs) + len(cfg.qs)) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
     route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
-    rows = batch_rows(pair.batch, seed, [tag], [route], cfg.log_base)
+    rows = batch_rows(pair, seed, [(0, tag)], [route], cfg.log_base)
     emit(render_rows(rows, BOUNDS_COLUMNS, cfg.format), cfg.output_path)
     violations = violation_rows(rows)
     if violations:

@@ -22,9 +22,10 @@ import numpy as np
 
 from .linalg import dagger, hermitian_part
 from .states import (
-    StatePair,
+    PairBatch,
     _matrix_to_json,
     _random_probabilities,
+    _single,
     default_rng,
     haar_unitaries,
     random_classical_pairs,
@@ -44,7 +45,7 @@ class WeightedOverlapFunctional:
     """Weights C_kj in [0, cap] over a (psi_j, phi_k) basis pair.
 
     c_entries[k, j] pairs phi_k with psi_j, matching the overlap-matrix
-    index convention of StatePair.
+    index convention of PairBatch.overlaps.
     """
 
     c_entries: np.ndarray
@@ -75,24 +76,22 @@ def random_functional(dim: int, rng: np.random.Generator,
     return WeightedOverlapFunctional(c, cap, u[0], u[1])
 
 
-def modular_weight_matrix(pair: StatePair, t: float) -> WeightedOverlapFunctional:
+def modular_weight_matrix(pair: PairBatch, t: float) -> WeightedOverlapFunctional:
     """The weights from the commuting-case proof: C_kj = (t + mu_k/lambda_j)^-1.
 
     The cap (t + alpha_sigma/lambda_rho)^-1 is attained exactly at the
-    smallest-mu/largest-lambda index. Requires strictly positive states so
-    the smallest ratio really is alpha_sigma/lambda_rho.
+    smallest-mu/largest-lambda index. Requires a batch of one with strictly
+    positive states, so the smallest ratio really is alpha_sigma/lambda_rho.
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if not (pair.rho.strictly_positive and pair.sigma.strictly_positive):
+    if not (_single(pair).rho_positive[0] and pair.sigma_positive[0]):
         raise ValueError("modular weights need strictly positive states")
-    lam = pair.rho.eigenvalues
-    mu = pair.sigma.eigenvalues
+    lam, psi = pair.rho_spectral.eigenvalues[0], pair.rho_spectral.eigenvectors[0]
+    mu, phi = pair.sigma_spectral.eigenvalues[0], pair.sigma_spectral.eigenvectors[0]
     ratios = mu[:, np.newaxis] / lam[np.newaxis, :]
     cap = 1.0 / (t + mu[-1] / lam[0])
-    return WeightedOverlapFunctional(
-        1.0 / (t + ratios), cap,
-        pair.rho.eigenvectors, pair.sigma.eigenvectors)
+    return WeightedOverlapFunctional(1.0 / (t + ratios), cap, psi, phi)
 
 
 def _sum_formula(c_entries: np.ndarray, lam: np.ndarray, mu: np.ndarray,
@@ -103,22 +102,21 @@ def _sum_formula(c_entries: np.ndarray, lam: np.ndarray, mu: np.ndarray,
     return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
 
-def functional_value(w: WeightedOverlapFunctional, pair: StatePair) -> float:
+def functional_value(w: WeightedOverlapFunctional, pair: PairBatch) -> float:
     """Tr(D(rho - sigma)) via the eigenvalue sum, cross-checked on the matrix.
 
-    The functional's bases must be the pair's own eigenbases (that is what
-    the sum formula assumes); the explicit-matrix route must agree to 1e-10
-    or something is inconsistent and a ValueError surfaces it.
+    The pair is a batch of one, whose eigenbases the functional's must be
+    (the sum formula assumes so); the explicit-matrix route must agree to
+    1e-10 or something is inconsistent and a ValueError surfaces it.
     """
-    if (w.basis_psi is not pair.rho.eigenvectors
-            and not np.allclose(w.basis_psi, pair.rho.eigenvectors, atol=1e-12)):
+    lam, psi = _single(pair).rho_spectral.eigenvalues[0], pair.rho_spectral.eigenvectors[0]
+    mu, phi = pair.sigma_spectral.eigenvalues[0], pair.sigma_spectral.eigenvectors[0]
+    if not np.allclose(w.basis_psi, psi, atol=1e-12):
         raise ValueError("functional basis_psi does not match rho's eigenbasis")
-    if (w.basis_phi is not pair.sigma.eigenvectors
-            and not np.allclose(w.basis_phi, pair.sigma.eigenvectors, atol=1e-12)):
+    if not np.allclose(w.basis_phi, phi, atol=1e-12):
         raise ValueError("functional basis_phi does not match sigma's eigenbasis")
-    value = float(_sum_formula(w.c_entries, pair.rho.eigenvalues,
-                               pair.sigma.eigenvalues, pair.overlaps))
-    explicit = complex(np.trace(w.d_matrix() @ (pair.rho.matrix - pair.sigma.matrix)))
+    value = float(_sum_formula(w.c_entries, lam, mu, pair.overlaps[0]))
+    explicit = complex(np.trace(w.d_matrix() @ (pair.rho[0] - pair.sigma[0])))
     if abs(explicit - value) > FUNCTIONAL_CROSS_TOL * max(1.0, abs(value)):
         raise ValueError(
             f"sum formula {value!r} and explicit trace {explicit!r} disagree")
@@ -267,7 +265,7 @@ def _random_instances(dim: int, rngs: list, weight_mode: str,
     """
     n = len(rngs)
     if commuting:
-        pairs = random_classical_pairs(dim, rngs, shuffle=True)
+        pairs = random_classical_pairs(dim, rngs)
         lam, mu = pairs.rho_spectral.eigenvalues, pairs.sigma_spectral.eigenvalues
         u_psi, u_phi = pairs.rho_spectral.eigenvectors, pairs.sigma_spectral.eigenvectors
     else:

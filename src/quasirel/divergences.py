@@ -4,9 +4,9 @@ The spectral route sums lambda_j f(mu_k/lambda_j) |<phi_k|psi_j>|^2 over both
 eigensystems. The direct route uses trace formulas special to the Umegaki and
 Tsallis families. The superoperator route diagonalizes the d^2 x d^2 matrix
 of the relative modular operator X -> sigma X rho^{-1} (the pair keeps that
-spectrum, see StatePair.modular_spectrum) and pairs f of it with
+spectrum, see PairBatch.modular_spectrum) and pairs f of it with
 vec(sqrt(rho)); it never touches the overlap sum, so the two routes check one
-another.
+another. The per-pair entry points take a PairBatch of one.
 
 Rank-deficient sigma follows the kernel convention: when ker(sigma) is not
 contained in ker(rho) and f blows up at 0+, the divergence is +inf, reported
@@ -23,7 +23,7 @@ import numpy as np
 
 from .functions import OMDFunction, is_tsallis_order
 from .linalg import ZERO_EIG_THRESHOLD, spectral_matrix
-from .states import PairBatch, StatePair
+from .states import PairBatch, _single
 
 OVERLAP_SKIP = 1e-16
 SUPEROP_DIM_CAP = 12
@@ -102,9 +102,9 @@ def spectral_values(batch: PairBatch, f: ScalarMap) -> np.ndarray:
     return values
 
 
-def quasi_entropy_spectral(pair: StatePair, f: ScalarMap) -> DivergenceResult:
-    """S_f(rho||sigma) by the spectral double sum; see spectral_values."""
-    return DivergenceResult(float(spectral_values(pair.batch, f)[0]), "spectral",
+def quasi_entropy_spectral(pair: PairBatch, f: ScalarMap) -> DivergenceResult:
+    """S_f(rho||sigma) of a batch of one by the spectral double sum; see spectral_values."""
+    return DivergenceResult(float(spectral_values(_single(pair), f)[0]), "spectral",
                             _as_callable(f)[0])
 
 
@@ -138,9 +138,9 @@ def umegaki_values(batch: PairBatch) -> np.ndarray:
     return values
 
 
-def umegaki(pair: StatePair) -> DivergenceResult:
-    """Relative entropy Tr(rho (log rho - log sigma)), natural log."""
-    return DivergenceResult(float(umegaki_values(pair.batch)[0]), "direct", "neg-log")
+def umegaki(pair: PairBatch) -> DivergenceResult:
+    """Relative entropy Tr(rho (log rho - log sigma)) of a batch of one, natural log."""
+    return DivergenceResult(float(umegaki_values(_single(pair))[0]), "direct", "neg-log")
 
 
 def _psd_power(spectral, exponent: float) -> np.ndarray:
@@ -165,23 +165,23 @@ def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
     return values
 
 
-def tsallis_direct(pair: StatePair, q: float) -> DivergenceResult:
-    """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q)."""
-    return DivergenceResult(float(tsallis_values(pair.batch, q)[0]), "direct",
+def tsallis_direct(pair: PairBatch, q: float) -> DivergenceResult:
+    """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q) of a batch of one."""
+    return DivergenceResult(float(tsallis_values(_single(pair), q)[0]), "direct",
                             f"tsallis:q={q:g}")
 
 
-def quasi_entropy_superoperator(pair: StatePair, f: ScalarMap) -> DivergenceResult:
+def quasi_entropy_superoperator(pair: PairBatch, f: ScalarMap) -> DivergenceResult:
     """Oracle route through the materialized relative modular operator.
 
-    Computes <vec(sqrt rho), f(M) vec(sqrt rho)> with M the modular matrix;
-    independent of the overlap sum by construction. Dimension is capped
-    because M is d^2 x d^2.
+    Computes <vec(sqrt rho), f(M) vec(sqrt rho)> with M the modular matrix of
+    a batch of one; independent of the overlap sum by construction. Dimension
+    is capped because M is d^2 x d^2.
     """
     name, func = _as_callable(f)
-    if pair.dim > SUPEROP_DIM_CAP:
+    if _single(pair).dim > SUPEROP_DIM_CAP:
         raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {pair.dim}")
-    if not (pair.rho.strictly_positive and pair.sigma.strictly_positive):
+    if not (pair.rho_positive[0] and pair.sigma_positive[0]):
         raise ValueError("superoperator route requires strictly positive states")
     vals, weights = pair.modular_spectrum
     with np.errstate(all="ignore"):

@@ -61,7 +61,6 @@ def _descending_sum(panels: list) -> float:
 
 
 def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
-                       local_tol: float = LOCAL_TOL,
                        budget: int = EVAL_BUDGET) -> float:
     """Integrate a vectorized integrand over t in (0, inf).
 
@@ -73,7 +72,7 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
     quarters of every pending panel of both pieces in one call, settles the
     panels and then the halves of those that split, and leaves pending the
     quarters of halves that split too. A panel is accepted once its halves
-    change its estimate by less than local_tol, or it is narrower than
+    change its estimate by less than LOCAL_TOL, or it is narrower than
     MIN_PANEL_WIDTH. These are the panels a depth-first bisection accepts,
     and each piece sums them in its order, by descending left end, so the
     result is the depth-first one bit for bit. The budget is charged only
@@ -93,7 +92,7 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
 
     def settle(piece: int, a: float, b: float, estimate: float, left: float,
                right: float) -> bool:
-        if abs(left + right - estimate) < local_tol or (b - a) < MIN_PANEL_WIDTH:
+        if abs(left + right - estimate) < LOCAL_TOL or (b - a) < MIN_PANEL_WIDTH:
             accepted[piece].append((a, left + right))
             return True
         return False

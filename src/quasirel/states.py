@@ -4,7 +4,8 @@ The evaluation core works on a PairBatch: N pairs of one dimension held as
 stacked arrays, with both states' spectral data, the squared eigenvector
 overlaps and the scalar summary columns computed once, when the batch is
 built. Everything the spectral divergence route and the scalar bounds
-consume lives there. A StatePair is a batch of one with per-pair views.
+consume lives there. A single pair is a batch of one: every single-pair
+constructor returns one, and every per-pair function reads its index 0.
 """
 
 from __future__ import annotations
@@ -183,30 +184,46 @@ class PairBatch:
     def sigma_positive(self) -> np.ndarray:
         return self.sigma_spectral.eigenvalues[:, -1] > ZERO_EIG_THRESHOLD
 
-    def pair(self, n: int) -> StatePair:
-        """Pair n as a StatePair: views into a batch of one."""
-        sl = slice(n, n + 1)
-        rs, ss = self.rho_spectral, self.sigma_spectral
-        one = self if len(self) == 1 else PairBatch(
-            self.rho[sl], self.sigma[sl],
-            EigenSystem(rs.eigenvalues[sl], rs.eigenvectors[sl]),
-            EigenSystem(ss.eigenvalues[sl], ss.eigenvectors[sl]),
-            self.overlaps[sl],
-            ScalarSummary(self.dim, *(getattr(self.summary, c)[sl] for c in _COLUMNS)),
-        )
-        states = [
-            DensityMatrix(m[n], EigenSystem(sp.eigenvalues[n], sp.eigenvectors[n]),
-                          bool(positive[n]))
-            for m, sp, positive in ((self.rho, rs, self.rho_positive),
-                                    (self.sigma, ss, self.sigma_positive))
-        ]
-        summary = ScalarSummary(self.dim, *(float(getattr(self.summary, c)[n])
-                                            for c in _COLUMNS))
-        return StatePair(*states, self.overlaps[n], summary, one)
+    @cached_property
+    def modular_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of X -> sigma X rho^{-1} of a batch of one and the weights
+        |<e_k|vec sqrt(rho)>|^2 of its eigenvectors; computed on first use.
+
+        Both states must be strictly positive. The eigenvalues are squares of
+        those of the half power kron(sqrt sigma, rho^{-1/2 T}): eigh of the
+        modular matrix itself is only accurate to eps*||M|| on the small
+        eigenvalues, which generators singular at 0+ amplify past the 1e-9
+        cross-route contract.
+        """
+        lam, psi = _single(self).rho_spectral.eigenvalues[0], self.rho_spectral.eigenvectors[0]
+        mu, phi = self.sigma_spectral.eigenvalues[0], self.sigma_spectral.eigenvectors[0]
+        half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
+                       spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
+        half_vals, vecs = eigh(half)
+        coeffs = vecs.conj().T @ vec(spectral_matrix(psi, np.sqrt(lam)))
+        spectrum = (half_vals ** 2, np.abs(coeffs) ** 2)
+        for array in spectrum:
+            array.setflags(write=False)
+        return spectrum
 
 
-def _assemble(rho_states: tuple, sigma_states: tuple) -> PairBatch:
-    (rho, rho_spectral), (sigma, sigma_spectral) = rho_states, sigma_states
+def _single(pair: PairBatch) -> PairBatch:
+    """The batch a per-pair function evaluates: it must hold exactly one pair."""
+    if len(pair) != 1:
+        raise ValueError(f"expected a batch of one pair, got {len(pair)} pairs")
+    return pair
+
+
+def pair_batch(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
+    """Build and validate a PairBatch from two (N, d, d) stacks in one pass.
+
+    Every pair is checked for Hermiticity, unit trace, the eigenvalue floor
+    and doubly stochastic overlaps; the first failure raises ValueError.
+    """
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if rho.ndim != 3:
+        raise ValueError(f"expected a (N, d, d) stack, got shape {rho.shape}")
+    (rho, rho_spectral), (sigma, sigma_spectral) = map(_validated_states, (rho, sigma))
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}")
     amp = dagger(sigma_spectral.eigenvectors) @ rho_spectral.eigenvectors
@@ -221,80 +238,15 @@ def _assemble(rho_states: tuple, sigma_states: tuple) -> PairBatch:
     return PairBatch(rho, sigma, rho_spectral, sigma_spectral, overlaps, summary)
 
 
-def pair_batch(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
-    """Build and validate a PairBatch from two (N, d, d) stacks in one pass.
-
-    Every pair is checked for Hermiticity, unit trace, the eigenvalue floor
-    and doubly stochastic overlaps; the first failure raises ValueError.
-    """
-    rho, sigma = np.asarray(rho), np.asarray(sigma)
-    if rho.ndim != 3:
-        raise ValueError(f"expected a (N, d, d) stack, got shape {rho.shape}")
-    return _assemble(_validated_states(rho), _validated_states(sigma))
+def state_pair(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
+    """The pair (rho, sigma) of two d x d matrices as a validated batch of one."""
+    return pair_batch(np.asarray(rho)[np.newaxis], np.asarray(sigma)[np.newaxis])
 
 
-@dataclass(frozen=True)
-class StatePair:
-    """An ordered pair (rho, sigma) with squared eigenvector overlaps.
-
-    overlaps[k, j] = |<phi_k|psi_j>|^2 where psi are rho's eigenvectors and
-    phi are sigma's; the matrix is doubly stochastic. The pair owns its
-    scalar summary, and ``batch`` is the same pair as a PairBatch of one,
-    which is what every divergence and bound evaluates.
-    """
-
-    rho: DensityMatrix
-    sigma: DensityMatrix
-    overlaps: np.ndarray
-    summary: ScalarSummary
-    batch: PairBatch
-
-    @property
-    def dim(self) -> int:
-        return self.rho.dim
-
-    @cached_property
-    def modular_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of X -> sigma X rho^{-1} and the weights
-        |<e_k|vec sqrt(rho)>|^2 of its eigenvectors; computed on first use.
-
-        Both states must be strictly positive. The eigenvalues are squares of
-        those of the half power kron(sqrt sigma, rho^{-1/2 T}): eigh of the
-        modular matrix itself is only accurate to eps*||M|| on the small
-        eigenvalues, which generators singular at 0+ amplify past the 1e-9
-        cross-route contract.
-        """
-        lam, psi = self.rho.spectral
-        mu, phi = self.sigma.spectral
-        half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
-                       spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
-        half_vals, vecs = eigh(half)
-        coeffs = vecs.conj().T @ vec(spectral_matrix(psi, np.sqrt(lam)))
-        spectrum = (half_vals ** 2, np.abs(coeffs) ** 2)
-        for array in spectrum:
-            array.setflags(write=False)
-        return spectrum
-
-
-def state_pair(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> StatePair:
-    """Build a StatePair, computing and validating the overlap matrix."""
-    states = []
-    for dm in (rho, sigma):
-        if not isinstance(dm, DensityMatrix):
-            dm = density_matrix(dm)
-        states.append((dm.matrix[np.newaxis],
-                       EigenSystem(dm.eigenvalues[np.newaxis], dm.eigenvectors[np.newaxis])))
-    return _assemble(*states).pair(0)
-
-
-def swapped(pair: StatePair) -> StatePair:
-    """The pair with rho and sigma exchanged (overlaps transpose)."""
-    return state_pair(pair.sigma, pair.rho)
-
-
-def summarize(pair: StatePair) -> ScalarSummary:
-    """Scalar summary of a pair: extreme eigenvalues and trace distance."""
-    return pair.summary
+def summarize(pair: PairBatch) -> ScalarSummary:
+    """Scalar summary of a batch of one as numbers: extreme eigenvalues, trace distance."""
+    s = _single(pair).summary
+    return ScalarSummary(s.dim, *(float(getattr(s, c)[0]) for c in _COLUMNS))
 
 
 def default_rng(seed) -> np.random.Generator:
@@ -370,9 +322,9 @@ def random_pairs(dim: int, rngs: Sequence) -> PairBatch:
     return pair_batch(rho, sigma)
 
 
-def random_pair(dim: int, rng: np.random.Generator) -> StatePair:
-    """Two independent random states as a pair."""
-    return random_pairs(dim, [rng]).pair(0)
+def random_pair(dim: int, rng: np.random.Generator) -> PairBatch:
+    """Two independent random states as a batch of one."""
+    return random_pairs(dim, [rng])
 
 
 def _random_probabilities(dim: int, rng: np.random.Generator, floor: float) -> np.ndarray:
@@ -385,7 +337,7 @@ def _random_probabilities(dim: int, rng: np.random.Generator, floor: float) -> n
             return np.sort(p)[::-1]
 
 
-def random_classical_pairs(dim: int, rngs: Sequence, shuffle: bool = False) -> PairBatch:
+def random_classical_pairs(dim: int, rngs: Sequence) -> PairBatch:
     """One commuting pair per generator, as a batch; see random_classical_pair."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -394,28 +346,22 @@ def random_classical_pairs(dim: int, rngs: Sequence, shuffle: bool = False) -> P
         gaussians.append(rng.standard_normal((2, dim, dim)))
         p = _random_probabilities(dim, rng, ZERO_EIG_THRESHOLD)
         q = _random_probabilities(dim, rng, ZERO_EIG_THRESHOLD)
-        if shuffle:
-            q = q[rng.permutation(dim)]
-        spectra.append((p, q))
+        spectra.append((p, q[rng.permutation(dim)]))
     u = haar_unitaries(np.stack(gaussians))
     spectra = np.array(spectra)[:, :, np.newaxis, :]
     return pair_batch((u * spectra[:, 0]) @ dagger(u), (u * spectra[:, 1]) @ dagger(u))
 
 
-def random_classical_pair(dim: int, rng: np.random.Generator,
-                          shuffle: bool = False) -> StatePair:
-    """A commuting pair: both states diagonal in one shared random basis.
-
-    By default both spectra are laid out in descending order on the shared
-    basis, so the overlap matrix is the identity. With shuffle=True sigma's
-    spectrum is randomly permuted against rho's, giving a general commuting
-    pair whose overlaps form a permutation matrix.
-    """
-    return random_classical_pairs(dim, [rng], shuffle).pair(0)
+def random_classical_pair(dim: int, rng: np.random.Generator) -> PairBatch:
+    """A commuting pair, as a batch of one: both states diagonal in one shared
+    random basis, with sigma's spectrum randomly permuted against rho's, so
+    the overlap matrix is a permutation matrix."""
+    return random_classical_pairs(dim, [rng])
 
 
-def example_pair(dim: int) -> StatePair:
-    """Maximally mixed state against a rank-two state on two basis vectors.
+def example_pair(dim: int) -> PairBatch:
+    """Maximally mixed state against a rank-two state on two basis vectors,
+    as a batch of one.
 
     rho = I/d; sigma has eigenvalues 1/d and 1 - 1/d on the first two basis
     vectors and is zero elsewhere, so sigma is deliberately rank-deficient
@@ -445,19 +391,20 @@ def _matrix_from_json(doc: dict, key: str) -> np.ndarray:
         raise ValueError(f"{key} must be a list of rows of [re, im] pairs") from None
 
 
-def pair_to_dict(pair: StatePair, seed=None, tags: Optional[list[str]] = None) -> dict:
+def pair_to_dict(pair: PairBatch, seed=None, tags: Optional[list[str]] = None) -> dict:
+    """The JSON document of a batch of one."""
     return {
-        "dim": pair.dim,
-        "rho": _matrix_to_json(pair.rho.matrix),
-        "sigma": _matrix_to_json(pair.sigma.matrix),
+        "dim": _single(pair).dim,
+        "rho": _matrix_to_json(pair.rho[0]),
+        "sigma": _matrix_to_json(pair.sigma[0]),
         "seed": seed,
         "tags": list(tags) if tags else [],
     }
 
 
-def pair_from_dict(doc: dict) -> StatePair:
-    """The pair a pair_to_dict document holds; ValueError names what is missing
-    or malformed."""
+def pair_from_dict(doc: dict) -> PairBatch:
+    """The pair a pair_to_dict document holds, as a batch of one; ValueError
+    names what is missing or malformed."""
     if not isinstance(doc, dict):
         raise ValueError(f"a state pair must be a JSON object, got {type(doc).__name__}")
     missing = [key for key in ("dim", "rho", "sigma") if key not in doc]
@@ -472,12 +419,12 @@ def pair_from_dict(doc: dict) -> StatePair:
     return state_pair(rho, sigma)
 
 
-def save_pair(path, pair: StatePair, seed=None, tags=None) -> None:
+def save_pair(path, pair: PairBatch, seed=None, tags=None) -> None:
     with open(path, "w") as fh:
         json.dump(pair_to_dict(pair, seed=seed, tags=tags), fh, indent=1)
         fh.write("\n")
 
 
-def load_pair(path) -> StatePair:
+def load_pair(path) -> PairBatch:
     with open(path) as fh:
         return pair_from_dict(json.load(fh))

@@ -29,6 +29,7 @@ from .states import (
     example_pair,
     random_classical_pairs,
     random_pairs,
+    summarize,
 )
 
 _TAG_SWEEP = 7001
@@ -55,22 +56,23 @@ def trial_batch(seed: int, dim: int, trials, pair_kind: str = "random") -> PairB
     if pair_kind == "random":
         return random_pairs(dim, rngs)
     if pair_kind == "classical":
-        return random_classical_pairs(dim, rngs, shuffle=True)
+        return random_classical_pairs(dim, rngs)
     raise ValueError(f"unknown pair_kind {pair_kind!r}")
 
 
-def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random"):
+def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random") -> PairBatch:
     """One trial's pair: a batch of one from trial_batch."""
-    return trial_batch(seed, dim, [trial], pair_kind).pair(0)
+    return trial_batch(seed, dim, [trial], pair_kind)
 
 
-def batch_rows(batch: PairBatch, seed: int, tags: list, routes: list,
+def batch_rows(batch: PairBatch, seed: int, listing: list, routes: list,
                ae11_base: str) -> list:
-    """BOUNDS_COLUMNS rows for every pair of a batch.
+    """BOUNDS_COLUMNS rows for the pairs of a batch.
 
     ``routes`` lists (f, q) generator choices as sandwich takes them; each
-    fills the f_name and q cells of its rows. Rows come pair by pair
-    (``tags`` names the pairs), then route by route, then bound by bound.
+    fills the f_name and q cells of its rows. Rows come pair by pair, in
+    the order of ``listing``'s (batch index, pair tag) entries, then route
+    by route, then bound by bound; a pair listed twice gets its rows twice.
     """
     columns = []
     for f, q in routes:
@@ -86,7 +88,7 @@ def batch_rows(batch: PairBatch, seed: int, tags: list, routes: list,
         {"dim": dim, "seed": seed, "pair_tag": tag, "f_name": f_name, "q": q,
          "bound_name": name, "bound_value": values[n], "divergence": divergence[n],
          "slack": slack[n], "applicable": applicable[n]}
-        for n, tag in enumerate(tags)
+        for n, tag in listing
         for f_name, q, name, values, divergence, slack, applicable in columns
     ]
 
@@ -99,17 +101,23 @@ def violation_rows(rows: list) -> list:
 
 def sweep_chunk(seed: int, dim: int, trials, pair_kind: str,
                 f_specs: list, qs: list, ae11_base: str) -> list:
-    """One shard: a block of trials at fixed dim. Top level for pickling."""
+    """One shard: a block of trials at fixed dim. Top level for pickling.
+
+    A trial listed more than once (its dimension was) is sampled and
+    evaluated once, and its rows are given once per listing.
+    """
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
-    batch = trial_batch(seed, dim, trials, pair_kind)
-    tags = [f"{pair_kind}:{trial:06d}" for trial in trials]
-    return batch_rows(batch, int(seed), tags, routes, ae11_base)
+    index = {trial: n for n, trial in enumerate(dict.fromkeys(trials))}
+    batch = trial_batch(seed, dim, list(index), pair_kind)
+    listing = [(index[trial], f"{pair_kind}:{trial:06d}") for trial in trials]
+    return batch_rows(batch, int(seed), listing, routes, ae11_base)
 
 
 def chunk_plan(dims: list, trials: int) -> list:
     """(dim, trials) chunks in row order: dims ascending, then trials, at most
-    _CHUNK_TRIALS trials a chunk. A dimension listed k times gives each of its
-    trials k times in a row, so each listing gets its own copy of the rows."""
+    _CHUNK_TRIALS distinct trials a chunk. A dimension listed k times gives
+    each of its trials k times in a row, so each listing gets its own copy of
+    the rows; sweep_chunk still samples and evaluates the trial once."""
     copies = Counter(dims)
     blocks = [range(start, min(start + _CHUNK_TRIALS, trials))
               for start in range(0, trials, _CHUNK_TRIALS)]
@@ -165,7 +173,7 @@ def paper_example_rows(dims) -> list:
     """
     rows = []
     for d in sorted({int(d) for d in dims}):
-        s = example_pair(d).summary
+        s = summarize(example_pair(d))
         tight = relative_entropy_upper(s)[0].value
         ae_e = ae11_upper(s, "e").value
         ae_2 = ae11_upper(s, "2").value

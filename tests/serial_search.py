@@ -86,9 +86,10 @@ def _spectrum(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_instance(dim, rng, weight_mode, commuting) -> Instance:
     if commuting:
-        pair = random_classical_pair(dim, rng, shuffle=True)
-        lam, mu = pair.rho.eigenvalues.copy(), pair.sigma.eigenvalues.copy()
-        u_psi, u_phi = pair.rho.eigenvectors, pair.sigma.eigenvectors
+        pair = random_classical_pair(dim, rng)
+        lam = pair.rho_spectral.eigenvalues[0].copy()
+        mu = pair.sigma_spectral.eigenvalues[0].copy()
+        u_psi, u_phi = pair.rho_spectral.eigenvectors[0], pair.sigma_spectral.eigenvectors[0]
     else:
         lam = np.sort(_spectrum(dim, rng))[::-1]
         mu = np.sort(_spectrum(dim, rng))[::-1]

@@ -41,13 +41,11 @@ def test_qubit_classical_upper_worked_value():
     # 0.5 * [-log(1/2)] / (1 - 1/2) = log 2
     assert rep.value == pytest.approx(math.log(2.0), rel=1e-12)
     assert rep.applicable
-    assert rep.alt_value is None  # no affine part on neg-log
     assert rep.value >= umegaki(PAIR).value
 
 
-def test_qubit_classical_alt_value_with_affine_part():
+def test_qubit_classical_upper_on_neg_power():
     rep = qubit_classical_upper(S, neg_power(0.5))
-    assert rep.alt_value is None  # a = 0 for every builtin
     assert rep.value > 0
 
 

@@ -77,7 +77,7 @@ def test_divergence_on_saved_pair(tmp_path, capsys):
 
 def test_divergence_identical_states_is_zero(tmp_path, capsys):
     rng = default_rng(62)
-    rho = random_pair(3, rng).rho
+    rho = random_pair(3, rng).rho[0]
     path = tmp_path / "same.json"
     save_pair(path, state_pair(rho, rho))
     code, out, _ = _run(
@@ -441,3 +441,22 @@ def test_divergence_past_the_superoperator_cap_notes_the_route_reason(capsys):
     code, out, err = _run(capsys, ["divergence", "--dims", "12", "--f", "neg-log"])
     assert code == 0 and "skipped" not in err
     assert [r["method"] for r in _csv_rows(out)] == ["spectral", "superoperator", "direct"]
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["divergence"], "q", "0.3,1.5"),
+    (["bounds", "--f", "neg-log"], "dims", "3,4"),
+    (["divergence"], "dims", "5..7"),
+    (["bounds"], "q", "0.3,1.5"),
+    (["divergence"], "f_spec", "neg-log,tsallis:q=0.3"),
+])
+def test_one_pair_commands_reject_a_second_value(tmp_path, capsys, argv, key, value):
+    # divergence and bounds evaluate one pair with one generator: a second
+    # value would be dropped, so it is an error naming the flag or config key
+    flag = cli.SETTINGS[key].flag
+    code, out, err = _run(capsys, [*argv, flag, value])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and flag in err and "single value" in err
+    code, out, err = _config_run(tmp_path, capsys, argv, {key: value})
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and repr(key) in err and "single value" in err

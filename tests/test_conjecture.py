@@ -9,7 +9,6 @@ from quasirel import (
     WeightedOverlapFunctional,
     conjecture_search,
     default_rng,
-    density_matrix,
     example_pair,
     functional_value,
     haar_unitary,
@@ -20,7 +19,14 @@ from quasirel import (
     save_record,
 )
 from quasirel import conjecture
-from quasirel.conjecture import VIOLATION_THRESHOLD
+from quasirel.conjecture import (
+    FUNCTIONAL_CROSS_TOL,
+    PROVEN_SLACK,
+    SPECTRUM_FLOOR,
+    VIOLATION_THRESHOLD,
+    _Instances,
+    _jitter,
+)
 from quasirel.states import state_pair
 from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
 
@@ -30,8 +36,8 @@ def _aligned_functional(pair, rng, cap=1.0):
     return WeightedOverlapFunctional(
         rng.uniform(0.0, cap, size=(dim, dim)),
         cap,
-        pair.rho.eigenvectors,
-        pair.sigma.eigenvectors,
+        pair.rho_spectral.eigenvectors[0],
+        pair.sigma_spectral.eigenvectors[0],
     )
 
 
@@ -74,7 +80,7 @@ def test_functional_value_rejects_foreign_bases():
 
 def test_functional_vanishes_at_equal_states():
     rng = default_rng(53)
-    rho = random_pair(4, rng).rho
+    rho = random_pair(4, rng).rho[0]
     pair = state_pair(rho, rho)
     w = _aligned_functional(pair, rng)
     assert abs(functional_value(w, pair)) < 1e-12
@@ -85,7 +91,7 @@ def test_d_matrix_shape_and_trace_identity():
     pair = random_pair(3, rng)
     w = _aligned_functional(pair, rng)
     d = w.d_matrix()
-    diff = pair.rho.matrix - pair.sigma.matrix
+    diff = pair.rho[0] - pair.sigma[0]
     direct = complex(np.trace(d @ diff)).real
     assert functional_value(w, pair) == pytest.approx(direct, abs=1e-10)
 
@@ -132,7 +138,7 @@ def test_modular_weights_structure():
     pair = random_pair(4, rng)
     w = modular_weight_matrix(pair, t=0.7)
     assert np.max(w.c_entries) == pytest.approx(w.c_cap, rel=1e-12)
-    lam, mu = pair.rho.eigenvalues, pair.sigma.eigenvalues
+    lam, mu = pair.rho_spectral.eigenvalues[0], pair.sigma_spectral.eigenvalues[0]
     assert w.c_entries[3, 0] == pytest.approx(1.0 / (0.7 + mu[3] / lam[0]))
     with pytest.raises(ValueError):
         modular_weight_matrix(pair, t=0.0)
@@ -206,10 +212,10 @@ def test_record_round_trips_and_replays(tmp_path):
     inst = doc["argmax_instance"]
     rho = np.array([[complex(re, im) for re, im in row] for row in inst["rho"]])
     sigma = np.array([[complex(re, im) for re, im in row] for row in inst["sigma"]])
-    pair = state_pair(density_matrix(rho), density_matrix(sigma))
+    pair = state_pair(rho, sigma)
     w = WeightedOverlapFunctional(
         np.array(inst["c_entries"]), 1.0,
-        pair.rho.eigenvectors, pair.sigma.eigenvectors,
+        pair.rho_spectral.eigenvectors[0], pair.sigma_spectral.eigenvectors[0],
     )
     value = abs(functional_value(w, pair))
     dist = trace_norm(rho - sigma)
@@ -275,3 +281,60 @@ def test_search_argument_bounds():
     conjecture_search(trials=1, **{**base, "steps_per_restart": 0})
     conjecture_search(trials=1, plateau=1, **base)
     assert conjecture_search((3,), 1, "random", seed=0).argmax_instance["trial"] == 0
+
+
+@pytest.mark.parametrize("scale, agrees", [(0.9, True), (1.1, False)])
+def test_functional_cross_tolerance_both_sides(scale, agrees):
+    # a basis_psi stretched by 1 + eps still passes the basis match, but
+    # scales the explicit trace by (1 + eps)^2 and not the eigenvalue sum;
+    # eps is chosen so the routes differ by scale * FUNCTIONAL_CROSS_TOL
+    rng = default_rng(59)
+    pair = random_pair(3, rng)
+    w = _aligned_functional(pair, rng)
+    value = functional_value(w, pair)
+    gap = scale * FUNCTIONAL_CROSS_TOL * max(1.0, abs(value)) / abs(value)
+    stretched = WeightedOverlapFunctional(w.c_entries, w.c_cap,
+                                          w.basis_psi * np.sqrt(1.0 + gap), w.basis_phi)
+    explicit = complex(np.trace(stretched.d_matrix() @ (pair.rho[0] - pair.sigma[0])))
+    assert abs(explicit - value) / (FUNCTIONAL_CROSS_TOL * max(1.0, abs(value))) == \
+        pytest.approx(scale, rel=1e-3)
+    if agrees:
+        assert functional_value(stretched, pair) == value
+    else:
+        with pytest.raises(ValueError, match="disagree"):
+            functional_value(stretched, pair)
+
+
+@pytest.mark.parametrize("scale, holds", [(0.9, True), (1.1, False)])
+def test_proven_slack_both_sides(scale, holds):
+    # weights may pass the cap by 1e-12, so with D = (1 + 1e-12) I the
+    # inequality |Tr(DX)| <= ||X||_1 misses by 1e-12 ||X||_1 for a positive
+    # diagonal X; ||X||_1 puts that miss at scale * PROVEN_SLACK
+    eye = np.eye(2, dtype=complex)
+    w = WeightedOverlapFunctional(np.full((2, 2), 1.0 + 1e-12), 1.0, eye, eye)
+    x = np.diag([0.5, 0.5]) * scale * PROVEN_SLACK / 1e-12
+    assert proven_case_check(w, x, "diagonal") is holds
+
+
+def test_spectrum_floor_both_sides():
+    # drawn spectra: an entry at 0.9 * SPECTRUM_FLOOR is redrawn, one at 1.1x kept
+    class Scripted:
+        def __init__(self, *draws):
+            self.draws = [np.array(d) for d in draws]
+
+        def dirichlet(self, alpha):
+            return self.draws.pop(0)
+
+    low, high = 0.9 * SPECTRUM_FLOOR, 1.1 * SPECTRUM_FLOOR
+    rng = Scripted([low, 1.0 - low], [high, 1.0 - high])
+    spectrum = conjecture._random_probabilities(2, rng, SPECTRUM_FLOOR)
+    np.testing.assert_array_equal(spectrum, [1.0 - high, high])
+    assert rng.draws == []
+    # jittered spectra: a bump to 0.9x is clipped up to the floor, one to 1.1x is kept
+    inst = _Instances(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
+                      np.eye(2)[np.newaxis], np.eye(2)[np.newaxis], None, np.array([1.0]))
+    z = np.zeros((2, 1 + 4 + 16))
+    z[0, 2], z[1, 2] = low - 0.5, high - 0.5  # lam[1] moves to low, then to high
+    stepped = _jitter(inst, 1.0, z, None)
+    kept = np.array([SPECTRUM_FLOOR, high])
+    np.testing.assert_allclose(stepped.lam[:, 1], kept / (0.5 + kept), rtol=1e-6)

@@ -18,7 +18,6 @@ from quasirel import (
     quasi_entropy_superoperator,
     random_classical_pair,
     random_pair,
-    swapped,
     tsallis_direct,
     tsallis_f,
     umegaki,
@@ -90,7 +89,7 @@ def test_unitary_invariance():
     pair = random_pair(3, rng)
     u = haar_unitary(3, rng)
     rotated = state_pair(
-        u @ pair.rho.matrix @ u.conj().T, u @ pair.sigma.matrix @ u.conj().T
+        u @ pair.rho[0] @ u.conj().T, u @ pair.sigma[0] @ u.conj().T
     )
     for f in (neg_log(), tsallis_f(1.5)):
         assert quasi_entropy_spectral(rotated, f).value == pytest.approx(
@@ -105,7 +104,7 @@ def test_nonnegative_and_zero_at_equality():
         for f in builtin_suite():
             assert quasi_entropy_spectral(pair, f).value >= -1e-12
     same = random_pair(4, rng)
-    equal = state_pair(same.rho.matrix, same.rho.matrix)
+    equal = state_pair(same.rho[0], same.rho[0])
     for f in builtin_suite():
         assert abs(quasi_entropy_spectral(equal, f).value) < 1e-12
 
@@ -120,7 +119,7 @@ def test_support_conventions():
     assert quasi_entropy_spectral(pair, neg_power(0.5)).finite
     assert quasi_entropy_spectral(pair, tsallis_f(0.3)).finite
     # reversed roles: supp(rho) inside supp(sigma), everything finite
-    rev = swapped(pair)
+    rev = state_pair(pair.sigma[0], pair.rho[0])
     assert umegaki(rev).finite
     assert tsallis_direct(rev, 1.5).finite
 
@@ -132,7 +131,8 @@ def test_dual_generator_swaps_arguments():
         pair = random_pair(3, rng)
         for f in (neg_log(), neg_power(0.5), tsallis_f(1.5)):
             lhs = quasi_entropy_spectral(pair, f).value
-            rhs = quasi_entropy_spectral(swapped(pair), dual_function(f)).value
+            rhs = quasi_entropy_spectral(state_pair(pair.sigma[0], pair.rho[0]),
+                                         dual_function(f)).value
             assert rhs == pytest.approx(lhs, rel=1e-10, abs=1e-12)
 
 
@@ -140,8 +140,8 @@ def test_modular_matrix_spectrum_is_ratio_multiset():
     rng = default_rng(36)
     pair = random_pair(3, rng)
     vals, weights = pair.modular_spectrum
-    lam = pair.rho.eigenvalues
-    mu = pair.sigma.eigenvalues
+    lam = pair.rho_spectral.eigenvalues[0]
+    mu = pair.sigma_spectral.eigenvalues[0]
     expected = np.sort(np.outer(mu, 1.0 / lam).ravel())
     np.testing.assert_allclose(np.sort(vals), expected, rtol=1e-9)
     # the weights split ||vec sqrt(rho)||^2 = Tr rho = 1
@@ -151,8 +151,8 @@ def test_modular_matrix_spectrum_is_ratio_multiset():
 def _superoperator_recomputed(pair, f):
     """The superoperator value from a fresh half-power eigh, as the route
     computed it before the pair kept its modular spectrum."""
-    lam, psi = pair.rho.spectral
-    mu, phi = pair.sigma.spectral
+    lam, psi = (a[0] for a in pair.rho_spectral)
+    mu, phi = (a[0] for a in pair.sigma_spectral)
     half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
                    spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
     half_vals, vecs = eigh(half)
@@ -183,11 +183,11 @@ def test_superoperator_route_guards():
 
 def test_commuting_pair_reduces_to_classical_sum():
     rng = default_rng(38)
-    pair = random_classical_pair(5, rng, shuffle=True)
-    p = pair.rho.eigenvalues
+    pair = random_classical_pair(5, rng)
+    p = pair.rho_spectral.eigenvalues[0]
     # overlaps form a permutation; recover sigma's spectrum in rho's basis
-    perm = np.argmax(pair.overlaps > 0.5, axis=0)
-    q = pair.sigma.eigenvalues[perm]
+    perm = np.argmax(pair.overlaps[0] > 0.5, axis=0)
+    q = pair.sigma_spectral.eigenvalues[0][perm]
     classical = float(np.sum(p * np.log(p / q)))
     assert umegaki(pair).value == pytest.approx(classical, rel=1e-9)
 
@@ -205,11 +205,11 @@ def test_batch_values_match_each_pair_alone():
     # (then, for umegaki, a rank-deficient rho) share one batch
     rng = default_rng(39)
     pairs = [random_pair(3, rng) for _ in range(4)]
-    pairs += [random_classical_pair(3, rng, shuffle=True), example_pair(3)]
+    pairs += [random_classical_pair(3, rng), example_pair(3)]
 
     def batch_of(group):
-        return pair_batch(np.stack([p.rho.matrix for p in group]),
-                          np.stack([p.sigma.matrix for p in group]))
+        return pair_batch(np.concatenate([p.rho for p in group]),
+                          np.concatenate([p.sigma for p in group]))
 
     batch = batch_of(pairs)
     checks = [(spectral_values(batch, f), lambda p, f=f: quasi_entropy_spectral(p, f))
@@ -220,7 +220,7 @@ def test_batch_values_match_each_pair_alone():
         assert [single(p).value for p in pairs] == values.tolist()
     assert np.isinf(checks[0][0][-1]) and np.isfinite(checks[1][0][-1])
 
-    pairs[-1] = swapped(pairs[-1])
+    pairs[-1] = state_pair(pairs[-1].sigma[0], pairs[-1].rho[0])
     assert [umegaki(p).value for p in pairs] == umegaki_values(batch_of(pairs)).tolist()
 
 
@@ -236,10 +236,20 @@ def test_overlap_skip_both_sides(scale, finite):
     # sigma = diag(1, 0): its kernel row carries rho's weight 0.4 in a valid
     # pair, since every overlap row sums to 1, so the row is set by hand to
     # one weight just below or just above the skip threshold
-    batch = state_pair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0])).batch
+    batch = state_pair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]))
     overlaps = np.array([[[1.0, 0.0], [0.0, scale * OVERLAP_SKIP]]])
     value = spectral_values(dataclasses.replace(batch, overlaps=overlaps), neg_log())[0]
     if finite:
         assert value == pytest.approx(0.6 * math.log(0.6), rel=1e-15)
     else:
         assert value == math.inf
+
+
+def test_zero_limit_probe_for_bare_callables():
+    # example_pair(3): sigma is singular and its kernel carries rho's weight,
+    # so the spectral route needs f at 0+, probed for a bare callable
+    pair = example_pair(3)
+    finite = quasi_entropy_spectral(pair, lambda x: 1 - np.sqrt(x)).value
+    assert finite == pytest.approx(quasi_entropy_spectral(pair, neg_power(0.5)).value,
+                                   rel=0, abs=1e-9)
+    assert quasi_entropy_spectral(pair, lambda x: -np.log(x)).value == math.inf

@@ -1,5 +1,6 @@
 """State construction, sampling, summaries, and JSON round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,21 +10,32 @@ from quasirel import (
     default_rng,
     density_matrix,
     example_pair,
+    functional_value,
     haar_unitary,
     load_pair,
+    modular_weight_matrix,
+    neg_log,
     pair_from_dict,
     pair_to_dict,
+    quasi_entropy_spectral,
+    quasi_entropy_superoperator,
     random_classical_pair,
+    random_functional,
     random_pair,
     random_state,
+    sandwich,
     save_pair,
     summarize,
-    swapped,
+    tsallis_direct,
+    umegaki,
 )
-from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD
+from quasirel import states
+from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD, EigenSystem, eigh
 from quasirel.states import (
+    DOUBLE_STOCHASTIC_TOL,
     EIGENVALUE_FLOOR,
     TRACE_TOL,
+    PairBatch,
     _random_probabilities,
     haar_unitaries,
     pair_batch,
@@ -79,7 +91,7 @@ def test_pair_overlaps_doubly_stochastic():
     rng = default_rng(9)
     for _ in range(50):
         pair = random_pair(int(rng.integers(2, 7)), rng)
-        ov = pair.overlaps
+        ov = pair.overlaps[0]
         assert np.all(ov >= -1e-15)
         np.testing.assert_allclose(ov.sum(axis=0), 1.0, atol=1e-10)
         np.testing.assert_allclose(ov.sum(axis=1), 1.0, atol=1e-10)
@@ -88,18 +100,16 @@ def test_pair_overlaps_doubly_stochastic():
 def test_swapped_exchanges_roles():
     rng = default_rng(10)
     pair = random_pair(3, rng)
-    rev = swapped(pair)
-    np.testing.assert_array_equal(rev.rho.matrix, pair.sigma.matrix)
-    np.testing.assert_array_equal(rev.sigma.matrix, pair.rho.matrix)
-    np.testing.assert_allclose(rev.overlaps, pair.overlaps.T, atol=1e-12)
+    rev = state_pair(pair.sigma[0], pair.rho[0])
+    np.testing.assert_array_equal(rev.rho, pair.sigma)
+    np.testing.assert_array_equal(rev.sigma, pair.rho)
+    np.testing.assert_allclose(rev.overlaps[0], pair.overlaps[0].T, atol=1e-12)
 
 
 def test_classical_pair_overlap_structure():
     rng = default_rng(11)
-    pair = random_classical_pair(5, rng)
-    np.testing.assert_allclose(pair.overlaps, np.eye(5), atol=1e-10)
-    shuffled = random_classical_pair(5, rng, shuffle=True)
-    ov = shuffled.overlaps
+    shuffled = random_classical_pair(5, rng)
+    ov = shuffled.overlaps[0]
     # permutation matrix: a single 1 per row and column
     np.testing.assert_allclose(np.sort(ov, axis=1)[:, :-1], 0.0, atol=1e-10)
     np.testing.assert_allclose(ov.max(axis=1), 1.0, atol=1e-10)
@@ -144,8 +154,8 @@ def test_json_round_trip_exact(tmp_path):
     save_pair(path, pair, seed=12, tags=["unit"])
     loaded = load_pair(path)
     # exact: repr-based float serialization loses nothing
-    np.testing.assert_array_equal(loaded.rho.matrix, pair.rho.matrix)
-    np.testing.assert_array_equal(loaded.sigma.matrix, pair.sigma.matrix)
+    np.testing.assert_array_equal(loaded.rho, pair.rho)
+    np.testing.assert_array_equal(loaded.sigma, pair.sigma)
     doc = json.loads(path.read_text())
     assert doc["seed"] == 12
     assert doc["tags"] == ["unit"]
@@ -153,10 +163,10 @@ def test_json_round_trip_exact(tmp_path):
 
 def test_pair_dict_round_trip():
     rng = default_rng(13)
-    pair = random_classical_pair(3, rng, shuffle=True)
+    pair = random_classical_pair(3, rng)
     again = pair_from_dict(pair_to_dict(pair))
-    np.testing.assert_array_equal(again.rho.matrix, pair.rho.matrix)
-    np.testing.assert_array_equal(again.sigma.matrix, pair.sigma.matrix)
+    np.testing.assert_array_equal(again.rho, pair.rho)
+    np.testing.assert_array_equal(again.sigma, pair.sigma)
 
 
 class _FlatStream:
@@ -237,7 +247,7 @@ def test_classical_batch_sampler_continues_stream_after_rejection():
     q = q[sequential.permutation(dim)]
     rho = density_matrix((u * p) @ u.conj().T).matrix
     sigma = density_matrix((u * q) @ u.conj().T).matrix
-    batch = random_classical_pairs(dim, [batched], shuffle=True)
+    batch = random_classical_pairs(dim, [batched])
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
     assert sequential.dirichlet_calls == batched.dirichlet_calls == 3
@@ -246,14 +256,15 @@ def test_classical_batch_sampler_continues_stream_after_rejection():
 def test_pair_batch_matches_pairs_built_one_by_one():
     rng = default_rng(16)
     pairs = [random_pair(3, rng) for _ in range(5)]
-    batch = pair_batch(np.stack([p.rho.matrix for p in pairs]),
-                       np.stack([p.sigma.matrix for p in pairs]))
+    batch = pair_batch(np.concatenate([p.rho for p in pairs]),
+                       np.concatenate([p.sigma for p in pairs]))
     assert len(batch) == 5 and batch.dim == 3
     for n, pair in enumerate(pairs):
-        view = batch.pair(n)
-        np.testing.assert_array_equal(view.overlaps, pair.overlaps)
-        np.testing.assert_array_equal(view.rho.eigenvalues, pair.rho.eigenvalues)
-        assert view.summary == pair.summary
+        np.testing.assert_array_equal(batch.overlaps[n], pair.overlaps[0])
+        np.testing.assert_array_equal(batch.rho_spectral.eigenvalues[n],
+                                      pair.rho_spectral.eigenvalues[0])
+        for column in states._COLUMNS:
+            assert getattr(batch.summary, column)[n] == getattr(summarize(pair), column)
     with pytest.raises(ValueError):
         pair_batch(np.stack([np.eye(3), np.eye(3) / 3]), batch.sigma[:2])
 
@@ -278,3 +289,75 @@ def test_validation_threshold_both_sides(make, bound, message):
         density_matrix(outside)
     with pytest.raises(ValueError, match=message):
         pair_batch(np.stack([good, good]), np.stack([good, outside]))
+
+
+def test_single_pair_constructors_return_a_batch_of_one(tmp_path):
+    rng = default_rng(17)
+    path = tmp_path / "pair.json"
+    save_pair(path, random_pair(2, rng))
+    pairs = [random_pair(3, rng), random_classical_pair(3, rng), example_pair(3),
+             state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25])),
+             pair_from_dict(pair_to_dict(random_pair(2, rng))), load_pair(path)]
+    for pair in pairs:
+        assert isinstance(pair, PairBatch) and len(pair) == 1
+        assert pair.rho.shape == pair.sigma.shape == (1, pair.dim, pair.dim)
+    with pytest.raises(ValueError, match="stack"):
+        state_pair(np.eye(2)[np.newaxis] / 2, np.eye(2)[np.newaxis] / 2)
+
+
+def test_state_pair_validates_as_density_matrix():
+    # the same checks as density_matrix, through pair_batch
+    good = np.diag([0.75, 0.25])
+    for bad in (np.eye(2), np.diag([1.5, -0.5]), np.array([[0.5, 0.1], [0.0, 0.5]])):
+        with pytest.raises(ValueError):
+            density_matrix(bad)
+        with pytest.raises(ValueError):
+            state_pair(bad, good)
+        with pytest.raises(ValueError):
+            state_pair(good, bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        state_pair(good, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("size", [0, 2])
+def test_per_pair_functions_take_only_a_batch_of_one(size):
+    batch = random_pairs(3, [default_rng(18), default_rng(19)])
+    if size == 0:  # no pair_batch input builds an empty batch: cut one down
+        batch = dataclasses.replace(batch, rho=batch.rho[:0])
+    assert len(batch) == size
+    w = random_functional(3, default_rng(18))
+    for call in (lambda p: quasi_entropy_spectral(p, neg_log()),
+                 lambda p: quasi_entropy_superoperator(p, neg_log()),
+                 umegaki, lambda p: tsallis_direct(p, 0.5),
+                 lambda p: sandwich(p, f=neg_log()), summarize,
+                 lambda p: modular_weight_matrix(p, 1.0),
+                 lambda p: functional_value(w, p), pair_to_dict):
+        with pytest.raises(ValueError, match="batch of one"):
+            call(batch)
+    with pytest.raises(ValueError, match="batch of one"):
+        batch.modular_spectrum
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+def test_double_stochastic_tolerance_both_sides(monkeypatch, scale, accepted):
+    # eigh of a Hermitian matrix gives unitary eigenvectors to rounding, so
+    # rho's first eigenvector is lengthened by hand: overlap column 0 then
+    # sums to 1 + scale * DOUBLE_STOCHASTIC_TOL
+    def stretched(a, **kwargs):
+        vals, vecs = eigh(a, **kwargs)
+        if a.shape[0] == 1 and not stretched.done:
+            stretched.done = True
+            vecs = vecs.copy()
+            vecs[..., 0] *= np.sqrt(1.0 + scale * DOUBLE_STOCHASTIC_TOL)
+        return EigenSystem(vals, vecs)
+
+    stretched.done = False
+    monkeypatch.setattr(states, "eigh", stretched)
+    rho, sigma = np.diag([0.6, 0.3, 0.1]), np.diag([0.5, 0.3, 0.2])
+    if accepted:
+        pair = state_pair(rho, sigma)
+        assert abs(pair.overlaps[0].sum(axis=0)[0] - 1.0) == pytest.approx(
+            scale * DOUBLE_STOCHASTIC_TOL, rel=1e-4)
+    else:
+        with pytest.raises(ValueError, match="overlap column sums off"):
+            state_pair(rho, sigma)

@@ -11,7 +11,7 @@ from quasirel.sweeps import chunk_plan, sweep_chunk, trial_pair
 def test_trial_pair_deterministic_and_kind():
     a = trial_pair(3, 4, 17)
     b = trial_pair(3, 4, 17)
-    assert (a.rho.matrix == b.rho.matrix).all()
+    assert (a.rho == b.rho).all()
     classical = trial_pair(3, 4, 17, pair_kind="classical")
     from quasirel import summarize
 
@@ -98,6 +98,26 @@ def test_one_job_builds_no_batch_past_the_cap(monkeypatch):
     rows, _ = sweep_bounds([2], trials=trials, seed=4, f_specs=["neg-log"], jobs=1)
     assert sizes == [sweeps._CHUNK_TRIALS, 3]
     assert len(rows) == 8 * trials
+
+
+def test_repeated_dimension_is_sampled_once(monkeypatch):
+    sizes = []
+    trial_batch = sweeps.trial_batch
+
+    def recording(seed, dim, trials, pair_kind="random"):
+        sizes.append(len(trials))
+        return trial_batch(seed, dim, trials, pair_kind)
+
+    monkeypatch.setattr(sweeps, "trial_batch", recording)
+    rows, _ = sweep_bounds([3, 3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
+    assert sum(sizes) == 300  # not 600: each distinct (dim, trial) once
+    assert len(rows) == 2 * 8 * 300
+    # each pair's rows twice in a row, as separate rows
+    assert rows[:8] == rows[8:16] and rows[0] is not rows[8]
+    assert [r["pair_tag"] for r in rows[::8]][:4] == ["random:000000"] * 2 + ["random:000001"] * 2
+    monkeypatch.undo()
+    once, _ = sweep_bounds([3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
+    assert rows[::2 * 8] == once[::8]
 
 
 class _InlinePool:
