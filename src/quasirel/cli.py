@@ -26,11 +26,11 @@ fixed config reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
-import operator
 import os
 import sys
 from types import SimpleNamespace
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .conjecture import conjecture_search, save_record
+from .conjecture import conjecture_search
 from .divergences import (
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
@@ -56,13 +56,14 @@ from .functions import (
 from .quadrature import QuadratureError
 from .states import load_pair
 from .sweeps import (
-    BOUNDS_COLUMNS,
     PAPER_EXAMPLE_COLUMNS,
     batch_rows,
+    format_cell,
     paper_example_rows,
+    render_columns,
     sweep_bounds,
     trial_pair,
-    violation_rows,
+    write_chunks,
 )
 
 EXIT_OK = 0
@@ -304,71 +305,46 @@ def make_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Emission. CSV: '.' decimal, 17 significant digits, header row. JSON keeps
-# the same field names. Identical configs produce identical bytes.
-
-_BOOL_TEXT = ("false", "true")
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return _BOOL_TEXT[value]
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _row_template(types: tuple) -> tuple:
-    """The %-format for a row with these cell types, and its bool positions."""
-    return (",".join("%.17g" if issubclass(t, float) else "%s" for t in types),
-            [i for i, t in enumerate(types) if t is bool])
-
-
-def _csv_lines(rows: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+# the same field names. Identical configs produce identical bytes. The bound
+# tables (bounds, sweep) are rendered from columns by render_columns.
 
 
 def render_rows(rows: list, columns: list, fmt: str) -> str:
-    """Rows as JSON, or as CSV with the cells formatted by _format_cell.
-
-    A CSV row is one %-format whose template follows the row's cell types.
-    A row whose text the csv module would quote goes through the csv module.
-    """
+    """Dict rows as JSON, or as CSV with the cells formatted by format_cell."""
     if fmt == "json":
         return json.dumps(rows, indent=1) + "\n"
-    if len(columns) > 1:
-        cells_of = operator.itemgetter(*columns)
-    else:
-        cells_of = lambda row: (row[columns[0]],)
-    templates = {}
-    commas = len(columns) - 1
-    lines = [_csv_lines([columns])]
-    for row in rows:
-        cells = cells_of(row)
-        types = tuple(map(type, cells))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = _row_template(types)
-        text, bools = template
-        if bools:
-            cells = list(cells)
-            for i in bools:
-                cells[i] = _BOOL_TEXT[cells[i]]
-        line = text % tuple(cells)
-        if not line or line.count(",") != commas or '"' in line or "\n" in line or "\r" in line:
-            lines.append(_csv_lines([[_format_cell(c) for c in cells_of(row)]]))
-        else:
-            lines.append(line + "\n")
-    return "".join(lines)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [columns, *([format_cell(row[c]) for c in columns] for row in rows)])
+    return buf.getvalue()
+
+
+@contextlib.contextmanager
+def _output(output_path: Optional[str]):
+    """A text stream to the output file, or to standard output without one.
+
+    A regular file appears whole or not at all: the text goes to a file
+    beside it that replaces it on success and is deleted on any error.
+    """
+    if not output_path or (os.path.exists(output_path) and not os.path.isfile(output_path)):
+        with open(output_path, "w") if output_path else contextlib.nullcontext(sys.stdout) as fh:
+            yield fh  # standard output, a device or a pipe: written in place
+        return
+    target = os.path.realpath(output_path)  # a symlink stays, its file is replaced
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w") as fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def emit(text: str, output_path: Optional[str]) -> None:
-    if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(output_path) as out:
+        out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +406,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
     if (len(specs) + len(cfg.qs)) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
     route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
-    rows = batch_rows(pair, seed, [(0, tag)], [route], cfg.log_base)
-    emit(render_rows(rows, BOUNDS_COLUMNS, cfg.format), cfg.output_path)
-    violations = violation_rows(rows)
+    chunk = render_columns(batch_rows(pair, seed, [tag], [route], cfg.log_base), [0],
+                           cfg.format)
+    with _output(cfg.output_path) as out:
+        _, violations = write_chunks(out, [chunk], cfg.format)
     if violations:
-        _note(f"negative slack: {', '.join(r['bound_name'] for r in violations)}")
+        _note(f"negative slack: {', '.join(name for name, _ in violations)}")
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -443,15 +420,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     specs = cfg._f_list()
     if not specs and not cfg.qs:
         specs = [f.name for f in builtin_suite()]
-    rows, violations = sweep_bounds(
-        cfg.dims, cfg.trials, cfg.seed, f_specs=specs, qs=cfg.qs,
-        pair_kind=cfg.pair_kind, ae11_base=cfg.log_base, jobs=cfg.jobs)
-    emit(render_rows(rows, BOUNDS_COLUMNS, cfg.format), cfg.output_path)
+    with _output(cfg.output_path) as out:
+        rows, violations = sweep_bounds(
+            cfg.dims, cfg.trials, cfg.seed, out, f_specs=specs, qs=cfg.qs,
+            pair_kind=cfg.pair_kind, ae11_base=cfg.log_base, jobs=cfg.jobs, fmt=cfg.format)
     if violations:
-        worst = min(v["slack"] for v in violations)
+        worst = min(slack for _, slack in violations)
         _note(f"{len(violations)} negative-slack rows (worst {worst:.3e})")
         return EXIT_VERIFICATION
-    _note(f"{len(rows)} rows, zero violations")
+    _note(f"{rows} rows, zero violations")
     return EXIT_OK
 
 
@@ -460,11 +437,9 @@ def cmd_conjecture(cfg: RunConfig) -> int:
         cfg.dims, cfg.trials, cfg.strategy, cfg.seed,
         weight_mode=cfg.weight_mode, commuting=cfg.commuting,
         step=cfg.step, steps_per_restart=cfg.steps, plateau=cfg.plateau)
+    emit(record.to_json() + "\n", cfg.output_path)
     if cfg.output_path:
-        save_record(cfg.output_path, record)
         _note(f"record written to {cfg.output_path}")
-    else:
-        sys.stdout.write(record.to_json() + "\n")
     _note(f"max_ratio {record.max_ratio:.6f} over {record.trial_count} "
           f"{record.strategy} trials; {len(record.violations)} violations")
     return EXIT_OK

@@ -1,14 +1,14 @@
 """Batch drivers shared by the command-line tool and the acceptance suite.
 
 A sweep evaluates every bound over a grid of (dimension, trial, generator)
-and flattens the results into plain-dict rows ready for CSV/JSON emission.
-chunk_plan alone decides how the grid is cut and the order of its rows:
-dimensions ascending, then trials, at most _CHUNK_TRIALS trials a chunk.
-Each chunk is one PairBatch: sampled, validated, diagonalized and
-summarized once, after which every divergence and bound runs as array
-operations over the whole chunk and the rows are read straight off the
-resulting columns. The chunks run inline or in a pool of at most one
-worker per chunk, and their rows are concatenated in plan order.
+and streams the rows out as CSV or JSON. chunk_plan alone decides how the
+grid is cut and the order of its rows: dimensions ascending, then trials,
+at most _CHUNK_TRIALS trials a chunk. Each chunk is one PairBatch, sampled,
+validated, diagonalized and summarized once; every divergence and bound
+then runs as array operations over it, and the chunk is rendered to text
+straight from the resulting columns. The chunks run inline or in a pool of
+at most one worker per chunk, and each chunk's text is written as soon as
+it and every chunk before it are done, so a sweep holds about one chunk.
 
 Every trial owns a generator seeded by (tag, seed, dim, trial), so a pair's
 rows do not depend on the chunk it sits in or on the number of jobs.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
@@ -65,52 +66,103 @@ def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random") -> Pa
     return trial_batch(seed, dim, [trial], pair_kind)
 
 
-def batch_rows(batch: PairBatch, seed: int, listing: list, routes: list,
-               ae11_base: str) -> list:
-    """BOUNDS_COLUMNS rows for the pairs of a batch.
+def batch_rows(batch: PairBatch, seed, tags: list, routes: list, ae11_base: str) -> tuple:
+    """BOUNDS_COLUMNS rows for the pairs of a batch, as columns.
 
-    ``routes`` lists (f, q) generator choices as sandwich takes them; each
-    fills the f_name and q cells of its rows. Rows come pair by pair, in
-    the order of ``listing``'s (batch index, pair tag) entries, then route
-    by route, then bound by bound; a pair listed twice gets its rows twice.
+    ``seed`` is an int, or "" for a pair from a file; ``tags`` gives each
+    pair its pair_tag; ``routes`` lists (f, q) choices as sandwich takes
+    them. Returns (dim, seed, tags, columns), columns holding per route its
+    f_name, q cell, divergence column and bound reports in column form.
     """
     columns = []
     for f, q in routes:
         gen, divergence, reports = sandwich_batch(batch, f=f, q=q, ae11_base=ae11_base)
-        divergence = divergence.tolist()
-        q_cell = "" if q is None else float(q)
+        columns.append((gen.name, "" if q is None else float(q), divergence, reports))
+    return int(batch.dim), seed, tags, columns
+
+
+def format_cell(value) -> str:
+    """One CSV cell: true or false, 17 significant digits, or the value's text."""
+    if isinstance(value, bool):
+        return ("false", "true")[value]
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+# Per format: one scalar cell's text, a list of floats' cells, the text
+# before each BOUNDS_COLUMNS cell of a row, after its last, between two rows,
+# and the table's head and tail. No cell of a bound row needs CSV quoting.
+# JSON gives the bytes of json.dumps(rows, indent=1).
+_FORMATS = {
+    "csv": (format_cell, lambda xs: (",".join(["%.17g"] * len(xs)) % tuple(xs)).split(","),
+            ("",) + (",",) * 9, "", "\n", ",".join(BOUNDS_COLUMNS) + "\n", "\n"),
+    "json": (json.dumps, lambda xs: json.dumps(xs)[1:-1].split(", "),
+             tuple((",\n  " if i else " {\n  ") + json.dumps(name) + ": "
+                   for i, name in enumerate(BOUNDS_COLUMNS)),
+             "\n }", ",\n", "[\n", "\n]\n"),
+}
+
+
+def render_columns(columns: tuple, order: list, fmt: str) -> tuple:
+    """batch_rows' columns as ``fmt`` rows: (text, rows, violations).
+
+    Rows come pair by pair in ``order``, a list of batch indices (a pair
+    listed twice gets its rows twice), then route by route, then bound by
+    bound. ``violations`` holds the (bound_name, slack) of each applicable
+    row with slack below -1e-10. The cells a pair's rows share are
+    formatted once per pair and route, the rest one column at a time, and
+    each pair's rows are then one %-format of those cells.
+    """
+    cell, floats, b, end, sep, _, _ = _FORMATS[fmt]
+    dim, seed, tags, columns = columns
+    empty, flags = cell(""), ("false", "true")
+    pairs = [f"{b[0]}{dim}{b[1]}{cell(seed)}{b[2]}{cell(tag)}{b[3]}" for tag in tags]
+    forms, cells, flagged = [], [], []  # per (route, bound): a row's %-form and its cells
+    for f_name, q, divergence, reports in columns:
+        route = f"{cell(f_name)}{b[4]}{cell(q)}{b[5]}"
+        divergence = floats(divergence.tolist())
         for rep in reports:
-            slack = ["" if s != s else s for s in rep.slack.tolist()]  # NaN: no slack
-            columns.append((gen.name, q_cell, rep.bound_name, rep.value.tolist(),
-                            divergence, slack, rep.applicable.tolist()))
-    dim = int(batch.dim)
-    return [
-        {"dim": dim, "seed": seed, "pair_tag": tag, "f_name": f_name, "q": q,
-         "bound_name": name, "bound_value": values[n], "divergence": divergence[n],
-         "slack": slack[n], "applicable": applicable[n]}
-        for n, tag in listing
-        for f_name, q, name, values, divergence, slack, applicable in columns
-    ]
+            # %s: the pair's first cells, then bound_value, divergence, slack, applicable
+            glue = (f"{route}{cell(rep.bound_name)}{b[6]}", b[7], b[8], b[9], end)
+            forms.append("%s" + "%s".join(glue))  # no name or glue holds a %
+            slack = rep.slack.tolist()
+            cells += [pairs, floats(rep.value.tolist()), divergence,
+                      [empty if s != s else t for s, t in zip(slack, floats(slack))],  # NaN: none
+                      [flags[a] for a in rep.applicable.tolist()]]
+            bad = rep.applicable & (rep.slack < SLACK_FLOOR)
+            if bad.any():
+                flagged.append((rep.bound_name, slack, bad))
+    form = sep.join(forms)  # all the rows of one pair
+    pair_text = [form % pair_cells for pair_cells in zip(*cells)]
+    violations = [(name, slack[n]) for n in order for name, slack, bad in flagged if bad[n]]
+    return sep.join([pair_text[n] for n in order]), len(order) * len(forms), violations
 
 
-def violation_rows(rows: list) -> list:
-    """The applicable rows whose slack fell below -1e-10."""
-    return [r for r in rows
-            if r["applicable"] and r["slack"] != "" and r["slack"] < SLACK_FLOOR]
+def write_chunks(out, chunks, fmt: str) -> tuple:
+    """Write render_columns' chunks to the text stream ``out`` as one table,
+    each as soon as it comes. Returns (rows, violations) over all of them."""
+    _, _, _, _, sep, head, tail = _FORMATS[fmt]
+    out.write(head)
+    rows, violations = 0, []
+    for text, n, flagged in chunks:
+        out.write(sep + text if rows and n else text)
+        rows += n
+        violations += flagged
+    out.write(tail)
+    return rows, violations
 
 
 def sweep_chunk(seed: int, dim: int, trials, pair_kind: str,
-                f_specs: list, qs: list, ae11_base: str) -> list:
-    """One shard: a block of trials at fixed dim. Top level for pickling.
+                f_specs: list, qs: list, ae11_base: str, fmt: str) -> tuple:
+    """One shard, rendered: a block of trials at fixed dim. Top level for pickling.
 
     A trial listed more than once (its dimension was) is sampled and
     evaluated once, and its rows are given once per listing.
     """
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
     index = {trial: n for n, trial in enumerate(dict.fromkeys(trials))}
-    batch = trial_batch(seed, dim, list(index), pair_kind)
-    listing = [(index[trial], f"{pair_kind}:{trial:06d}") for trial in trials]
-    return batch_rows(batch, int(seed), listing, routes, ae11_base)
+    columns = batch_rows(trial_batch(seed, dim, list(index), pair_kind), int(seed),
+                         [f"{pair_kind}:{trial:06d}" for trial in index], routes, ae11_base)
+    return render_columns(columns, [index[trial] for trial in trials], fmt)
 
 
 def chunk_plan(dims: list, trials: int) -> list:
@@ -125,13 +177,14 @@ def chunk_plan(dims: list, trials: int) -> list:
             for dim in sorted(copies) for block in blocks]
 
 
-def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
+def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
                  pair_kind: str = "random", ae11_base: str = "e",
-                 jobs: int = 1):
-    """Sandwich every bound over trials x dims x generators.
+                 jobs: int = 1, fmt: str = "csv"):
+    """Sandwich every bound over trials x dims x generators, writing the rows
+    to the text stream ``out`` as ``fmt`` ("csv" or "json") chunk by chunk.
 
-    ``trials`` counts pairs per dimension. Returns (rows, violations) where
-    violations are the applicable rows whose slack fell below -1e-10.
+    ``trials`` counts pairs per dimension. Returns write_chunks' (rows,
+    violations).
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -142,18 +195,17 @@ def sweep_bounds(dims, trials: int, seed: int, f_specs=(), qs=(),
     qs = [float(q) for q in qs]
     if not f_specs and not qs:
         raise ValueError("need at least one generator (f_specs or qs)")
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
 
     plan = chunk_plan(dims, trials)
     run = functools.partial(sweep_chunk, seed, pair_kind=pair_kind, f_specs=f_specs,
-                            qs=qs, ae11_base=ae11_base)
+                            qs=qs, ae11_base=ae11_base, fmt=fmt)
     workers = min(jobs, len(plan))
     if workers <= 1:
-        results = itertools.starmap(run, plan)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, *zip(*plan)))
-    rows = list(itertools.chain.from_iterable(results))
-    return rows, violation_rows(rows)
+        return write_chunks(out, itertools.starmap(run, plan), fmt)
+    with ProcessPoolExecutor(max_workers=workers) as pool:  # results come in plan order
+        return write_chunks(out, pool.map(run, *zip(*plan)), fmt)
 
 
 def _winner(new: float, old: float, rtol: float = 1e-9) -> str:

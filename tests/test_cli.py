@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,7 @@ def test_sweep_classical_pairs(capsys):
     gated = [r for r in rows if r["bound_name"] == "qubit_classical_upper"]
     assert gated and all(r["applicable"] == "true" for r in gated)
     assert "zero violations" in err
+    assert err == f"{len(rows)} rows, zero violations\n"
 
 
 def test_conjecture_stdout_record(capsys):
@@ -248,18 +250,106 @@ def test_exit_code_io_errors(tmp_path, capsys):
 
 
 def test_exit_code_verification_failure(monkeypatch, capsys):
-    fake_row = {
-        "dim": 2, "seed": 0, "pair_tag": "random:000000", "f_name": "neg-log",
-        "q": "", "bound_name": "pinsker_lower", "bound_value": 1.0,
-        "divergence": 0.5, "slack": -1.0, "applicable": True,
-    }
+    # sweep_bounds gives the number of rows and each violation's (bound_name, slack)
     monkeypatch.setattr(
-        cli, "sweep_bounds", lambda *a, **k: ([fake_row], [fake_row])
+        cli, "sweep_bounds", lambda *a, **k: (1, [("pinsker_lower", -1.0)])
     )
     code, _, err = _run(capsys, ["sweep", "--dims", "2", "--trials", "1",
                                  "--f", "neg-log"])
     assert code == 5
     assert "negative-slack" in err
+    assert err == "1 negative-slack rows (worst -1.000e+00)\n"
+
+
+def test_negative_slack_notes_read_the_columns(monkeypatch, capsys):
+    # with the floor above every finite slack, each applicable row with a
+    # slack is a violation: the notes count them and name the worst
+    monkeypatch.setattr(sweeps, "SLACK_FLOOR", math.inf)
+    code, out, err = _run(capsys, ["bounds", "--dims", "3", "--seed", "5", "--f", "neg-log"])
+    flagged = [r for r in _csv_rows(out) if r["applicable"] == "true" and r["slack"]]
+    assert code == 5 and flagged
+    assert err == f"negative slack: {', '.join(r['bound_name'] for r in flagged)}\n"
+    monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 2)
+    code, out, err = _run(capsys, ["sweep", "--dims", "2,3", "--trials", "5", "--q", "0.5",
+                                   "--jobs", "1"])
+    slacks = [float(r["slack"]) for r in _csv_rows(out)
+              if r["applicable"] == "true" and r["slack"]]
+    assert code == 5
+    assert err == f"{len(slacks)} negative-slack rows (worst {min(slacks):.3e})\n"
+
+
+def test_bound_tables_are_the_bytes_of_the_dict_rendering(tmp_path, capsys):
+    # the column renderer gives the bytes json.dumps and render_rows give for
+    # the same rows, infinite divergences and empty slacks included
+    rho = random_pair(3, default_rng(5)).rho[0]
+    path = tmp_path / "singular.json"
+    save_pair(path, state_pair(rho, np.diag([1.0, 0.0, 0.0])))
+    for argv in (["sweep", "--dims", "3,2", "--trials", "3", "--f", "neg-log", "--q", "0.5",
+                  "--jobs", "1"],
+                 ["bounds", "--pair-file", str(path), "--f", "neg-log"]):
+        _, out, _ = _run(capsys, argv + ["--format", "json"])
+        rows = json.loads(out)
+        assert out == json.dumps(rows, indent=1) + "\n"
+        assert _run(capsys, argv)[1] == render_rows(rows, sweeps.BOUNDS_COLUMNS, "csv")
+    assert rows[0]["divergence"] == math.inf and rows[0]["slack"] == ""
+
+
+def test_sweep_out_is_all_or_nothing(tmp_path, monkeypatch, capsys):
+    # a chunk that fails after the first was written leaves no output file
+    # and no temporary file beside it
+    chunk = sweeps.sweep_chunk
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("second chunk failed")
+        return chunk(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "sweep_chunk", failing)
+    monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 2)
+    target = tmp_path / "sweep.csv"
+    code, out, err = _run(capsys, ["sweep", "--dims", "2", "--trials", "5", "--f", "neg-log",
+                                   "--jobs", "1", "--out", str(target)])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "second chunk failed" in err
+    assert len(calls) == 2 and not target.exists() and list(tmp_path.iterdir()) == []
+    # an existing file stays as it was
+    target.write_text("kept")
+    calls.clear()
+    assert main(["sweep", "--dims", "2", "--trials", "5", "--f", "neg-log", "--jobs", "1",
+                 "--out", str(target)]) == 3
+    assert target.read_text() == "kept" and list(tmp_path.iterdir()) == [target]
+    # a symlink stays a symlink, and the file it names gets the rows
+    monkeypatch.setattr(sweeps, "sweep_chunk", chunk)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["sweep", "--dims", "2", "--trials", "5", "--f", "neg-log", "--jobs", "1",
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text().startswith("dim,seed,")
+    assert sorted(tmp_path.iterdir()) == [link, target]
+    capsys.readouterr()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+    # the sweep holds about one chunk: 8 chunks peak no higher than 2 chunks
+    # by as much as one chunk's text
+    assert main(["sweep", "--dims", "2", "--f", "neg-log", "--trials", "1", "--jobs", "1",
+                 "--out", str(tmp_path / "warm-up.csv")]) == 0
+    peaks, sizes = [], []
+    for chunks in (2, 8):
+        out = tmp_path / f"sweep{chunks}.csv"
+        argv = ["sweep", "--dims", "2", "--f", "neg-log", "--jobs", "1", "--out", str(out),
+                "--trials", str(chunks * sweeps._CHUNK_TRIALS)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(out.stat().st_size / chunks)
+    capsys.readouterr()
+    assert abs(peaks[1] - peaks[0]) < min(sizes), (peaks, sizes)
 
 
 def test_console_entry_point_runs():

@@ -1,11 +1,22 @@
 """Batch drivers shared by the CLI: grids, flattening, worked table."""
 
+import io
+import json
 import math
 
 import pytest
 
 from quasirel import bounds, paper_example_rows, sweep_bounds, sweeps
 from quasirel.sweeps import chunk_plan, sweep_chunk, trial_pair
+
+
+def sweep_rows(*args, **kwargs):
+    """sweep_bounds run to JSON, its rows read back as dicts: (rows, violations)."""
+    out = io.StringIO()
+    count, violations = sweep_bounds(*args, out=out, fmt="json", **kwargs)
+    rows = json.loads(out.getvalue())
+    assert len(rows) == count
+    return rows, violations
 
 
 def test_trial_pair_deterministic_and_kind():
@@ -21,7 +32,7 @@ def test_trial_pair_deterministic_and_kind():
 
 
 def test_sweep_row_shape_and_order():
-    rows, violations = sweep_bounds(
+    rows, violations = sweep_rows(
         [2, 3], trials=2, seed=1, f_specs=["neg-log"], qs=[0.5]
     )
     assert violations == []
@@ -37,8 +48,8 @@ def test_sweep_row_shape_and_order():
 
 
 def test_sweep_jobs_do_not_change_rows():
-    serial = sweep_bounds([3], trials=4, seed=2, f_specs=["tsallis:q=1.5"])
-    forked = sweep_bounds([3], trials=4, seed=2, f_specs=["tsallis:q=1.5"], jobs=2)
+    serial = sweep_rows([3], trials=4, seed=2, f_specs=["tsallis:q=1.5"])
+    forked = sweep_rows([3], trials=4, seed=2, f_specs=["tsallis:q=1.5"], jobs=2)
     assert serial == forked
 
 
@@ -49,8 +60,10 @@ def test_sweep_chunk_evaluates_one_batch(monkeypatch):
 
     monkeypatch.setattr(sweeps, "trial_pair", per_pair)
     monkeypatch.setattr(bounds, "sandwich", per_pair)
-    rows = sweep_chunk(5, 3, [0, 1, 2], "classical", ["neg-log"], [1.5], "e")
-    assert len(rows) == 3 * (8 + 8)
+    text, count, violations = sweep_chunk(5, 3, [0, 1, 2], "classical", ["neg-log"], [1.5],
+                                          "e", "json")
+    rows = json.loads(f"[{text}]")
+    assert len(rows) == count == 3 * (8 + 8) and violations == []
     assert [r["pair_tag"] for r in rows[::16]] == [
         "classical:000000", "classical:000001", "classical:000002"]
 
@@ -71,9 +84,9 @@ def test_chunk_plan_covers_grid_once_in_order(monkeypatch, pools_started, dims, 
         assert len(set(chunk)) <= sweeps._CHUNK_TRIALS
     # the sweep runs exactly this plan, in this order, at any number of jobs
     ran = []
-    monkeypatch.setattr(sweeps, "sweep_chunk",
-                        lambda seed, dim, chunk, **settings: ran.append((dim, chunk)) or [])
-    sweep_bounds(dims, trials, seed=0, f_specs=["neg-log"], jobs=jobs)
+    monkeypatch.setattr(sweeps, "sweep_chunk", lambda seed, dim, chunk, **settings:
+                        ran.append((dim, chunk)) or ("", 0, []))
+    sweep_bounds(dims, trials, seed=0, out=io.StringIO(), f_specs=["neg-log"], jobs=jobs)
     assert ran == plan
 
 
@@ -95,7 +108,7 @@ def test_one_job_builds_no_batch_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(sweeps, "trial_batch", recording)
     trials = sweeps._CHUNK_TRIALS + 3
-    rows, _ = sweep_bounds([2], trials=trials, seed=4, f_specs=["neg-log"], jobs=1)
+    rows, _ = sweep_rows([2], trials=trials, seed=4, f_specs=["neg-log"], jobs=1)
     assert sizes == [sweeps._CHUNK_TRIALS, 3]
     assert len(rows) == 8 * trials
 
@@ -109,14 +122,14 @@ def test_repeated_dimension_is_sampled_once(monkeypatch):
         return trial_batch(seed, dim, trials, pair_kind)
 
     monkeypatch.setattr(sweeps, "trial_batch", recording)
-    rows, _ = sweep_bounds([3, 3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
+    rows, _ = sweep_rows([3, 3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
     assert sum(sizes) == 300  # not 600: each distinct (dim, trial) once
     assert len(rows) == 2 * 8 * 300
     # each pair's rows twice in a row, as separate rows
     assert rows[:8] == rows[8:16] and rows[0] is not rows[8]
     assert [r["pair_tag"] for r in rows[::8]][:4] == ["random:000000"] * 2 + ["random:000001"] * 2
     monkeypatch.undo()
-    once, _ = sweep_bounds([3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
+    once, _ = sweep_rows([3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
     assert rows[::2 * 8] == once[::8]
 
 
@@ -145,18 +158,18 @@ def pools_started(monkeypatch):
 
 
 def test_pool_never_larger_than_the_plan(monkeypatch, pools_started):
-    sweep_bounds([2, 3], trials=40, seed=4, qs=[0.5], jobs=8)
+    sweep_rows([2, 3], trials=40, seed=4, qs=[0.5], jobs=8)
     assert pools_started == [2]  # one chunk per dimension, two workers
     monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 1)
-    serial = sweep_bounds([2], trials=3, seed=4, f_specs=["neg-log"])
-    pooled = sweep_bounds([2], trials=3, seed=4, f_specs=["neg-log"], jobs=8)
+    serial = sweep_rows([2], trials=3, seed=4, f_specs=["neg-log"])
+    pooled = sweep_rows([2], trials=3, seed=4, f_specs=["neg-log"], jobs=8)
     assert pools_started == [2, 3]  # three one-trial chunks, three workers
     assert pooled == serial
 
 
 def test_single_chunk_sweep_starts_no_pool(pools_started):
-    rows, _ = sweep_bounds([3], trials=sweeps._CHUNK_TRIALS, seed=4, f_specs=["neg-log"],
-                           jobs=2)
+    rows, _ = sweep_rows([3], trials=sweeps._CHUNK_TRIALS, seed=4, f_specs=["neg-log"],
+                         jobs=2)
     assert len(chunk_plan([3], sweeps._CHUNK_TRIALS)) == 1
     assert len(rows) == 8 * sweeps._CHUNK_TRIALS and pools_started == []
 
@@ -168,20 +181,32 @@ def test_rows_sorted_by_numeric_trial_past_a_million(monkeypatch, pools_started)
     # a stub chunk emits two rows for each boundary trial it holds; trial
     # 1 000 000 has a 7-digit tag, which sorts between 100000 and 100001
     # as a string
-    def stub_chunk(seed, dim, trials, pair_kind, f_specs, qs, ae11_base):
-        return [{"dim": dim, "pair_tag": f"{pair_kind}:{trial:06d}", "row": k,
+    def stub_chunk(seed, dim, trials, pair_kind, f_specs, qs, ae11_base, fmt):
+        rows = [{"dim": dim, "pair_tag": f"{pair_kind}:{trial:06d}", "row": k,
                  "applicable": True, "slack": 0.0}
                 for trial in _BOUNDARY if trial in trials for k in range(2)]
+        return ",\n".join(map(json.dumps, rows)), len(rows), []
 
     monkeypatch.setattr(sweeps, "sweep_chunk", stub_chunk)
     for jobs in (1, 2):
-        rows, violations = sweep_bounds([3, 2], trials=1_000_002, seed=0,
-                                        f_specs=["neg-log"], jobs=jobs)
+        rows, violations = sweep_rows([3, 2], trials=1_000_002, seed=0,
+                                      f_specs=["neg-log"], jobs=jobs)
         assert violations == []
         assert [(r["dim"], r["pair_tag"], r["row"]) for r in rows] == [
             (dim, f"random:{trial:06d}", k) for dim in (2, 3) for trial in _BOUNDARY
             for k in range(2)]
     assert pools_started == [2]
+
+
+def test_violations_come_in_row_order(monkeypatch):
+    # with the floor above every finite slack, each applicable row with a
+    # slack is a violation, across chunks and repeated listings
+    monkeypatch.setattr(sweeps, "SLACK_FLOOR", math.inf)
+    monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 2)
+    rows, violations = sweep_rows([3, 2, 3], trials=3, seed=6, f_specs=["neg-log"], qs=[0.5])
+    assert violations == [(r["bound_name"], r["slack"]) for r in rows
+                          if r["applicable"] and r["slack"] != ""]
+    assert violations and len(violations) < len(rows)
 
 
 def test_paper_example_first_row_frozen():
