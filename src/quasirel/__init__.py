@@ -8,7 +8,6 @@ from .states import (
     default_rng,
     density_matrix,
     example_pair,
-    haar_unitary,
     load_pair,
     pair_from_dict,
     pair_to_dict,
@@ -23,7 +22,6 @@ from .quadrature import QuadratureError, integrate_halfline
 from .functions import (
     OMDFunction,
     builtin_suite,
-    dual_function,
     eval_via_representation,
     make_custom,
     neg_log,
@@ -70,11 +68,11 @@ __version__ = "0.1.0"
 __all__ = [
     "EigenSystem", "eigh", "hermitian_part", "vec",
     "DensityMatrix", "PairBatch", "ScalarSummary", "default_rng",
-    "density_matrix", "example_pair", "haar_unitary", "load_pair",
+    "density_matrix", "example_pair", "load_pair",
     "pair_from_dict", "pair_to_dict", "random_classical_pair", "random_pair",
     "random_state", "save_pair", "state_pair", "summarize",
     "QuadratureError", "integrate_halfline",
-    "OMDFunction", "builtin_suite", "dual_function",
+    "OMDFunction", "builtin_suite",
     "eval_via_representation", "make_custom", "neg_log", "neg_power",
     "normalization_residual", "parse_f_spec", "tsallis_f",
     "DivergenceResult", "quasi_entropy_spectral",

@@ -164,18 +164,6 @@ def normalization_residual(f: OMDFunction) -> float:
     return (f.a + f.b - f.shift) - integral
 
 
-def dual_function(f: Callable) -> Callable:
-    """The transpose generator g(x) = x * f(1/x).
-
-    Swapping the states in the divergence equals using the dual generator.
-    Accepts any scalar map (descriptor or bare callable) and returns a bare
-    callable; the dual of an OMD function need not be OMD, so it gets no
-    representation machinery.
-    """
-    inner = f.eval if isinstance(f, OMDFunction) else f
-    return lambda x: x * inner(1.0 / x)
-
-
 def make_custom(name: str, eval: Callable, a: float, measure_density: Callable,
                 d1_at_1: float, d2_at_1: float,
                 value_at_zero: Optional[float] = None,

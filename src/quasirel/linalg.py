@@ -18,15 +18,20 @@ ZERO_EIG_THRESHOLD = 1e-10
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Validate that ``a`` is Hermitian within HERMITICITY_TOL and return (A + A†)/2.
+    """Validate that ``a`` is finite and Hermitian within HERMITICITY_TOL and
+    return (A + A†)/2.
 
-    ``a`` is one matrix or a stack of them (shape (..., d, d)). The
-    symmetrized form is exactly Hermitian, so downstream spectral code never
-    sees asymmetry beyond floating-point addition error.
+    ``a`` is one matrix or a stack of them (shape (..., d, d)). Each check
+    here and downstream raises when a comparison holds, and none holds for
+    a NaN, so non-finite entries are rejected first, once. The symmetrized
+    form is exactly Hermitian, so downstream spectral code never sees
+    asymmetry beyond floating-point addition error.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry (NaN or infinity)")
     adjoint = dagger(a)
     deviation = np.max(np.abs(a - adjoint)) if a.size else 0.0
     if deviation > HERMITICITY_TOL:

@@ -94,9 +94,9 @@ class ScalarSummary:
 
     alpha_rho and alpha_sigma are the smallest eigenvalues strictly above the
     rank threshold (the "minimal non-zero eigenvalue" convention), so they are
-    well defined for rank-deficient states. For one pair every field is a
-    number; a PairBatch holds the same summary as columns, one array entry
-    per pair in every field but dim.
+    well defined for rank-deficient states. A PairBatch holds its summary as
+    columns, one array entry per pair in every field but dim; summarize gives
+    a batch of one's entries as numbers. The bound formulas take either.
     """
 
     dim: int
@@ -267,11 +267,6 @@ def haar_unitaries(z: np.ndarray) -> np.ndarray:
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
     return q * phases[..., np.newaxis, :]
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fixing."""
-    return haar_unitaries(rng.standard_normal((2, dim, dim)))
 
 
 def _gaussian_states(z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from .bounds import SLACK_FLOOR, ae11_upper, relative_entropy_upper, sandwich_batch
+from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
 from .functions import parse_f_spec
 from .states import (
     PairBatch,
@@ -128,7 +128,7 @@ def render_columns(columns: tuple, order: list, fmt: str) -> tuple:
             cells += [pairs, floats(rep.value.tolist()), divergence,
                       [empty if s != s else t for s, t in zip(slack, floats(slack))],  # NaN: none
                       [flags[a] for a in rep.applicable.tolist()]]
-            bad = rep.applicable & (rep.slack < SLACK_FLOOR)
+            bad = violated(rep.applicable, rep.slack)
             if bad.any():
                 flagged.append((rep.bound_name, slack, bad))
     form = sep.join(forms)  # all the rows of one pair

@@ -1,9 +1,11 @@
-"""Matrix functions and the operator-monotonicity spot check, kept as test oracles.
+"""Matrix functions, the operator-monotonicity spot check and the dual
+generator, kept as test oracles.
 
 The library certifies operator monotonicity through the Löwner
 representation that ``make_custom`` checks, and never applies a scalar
 function to a matrix. The tests use these to check generators the direct
-way: sample A >= B > 0 and look at the spectrum of f(B) - f(A).
+way: sample A >= B > 0 and look at the spectrum of f(B) - f(A). The dual
+generator checks the spectral route under swapped states.
 """
 
 from __future__ import annotations
@@ -86,3 +88,15 @@ def monotonicity_spot_check(f, dim: int, trials: int, seed) -> MonotonicityRepor
         if min_eig < -1e-10:
             violations.append({"trial": trial, "min_eigenvalue": min_eig})
     return MonotonicityReport(name, dim, trials, violations, worst)
+
+
+def dual_function(f: Callable) -> Callable:
+    """The transpose generator g(x) = x * f(1/x).
+
+    Swapping the states in the divergence equals using the dual generator.
+    Accepts any scalar map (descriptor or bare callable) and returns a bare
+    callable; the dual of an OMD function need not be OMD, so it gets no
+    representation machinery.
+    """
+    inner = f.eval if isinstance(f, OMDFunction) else f
+    return lambda x: x * inner(1.0 / x)

@@ -8,6 +8,7 @@ import pytest
 
 from quasirel import (
     ae11_upper,
+    builtin_suite,
     default_rng,
     example_pair,
     general_sqrt_d_upper,
@@ -15,9 +16,9 @@ from quasirel import (
     guarded_power_diff_quot,
     neg_log,
     neg_power,
-    pinsker_lower,
     qubit_classical_upper,
     qubit_relative_upper,
+    random_classical_pair,
     random_pair,
     relative_entropy_upper,
     sandwich,
@@ -25,8 +26,14 @@ from quasirel import (
     tsallis_bounds,
     umegaki,
 )
-from quasirel.bounds import COMMUTING_TOL, _bracket_core
-from quasirel.states import state_pair
+from quasirel.bounds import (
+    COMMUTING_TOL,
+    _bracket_core,
+    bound_reports,
+    sandwich_batch,
+    violated,
+)
+from quasirel.states import pair_batch, state_pair
 
 PAIR = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 S = summarize(PAIR)
@@ -57,7 +64,8 @@ def test_qubit_classical_gated_off_in_higher_dim():
 
 
 def test_pinsker_lower_orientation():
-    rep = pinsker_lower(S, neg_log(), divergence=umegaki(PAIR).value)
+    rep = bound_reports(S, neg_log(), divergence=umegaki(PAIR).value)[0]
+    assert rep.bound_name == "pinsker_lower"
     assert rep.is_lower
     assert rep.value == pytest.approx(0.125, rel=1e-12)  # 0.5 * 1 * 0.5^2
     # slack = divergence - bound for lower bounds
@@ -164,8 +172,8 @@ def test_bracket_core_guard_continuity():
 
 
 def test_with_divergence_skips_infinities():
-    rep = pinsker_lower(S, neg_log(), divergence=math.inf)
-    assert rep.slack is None
+    for rep in bound_reports(S, neg_log(), divergence=math.inf):
+        assert math.isnan(rep.slack)  # no slack against an infinity
 
 
 def test_sandwich_requires_exactly_one_generator():
@@ -219,6 +227,42 @@ def test_sandwich_random_pairs_no_violations():
         pair = random_pair(int(rng.integers(2, 6)), rng)
         for kwargs in ({"f": neg_log()}, {"q": 0.3}, {"q": 1.5}):
             assert sandwich(pair, **kwargs).violations == []
+
+
+def test_sandwich_is_index_n_of_sandwich_batch():
+    # one batch per dimension mixes random and classical pairs, plus the
+    # qubit PAIR at d = 2 and example_pair(4), whose divergence is infinite
+    rng = default_rng(44)
+    calls = [{"f": f} for f in builtin_suite()] + [{"q": q} for q in (0.3, 1.5, 2.0)]
+    seen = {"infinite": 0, "inapplicable": 0}
+    for dim in range(2, 9):
+        pairs = [random_pair(dim, rng), random_pair(dim, rng),
+                 random_classical_pair(dim, rng), random_classical_pair(dim, rng)]
+        pairs += {2: [PAIR], 4: [example_pair(4)]}.get(dim, [])
+        batch = pair_batch(np.concatenate([p.rho for p in pairs]),
+                           np.concatenate([p.sigma for p in pairs]))
+        for kwargs in calls:
+            gen, divergence, columns = sandwich_batch(batch, **kwargs)
+            for n, pair in enumerate(pairs):
+                swr = sandwich(pair, **kwargs)
+                assert swr.divergence.value == divergence[n]
+                assert swr.divergence.f_name == gen.name
+                assert swr.vacuous == (not math.isfinite(divergence[n]))
+                assert [r.bound_name for r in swr.reports] == [c.bound_name for c in columns]
+                for rep, col in zip(swr.reports, columns):
+                    assert rep.value == col.value[n]
+                    assert rep.applicable == col.applicable[n]
+                    assert rep.reason == ("" if rep.applicable else col.reason)
+                    assert rep.is_lower == col.is_lower
+                    if rep.slack is None:
+                        assert math.isnan(col.slack[n])
+                    else:
+                        assert rep.slack == col.slack[n]
+                assert swr.violations == [c.bound_name for c in columns
+                                          if violated(c.applicable, c.slack)[n]]
+                seen["infinite"] += swr.vacuous
+                seen["inapplicable"] += sum(not r.applicable for r in swr.reports)
+    assert seen["infinite"] and seen["inapplicable"]
 
 
 @pytest.mark.parametrize("scale, applicable", [(0.9, True), (1.1, False)])

@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasirel import QuadratureError, cli, default_rng, functions, random_pair, save_pair, sweeps
+from quasirel import (QuadratureError, bounds, cli, default_rng, functions, pair_to_dict,
+                      random_pair, save_pair, sweeps)
 from quasirel.cli import main, parse_dims, render_rows
 from quasirel.states import state_pair
 from quasirel.sweeps import chunk_plan
@@ -264,7 +265,7 @@ def test_exit_code_verification_failure(monkeypatch, capsys):
 def test_negative_slack_notes_read_the_columns(monkeypatch, capsys):
     # with the floor above every finite slack, each applicable row with a
     # slack is a violation: the notes count them and name the worst
-    monkeypatch.setattr(sweeps, "SLACK_FLOOR", math.inf)
+    monkeypatch.setattr(bounds, "SLACK_FLOOR", math.inf)
     code, out, err = _run(capsys, ["bounds", "--dims", "3", "--seed", "5", "--f", "neg-log"])
     flagged = [r for r in _csv_rows(out) if r["applicable"] == "true" and r["slack"]]
     assert code == 5 and flagged
@@ -484,6 +485,20 @@ def test_malformed_pair_file_exits_3(tmp_path, capsys, doc):
     code, out, err = _run(capsys, ["divergence", "--pair-file", str(path)])
     assert code == 3 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("state", ["rho", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_pair_file_exits_3(tmp_path, capsys, state, bad):
+    # json reads NaN and Infinity cells; the error names them, not a symptom
+    doc = pair_to_dict(random_pair(2, default_rng(64)))
+    doc[state][0][0] = [bad, 0.0]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert ("NaN" if math.isnan(bad) else "Infinity") in path.read_text()
+    code, out, err = _run(capsys, ["bounds", "--pair-file", str(path), "--f", "neg-log"])
+    assert code == 3 and out == ""
+    assert err == "error: matrix has a non-finite entry (NaN or infinity)\n"
 
 
 def _saved_pair(tmp_path):

@@ -11,7 +11,6 @@ from quasirel import (
     default_rng,
     example_pair,
     functional_value,
-    haar_unitary,
     modular_weight_matrix,
     proven_case_check,
     random_functional,
@@ -43,7 +42,7 @@ def _aligned_functional(pair, rng, cap=1.0):
 
 def test_weight_validation():
     rng = default_rng(50)
-    u, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    u, v = serial_haar_unitary(3, rng), serial_haar_unitary(3, rng)
     with pytest.raises(ValueError):
         WeightedOverlapFunctional(np.full((3, 3), 2.0), 1.0, u, v)
     with pytest.raises(ValueError):

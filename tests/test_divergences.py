@@ -9,9 +9,7 @@ import pytest
 from quasirel import (
     builtin_suite,
     default_rng,
-    dual_function,
     example_pair,
-    haar_unitary,
     neg_log,
     neg_power,
     quasi_entropy_spectral,
@@ -32,6 +30,8 @@ from quasirel.divergences import (
 )
 from quasirel.linalg import eigh, spectral_matrix, vec
 from quasirel.states import pair_batch, state_pair
+from serial_search import haar_unitary
+from spectral_oracle import dual_function
 
 CLASSICAL = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 

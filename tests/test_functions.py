@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from quasirel import (
     builtin_suite,
-    dual_function,
     eval_via_representation,
     make_custom,
     neg_log,
@@ -19,7 +18,7 @@ from quasirel import (
     tsallis_f,
 )
 from quasirel.functions import REPRESENTATION_RTOL
-from spectral_oracle import monotonicity_spot_check
+from spectral_oracle import dual_function, monotonicity_spot_check
 
 GRID = np.geomspace(1e-3, 1e3, 13)
 

@@ -28,6 +28,19 @@ def test_hermitian_part_symmetrizes_and_rejects():
         hermitian_part(skew)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(0.0, np.inf)])
+def test_hermitian_part_rejects_non_finite_entries(bad):
+    # a NaN fails no < or > comparison, so the Hermiticity check alone passes it
+    for cells in (((0, 0),), ((0, 1), (1, 0))):
+        a = np.diag([0.5, 0.5]).astype(complex)
+        for cell in cells:
+            a[cell] = bad
+        for given in (a, a[np.newaxis]):  # one matrix and a stack
+            with pytest.raises(ValueError, match="non-finite entry"):
+                hermitian_part(given)
+
+
 def test_hermitian_part_is_idempotent_bit_for_bit():
     # eigh(h, symmetrized=True) skips the second symmetrization on this premise
     rng = _rng(5)

@@ -11,7 +11,6 @@ from quasirel import (
     density_matrix,
     example_pair,
     functional_value,
-    haar_unitary,
     load_pair,
     modular_weight_matrix,
     neg_log,
@@ -43,6 +42,7 @@ from quasirel.states import (
     random_pairs,
     state_pair,
 )
+from serial_search import haar_unitary as serial_haar_unitary
 
 
 def test_density_matrix_validation():
@@ -58,6 +58,21 @@ def test_density_matrix_validation():
         dm.matrix[0, 0] = 9.0  # frozen
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_states_rejected(bad):
+    # diagonal [nan, 0.5] once came back with eigenvalues [0.5, nan], and an
+    # off-diagonal NaN pair with both eigenvalues NaN
+    diagonal = np.diag([bad, 0.5])
+    off_diagonal = np.array([[0.5, bad], [bad, 0.5]])
+    good = np.diag([0.5, 0.5])
+    for mat in (diagonal, off_diagonal):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            density_matrix(mat)
+        for rho, sigma in ((mat, good), (good, mat)):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                state_pair(rho, sigma)
+
+
 def test_eigenvalues_cached_descending():
     dm = density_matrix(np.diag([0.1, 0.6, 0.3]))
     np.testing.assert_allclose(dm.eigenvalues, [0.6, 0.3, 0.1])
@@ -66,14 +81,14 @@ def test_eigenvalues_cached_descending():
 def test_haar_unitary_is_unitary():
     rng = default_rng(7)
     for dim in (2, 5):
-        u = haar_unitary(dim, rng)
+        u = haar_unitaries(rng.standard_normal((2, dim, dim)))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
 
 
 def test_stacked_haar_unitaries_match_one_by_one():
     # one stacked QR gives every unitary the bits of its own 2-D QR
     one, stacked = default_rng(70), default_rng(70)
-    singles = [haar_unitary(dim, one) for dim in (4, 4, 4)]
+    singles = [serial_haar_unitary(dim, one) for dim in (4, 4, 4)]
     batch = haar_unitaries(stacked.standard_normal((3, 2, 4, 4)))
     for n, u in enumerate(singles):
         np.testing.assert_array_equal(batch[n], u)
@@ -241,7 +256,7 @@ def test_classical_batch_sampler_continues_stream_after_rejection():
     dim = 4
     sequential, batched = _ZeroWeightFirst(15), _ZeroWeightFirst(15)
     # the per-trial draw order random_classical_pair has always used
-    u = haar_unitary(dim, sequential)
+    u = haar_unitaries(sequential.standard_normal((2, dim, dim)))
     p = _random_probabilities(dim, sequential, ZERO_EIG_THRESHOLD)
     q = _random_probabilities(dim, sequential, ZERO_EIG_THRESHOLD)
     q = q[sequential.permutation(dim)]

@@ -201,7 +201,7 @@ def test_rows_sorted_by_numeric_trial_past_a_million(monkeypatch, pools_started)
 def test_violations_come_in_row_order(monkeypatch):
     # with the floor above every finite slack, each applicable row with a
     # slack is a violation, across chunks and repeated listings
-    monkeypatch.setattr(sweeps, "SLACK_FLOOR", math.inf)
+    monkeypatch.setattr(bounds, "SLACK_FLOOR", math.inf)
     monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 2)
     rows, violations = sweep_rows([3, 2, 3], trials=3, seed=6, f_specs=["neg-log"], qs=[0.5])
     assert violations == [(r["bound_name"], r["slack"]) for r in rows
