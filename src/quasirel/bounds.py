@@ -115,23 +115,28 @@ def pinsker_lower(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
     return BoundReport("pinsker_lower", value, is_lower=True)
 
 
+def _bracket_uppers(summary: ScalarSummary, f: OMDFunction) -> list[BoundReport]:
+    """qubit_classical_upper and general_sqrt_d_upper from one bracket."""
+    bracket = _bracket_core(summary, f) - f.a
+    applicable = (summary.dim == 2) | (summary.commutator_norm < COMMUTING_TOL)
+    dist = summary.trace_distance_1
+    return [BoundReport("qubit_classical_upper", dist * bracket, applicable,
+                        "requires a qubit or commuting pair"),
+            BoundReport("sqrt_d_upper", math.sqrt(summary.dim) * dist * bracket)]
+
+
 def qubit_classical_upper(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
     """Upper bound for qubit or commuting pairs.
 
     ||rho - sigma||_1 [lambda_rho/(lambda_rho - alpha_sigma)
     f(alpha_sigma/lambda_rho) - a].
     """
-    applicable = (summary.dim == 2) | (summary.commutator_norm < COMMUTING_TOL)
-    value = summary.trace_distance_1 * (_bracket_core(summary, f) - f.a)
-    return BoundReport("qubit_classical_upper", value, applicable,
-                       "requires a qubit or commuting pair")
+    return _bracket_uppers(summary, f)[0]
 
 
 def general_sqrt_d_upper(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
     """The dimension-penalized upper bound: sqrt(d) times the bracket form."""
-    core = _bracket_core(summary, f)
-    value = math.sqrt(summary.dim) * summary.trace_distance_1 * (core - f.a)
-    return BoundReport("sqrt_d_upper", value)
+    return _bracket_uppers(summary, f)[1]
 
 
 def relative_entropy_upper(summary: ScalarSummary) -> list[BoundReport]:
@@ -232,8 +237,7 @@ def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
     reports' values, gates and slacks are laid out as one array each, a row
     per report, and every slack is set in one operation over it.
     """
-    reports = [pinsker_lower(summary, gen), qubit_classical_upper(summary, gen),
-               general_sqrt_d_upper(summary, gen)]
+    reports = [pinsker_lower(summary, gen), *_bracket_uppers(summary, gen)]
     if gen.name == "neg-log":
         reports.extend(relative_entropy_upper(summary))
         reports.append(ae11_upper(summary, ae11_base))

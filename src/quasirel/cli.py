@@ -387,8 +387,8 @@ def cmd_divergence(cfg: RunConfig) -> int:
         _note(f"superoperator route skipped: {exc}")
     if gen.name == "neg-log":
         add("direct", umegaki(pair).value)
-    elif q is not None:
-        add("direct", tsallis_direct(pair, q).value)
+    elif gen.name.startswith("tsallis:"):  # from --q or --f: f''(1) is its order q
+        add("direct", tsallis_direct(pair, gen.d2_at_1).value)
 
     finite = [r["value"] for r in rows if math.isfinite(r["value"])]
     if len(finite) == len(rows) and len(rows) > 1:

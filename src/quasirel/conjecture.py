@@ -76,6 +76,16 @@ def random_functional(dim: int, rng: np.random.Generator,
     return WeightedOverlapFunctional(c, cap, u[0], u[1])
 
 
+def _modular_weights(lam: np.ndarray, mu: np.ndarray, t):
+    """C_kj = (t + mu_k/lambda_j)^-1 and its cap (t + min mu/max lambda)^-1,
+    attained at the smallest-mu/largest-lambda index; for one pair of spectra
+    and a number t, or for stacks of them with one t each."""
+    t = np.asarray(t, dtype=float)
+    weights = 1.0 / (t[..., np.newaxis, np.newaxis]
+                     + mu[..., :, np.newaxis] / lam[..., np.newaxis, :])
+    return weights, 1.0 / (t + mu.min(axis=-1) / lam.max(axis=-1))
+
+
 def modular_weight_matrix(pair: PairBatch, t: float) -> WeightedOverlapFunctional:
     """The weights from the commuting-case proof: C_kj = (t + mu_k/lambda_j)^-1.
 
@@ -89,9 +99,8 @@ def modular_weight_matrix(pair: PairBatch, t: float) -> WeightedOverlapFunctiona
         raise ValueError("modular weights need strictly positive states")
     lam, psi = pair.rho_spectral.eigenvalues[0], pair.rho_spectral.eigenvectors[0]
     mu, phi = pair.sigma_spectral.eigenvalues[0], pair.sigma_spectral.eigenvectors[0]
-    ratios = mu[:, np.newaxis] / lam[np.newaxis, :]
-    cap = 1.0 / (t + mu[-1] / lam[0])
-    return WeightedOverlapFunctional(1.0 / (t + ratios), cap, psi, phi)
+    weights, cap = _modular_weights(lam, mu, t)
+    return WeightedOverlapFunctional(weights, float(cap), psi, phi)
 
 
 def _sum_formula(c_entries: np.ndarray, lam: np.ndarray, mu: np.ndarray,
@@ -228,12 +237,7 @@ class _Instances(NamedTuple):
         lam, mu = self.lam, self.mu
         phi_dagger = dagger(self.u_phi)
         overlaps = np.abs(phi_dagger @ self.u_psi) ** 2
-        if self.t is None:
-            c, cap = self.c, 1.0
-        else:
-            c = 1.0 / (self.t[:, np.newaxis, np.newaxis]
-                       + mu[:, :, np.newaxis] / lam[:, np.newaxis, :])
-            cap = 1.0 / (self.t + mu.min(axis=-1) / lam.max(axis=-1))
+        c, cap = (self.c, 1.0) if self.t is None else _modular_weights(lam, mu, self.t)
         numerator = np.abs(_sum_formula(c, lam, mu, overlaps))
         rho = (self.u_psi * lam[:, np.newaxis, :]) @ dagger(self.u_psi)
         sigma = (self.u_phi * mu[:, np.newaxis, :]) @ phi_dagger

@@ -6,18 +6,20 @@ Tsallis families. The superoperator route diagonalizes the d^2 x d^2 matrix
 of the relative modular operator X -> sigma X rho^{-1} (the pair keeps that
 spectrum, see PairBatch.modular_spectrum) and pairs f of it with
 vec(sqrt(rho)); it never touches the overlap sum, so the two routes check one
-another. The per-pair entry points take a PairBatch of one.
+another. The per-pair entry points take a PairBatch of one. A generator is
+an OMDFunction descriptor; the routes read its eval, name and value_at_zero.
 
-Rank-deficient sigma follows the kernel convention: when ker(sigma) is not
-contained in ker(rho) and f blows up at 0+, the divergence is +inf, reported
-as a value rather than an error.
+Rank deficiency follows one support rule. The direct routes take functions of
+a state on its support, eigenvalues at or below ZERO_EIG_THRESHOLD mapping to
+0 (see _on_support), and the spectral route counts a zero eigenvalue of sigma
+through f's limit at 0+. When ker(sigma) carries rho-mass and f blows up at
+0+, the divergence is +inf, reported as a value rather than an error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .states import PairBatch, _single
 
 OVERLAP_SKIP = 1e-16
 SUPEROP_DIM_CAP = 12
-
-ScalarMap = Union[OMDFunction, Callable]
 
 
 @dataclass(frozen=True)
@@ -42,29 +42,7 @@ class DivergenceResult:
         return math.isfinite(self.value)
 
 
-def _as_callable(f: ScalarMap) -> tuple[str, Callable]:
-    if isinstance(f, OMDFunction):
-        return f.name, f.eval
-    return getattr(f, "__name__", "<callable>"), f
-
-
-def _zero_limit(f: ScalarMap) -> float:
-    """Limit of f at 0+; exact for descriptors, probed for bare callables.
-
-    The probe compares f at two tiny arguments and declares +inf when they
-    disagree; it is a heuristic that can misfire for functions converging
-    slower than any power visible at 1e-12. Descriptors carry the exact limit.
-    """
-    if isinstance(f, OMDFunction):
-        return f.value_at_zero
-    with np.errstate(all="ignore"):
-        y1, y2 = float(f(1e-20)), float(f(1e-12))
-    if math.isfinite(y1) and math.isfinite(y2) and abs(y1 - y2) <= 1e-6 * max(1.0, abs(y1)):
-        return y1
-    return math.inf
-
-
-def spectral_values(batch: PairBatch, f: ScalarMap) -> np.ndarray:
+def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     """The closed-form double sum over both eigensystems, one value per pair.
 
     Terms whose overlap weight is below 1e-16 are skipped. A zero eigenvalue
@@ -73,7 +51,6 @@ def spectral_values(batch: PairBatch, f: ScalarMap) -> np.ndarray:
     surviving terms are summed in row-major order, as one contiguous run,
     so a pair's value does not depend on the batch it sits in.
     """
-    func = _as_callable(f)[1]
     if not np.all(batch.rho_positive):
         raise ValueError("spectral route requires a strictly positive rho")
     lam = batch.rho_spectral.eigenvalues  # descending, all > threshold
@@ -83,7 +60,7 @@ def spectral_values(batch: PairBatch, f: ScalarMap) -> np.ndarray:
     positive_mu = mu > ZERO_EIG_THRESHOLD
     counted = live & positive_mu[:, :, np.newaxis]
     with np.errstate(all="ignore"):
-        fvals = np.asarray(func(mu[:, :, np.newaxis] / lam[:, np.newaxis, :]), dtype=float)
+        fvals = np.asarray(f.eval(mu[:, :, np.newaxis] / lam[:, np.newaxis, :]), dtype=float)
         terms = fvals * weights
     values = np.where(np.any(counted & ~np.isfinite(fvals), axis=(1, 2)), math.inf, 0.0)
     regular = np.all(counted, axis=(1, 2)) & (values == 0.0)
@@ -93,19 +70,17 @@ def spectral_values(batch: PairBatch, f: ScalarMap) -> np.ndarray:
         # padding zeros into the run would regroup the pairwise sum.
         zero_live = live[n][~positive_mu[n]]
         if np.any(zero_live):
-            limit = _zero_limit(f)
-            if not math.isfinite(limit):
+            if not math.isfinite(f.value_at_zero):
                 values[n] = math.inf
                 continue
-            values[n] += limit * float(np.sum(weights[n][~positive_mu[n]][zero_live]))
+            values[n] += f.value_at_zero * float(np.sum(weights[n][~positive_mu[n]][zero_live]))
         values[n] += float(np.sum(terms[n][counted[n]]))
     return values
 
 
-def quasi_entropy_spectral(pair: PairBatch, f: ScalarMap) -> DivergenceResult:
+def quasi_entropy_spectral(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
     """S_f(rho||sigma) of a batch of one by the spectral double sum; see spectral_values."""
-    return DivergenceResult(float(spectral_values(_single(pair), f)[0]), "spectral",
-                            _as_callable(f)[0])
+    return DivergenceResult(float(spectral_values(_single(pair), f)[0]), "spectral", f.name)
 
 
 def _support_violated(batch: PairBatch) -> np.ndarray:
@@ -116,25 +91,22 @@ def _support_violated(batch: PairBatch) -> np.ndarray:
     return np.any(zero_rows & (rho_mass > ZERO_EIG_THRESHOLD), axis=1)
 
 
+def _on_support(spectral, func) -> np.ndarray:
+    """func of each matrix on its support: V func(vals) V† over eigenvalues above
+    ZERO_EIG_THRESHOLD, the kernel mapped to 0. func never sees a kernel
+    eigenvalue, so a log or negative power of one never happens."""
+    vals, vecs = spectral
+    support = vals > ZERO_EIG_THRESHOLD
+    return spectral_matrix(vecs, np.where(support, func(np.where(support, vals, 1.0)), 0.0))
+
+
 def umegaki_values(batch: PairBatch) -> np.ndarray:
-    """Relative entropy Tr(rho (log rho - log sigma)), natural log, per pair."""
-    violated = _support_violated(batch)
-    values = np.full(len(batch), math.inf)
-    full = batch.rho_positive & batch.sigma_positive & ~violated
-    if np.any(full):
-        logs = [spectral_matrix(sp.eigenvectors[full], np.log(sp.eigenvalues[full]))
-                for sp in (batch.rho_spectral, batch.sigma_spectral)]
-        values[full] = np.trace(batch.rho[full] @ (logs[0] - logs[1]),
-                                axis1=-2, axis2=-1).real
-    for n in np.flatnonzero(~full & ~violated):
-        # Singular but kernel-compatible: work on the supports.
-        lam = batch.rho_spectral.eigenvalues[n]
-        mu = batch.sigma_spectral.eigenvalues[n]
-        lam_pos = lam > ZERO_EIG_THRESHOLD
-        mu_pos = mu > ZERO_EIG_THRESHOLD
-        ent = float(np.sum(lam[lam_pos] * np.log(lam[lam_pos])))
-        rho_mass = batch.overlaps[n][mu_pos, :] @ lam
-        values[n] = ent - float(np.sum(rho_mass * np.log(mu[mu_pos])))
+    """Relative entropy Tr(rho (log rho - log sigma)), natural log, per pair;
+    logs on the supports, +inf where ker(sigma) carries rho-mass."""
+    log_rho, log_sigma = (_on_support(sp, np.log)
+                          for sp in (batch.rho_spectral, batch.sigma_spectral))
+    values = np.trace(batch.rho @ (log_rho - log_sigma), axis1=-2, axis2=-1).real
+    values[_support_violated(batch)] = math.inf
     return values
 
 
@@ -143,22 +115,13 @@ def umegaki(pair: PairBatch) -> DivergenceResult:
     return DivergenceResult(float(umegaki_values(_single(pair))[0]), "direct", "neg-log")
 
 
-def _psd_power(spectral, exponent: float) -> np.ndarray:
-    """Support-convention power of density matrices: zero eigenvalues map to 0."""
-    vals, vecs = spectral
-    powered = np.where(vals > ZERO_EIG_THRESHOLD,
-                       np.power(np.clip(vals, ZERO_EIG_THRESHOLD, None), exponent),
-                       0.0)
-    return spectral_matrix(vecs, powered)
-
-
 def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
     """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q), per pair."""
     if not is_tsallis_order(q):
         raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
-    overlap_trace = np.trace(
-        _psd_power(batch.rho_spectral, q) @ _psd_power(batch.sigma_spectral, 1.0 - q),
-        axis1=-2, axis2=-1).real
+    rho_q = _on_support(batch.rho_spectral, lambda v: np.power(v, q))
+    sigma_1q = _on_support(batch.sigma_spectral, lambda v: np.power(v, 1.0 - q))
+    overlap_trace = np.trace(rho_q @ sigma_1q, axis1=-2, axis2=-1).real
     values = (1.0 - overlap_trace) / (1.0 - q)
     if q > 1.0:
         values[_support_violated(batch)] = math.inf
@@ -171,23 +134,21 @@ def tsallis_direct(pair: PairBatch, q: float) -> DivergenceResult:
                             f"tsallis:q={q:g}")
 
 
-def quasi_entropy_superoperator(pair: PairBatch, f: ScalarMap) -> DivergenceResult:
+def quasi_entropy_superoperator(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
     """Oracle route through the materialized relative modular operator.
 
     Computes <vec(sqrt rho), f(M) vec(sqrt rho)> with M the modular matrix of
     a batch of one; independent of the overlap sum by construction. Dimension
     is capped because M is d^2 x d^2.
     """
-    name, func = _as_callable(f)
     if _single(pair).dim > SUPEROP_DIM_CAP:
         raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {pair.dim}")
     if not (pair.rho_positive[0] and pair.sigma_positive[0]):
         raise ValueError("superoperator route requires strictly positive states")
     vals, weights = pair.modular_spectrum
     with np.errstate(all="ignore"):
-        fvals = np.asarray(func(vals), dtype=float)
+        fvals = np.asarray(f.eval(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
-        return DivergenceResult(math.inf, "superoperator", name)
-    value = float(np.sum(fvals * weights))
-    return DivergenceResult(value, "superoperator", name)
+        return DivergenceResult(math.inf, "superoperator", f.name)
+    return DivergenceResult(float(np.sum(fvals * weights)), "superoperator", f.name)
 

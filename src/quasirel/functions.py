@@ -22,6 +22,7 @@ which :func:`normalization_residual` checks by quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -96,6 +97,7 @@ def is_tsallis_order(q: float) -> bool:
     return 0.0 < q <= 2.0 and q != 1.0
 
 
+@functools.lru_cache(typed=True)
 def tsallis_f(q: float) -> OMDFunction:
     """f(x) = (1 - x^(1-q))/(1-q) for q in (0,2], q != 1: the Tsallis generator.
 
@@ -106,6 +108,9 @@ def tsallis_f(q: float) -> OMDFunction:
     the representation round-trip test, not on authority. At q = 2 the
     generator is 1/x - 1, whose measure is a point mass at t = 0: no density
     exists, so measure_density is None and round-trips are unavailable.
+
+    Built once per order: the descriptor is immutable, so repeated calls at
+    one q (of one type) return the same object.
     """
     if not is_tsallis_order(q):
         raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")

@@ -11,7 +11,7 @@ generator checks the spectral route under swapped states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -90,13 +90,15 @@ def monotonicity_spot_check(f, dim: int, trials: int, seed) -> MonotonicityRepor
     return MonotonicityReport(name, dim, trials, violations, worst)
 
 
-def dual_function(f: Callable) -> Callable:
-    """The transpose generator g(x) = x * f(1/x).
+def dual_function(f: OMDFunction) -> OMDFunction:
+    """The transpose generator g(x) = x * f(1/x), as a descriptor.
 
     Swapping the states in the divergence equals using the dual generator.
-    Accepts any scalar map (descriptor or bare callable) and returns a bare
-    callable; the dual of an OMD function need not be OMD, so it gets no
-    representation machinery.
+    The limits trade places: g(0+) = -f.a, since f(y)/y -> -a as y -> inf,
+    and g(x)/x -> f(0+) as x -> inf, recorded as a = -f.value_at_zero; so
+    the dual of the dual has f's limits again. The dual of an OMD function
+    need not be OMD, so it has no measure density, and its other fields
+    stay f's.
     """
-    inner = f.eval if isinstance(f, OMDFunction) else f
-    return lambda x: x * inner(1.0 / x)
+    return replace(f, name=f"dual:{f.name}", eval=lambda x: x * f.eval(1.0 / x),
+                   a=-f.value_at_zero, measure_density=None, value_at_zero=-f.a)

@@ -24,8 +24,10 @@ from quasirel import (
     sandwich,
     summarize,
     tsallis_bounds,
+    tsallis_f,
     umegaki,
 )
+from quasirel import bounds
 from quasirel.bounds import (
     COMMUTING_TOL,
     _bracket_core,
@@ -272,3 +274,31 @@ def test_commuting_tolerance_both_sides(scale, applicable):
     summary = dataclasses.replace(summarize(random_pair(3, default_rng(71))),
                                   commutator_norm=scale * COMMUTING_TOL)
     assert qubit_classical_upper(summary, neg_log()).applicable is applicable
+
+
+def test_bracket_core_once_per_route(monkeypatch):
+    # the qubit-classical and sqrt(d) bounds share one bracket per route,
+    # and keep the values the standalone formulas give
+    rng = default_rng(45)
+    pairs = [random_pair(3, rng), random_classical_pair(3, rng)]
+    batch = pair_batch(np.concatenate([p.rho for p in pairs]),
+                       np.concatenate([p.sigma for p in pairs]))
+    calls = []
+    monkeypatch.setattr(bounds, "_bracket_core",
+                        lambda summary, f: calls.append(f.name) or _bracket_core(summary, f))
+    routes = [{"f": f} for f in builtin_suite()] + [{"q": 0.3}, {"q": 1.5}]
+    for kwargs in routes:
+        calls.clear()
+        gen, _, columns = sandwich_batch(batch, **kwargs)
+        assert calls == [gen.name]
+        by_name = _by_name(columns)
+        for formula, name in ((qubit_classical_upper, "qubit_classical_upper"),
+                              (general_sqrt_d_upper, "sqrt_d_upper")):
+            assert list(formula(batch.summary, gen).value) == list(by_name[name].value)
+
+
+def test_sandwich_batch_reuses_the_tsallis_descriptor():
+    batch = random_pair(3, default_rng(46))
+    for q in (0.3, 1.5):
+        gens = [sandwich_batch(batch, q=q)[0] for _ in range(3)]
+        assert gens[0] is gens[1] is gens[2] is tsallis_f(q)

@@ -90,6 +90,19 @@ def test_divergence_identical_states_is_zero(tmp_path, capsys):
         assert abs(float(row["value"])) < 1e-12
 
 
+@pytest.mark.parametrize("q", ["0.3", "1.5"])
+def test_divergence_tsallis_spellings_agree(capsys, q):
+    # --f tsallis:q=<q> and --q <q> list the same routes with the same
+    # values; only the q cell tells the spellings apart
+    by_f = _csv_rows(_run(capsys, ["divergence", "--dims", "4", "--f", f"tsallis:q={q}"])[1])
+    by_q = _csv_rows(_run(capsys, ["divergence", "--dims", "4", "--q", q])[1])
+    assert [r["method"] for r in by_f] == ["spectral", "superoperator", "direct"]
+    assert [(r["method"], r["value"]) for r in by_f] == [(r["method"], r["value"])
+                                                         for r in by_q]
+    assert {r["q"] for r in by_f} == {""}
+    assert {float(r["q"]) for r in by_q} == {float(q)}
+
+
 def test_divergence_rejects_both_generators(capsys):
     code, _, err = _run(
         capsys, ["divergence", "--f", "neg-log", "--q", "0.5"]

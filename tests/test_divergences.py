@@ -28,7 +28,7 @@ from quasirel.divergences import (
     tsallis_values,
     umegaki_values,
 )
-from quasirel.linalg import eigh, spectral_matrix, vec
+from quasirel.linalg import ZERO_EIG_THRESHOLD, eigh, spectral_matrix, vec
 from quasirel.states import pair_batch, state_pair
 from serial_search import haar_unitary
 from spectral_oracle import dual_function
@@ -245,11 +245,70 @@ def test_overlap_skip_both_sides(scale, finite):
         assert value == math.inf
 
 
-def test_zero_limit_probe_for_bare_callables():
-    # example_pair(3): sigma is singular and its kernel carries rho's weight,
-    # so the spectral route needs f at 0+, probed for a bare callable
-    pair = example_pair(3)
-    finite = quasi_entropy_spectral(pair, lambda x: 1 - np.sqrt(x)).value
-    assert finite == pytest.approx(quasi_entropy_spectral(pair, neg_power(0.5)).value,
-                                   rel=0, abs=1e-9)
-    assert quasi_entropy_spectral(pair, lambda x: -np.log(x)).value == math.inf
+def _umegaki_on_supports(batch, n):
+    """Sum over rho's support of lambda log lambda, minus the sum over sigma's
+    of <phi_k|rho|phi_k> log mu_k: Umegaki of one pair from its spectra."""
+    lam = batch.rho_spectral.eigenvalues[n]
+    mu = batch.sigma_spectral.eigenvalues[n]
+    lam_pos, mu_pos = lam > ZERO_EIG_THRESHOLD, mu > ZERO_EIG_THRESHOLD
+    rho_mass = batch.overlaps[n][mu_pos, :] @ lam
+    return (float(np.sum(lam[lam_pos] * np.log(lam[lam_pos])))
+            - float(np.sum(rho_mass * np.log(mu[mu_pos]))))
+
+
+def _state(u, p):
+    return (u * p) @ u.conj().T
+
+
+def test_umegaki_rank_deficient_rho_matches_support_sums():
+    # rho of rank 1..d-1; sigma full rank, or singular with rho's support
+    # inside its own, so every value is finite
+    rng = default_rng(41)
+    for dim in range(3, 9):
+        rhos, sigmas = [], []
+        for n in range(20):
+            rank = int(rng.integers(1, dim))
+            p = np.zeros(dim)
+            p[:rank] = rng.dirichlet(np.ones(rank))
+            u = haar_unitary(dim, rng)
+            if n % 2:
+                s = rng.dirichlet(np.ones(dim))
+                v = haar_unitary(dim, rng)
+            else:
+                s = np.zeros(dim)
+                s[:dim - 1] = rng.dirichlet(np.ones(dim - 1))
+                v = u
+            rhos.append(_state(u, p))
+            sigmas.append(_state(v, s))
+        batch = pair_batch(np.array(rhos), np.array(sigmas))
+        assert not np.any(batch.rho_positive)
+        values = umegaki_values(batch)
+        for n, value in enumerate(values):
+            assert value == pytest.approx(_umegaki_on_supports(batch, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, on_support", [(0.9, False), (1.1, True)])
+def test_direct_routes_rho_eigenvalue_at_threshold(scale, on_support):
+    # rho's smallest eigenvalue sits just below or just above the rank
+    # threshold: the direct routes drop it from rho's support, or keep it.
+    # Its own terms, about -2.5e-9 in Umegaki and 1e-3 in Tsallis at
+    # q = 0.3, lie far above the tolerance, so each side fails the other's
+    # closed form
+    rng = default_rng(42)
+    dim = 4
+    p = np.concatenate([rng.dirichlet(np.ones(dim - 1)), [0.0]])
+    p[-1] = scale * ZERO_EIG_THRESHOLD
+    p[0] -= p[-1]
+    pair = state_pair(_state(haar_unitary(dim, rng), p), random_pair(dim, rng).sigma[0])
+    lam = pair.rho_spectral.eigenvalues[0]
+    mu = pair.sigma_spectral.eigenvalues[0]
+    assert bool(lam[-1] > ZERO_EIG_THRESHOLD) is on_support
+    kept = lam if on_support else lam[:-1]
+    overlaps = pair.overlaps[0][:, :len(kept)]
+    entropy = float(np.sum(kept * np.log(kept)))
+    cross = float(np.sum((pair.overlaps[0] @ lam) * np.log(mu)))
+    assert umegaki(pair).value == pytest.approx(entropy - cross, rel=1e-12)
+    for q in (0.3, 1.5):
+        trace = float(np.sum(overlaps * np.power(kept, q) * np.power(mu, 1.0 - q)[:, np.newaxis]))
+        assert tsallis_direct(pair, q).value == pytest.approx((1.0 - trace) / (1.0 - q),
+                                                              rel=1e-12)
