@@ -5,8 +5,9 @@ commutator norm) and returns BoundReports. Inapplicable inputs produce
 applicable=False reports with a reason, never a silent number. The formulas
 are one body of numpy code: on a PairBatch's summary columns every value is
 a column with one entry per pair, and on summarize's numbers it is a number.
-bound_reports lays a route's reports out as columns and sets their slacks;
-sandwich reads index 0 of them for a batch of one.
+The dimension is a column like the rest, so one pass covers pairs of
+several dimensions. bound_reports lays a route's reports out as columns and
+sets their slacks; sandwich reads index 0 of them for a batch of one.
 
 All the tight forms contain divided differences that degenerate to 0/0 when
 the two eigenvalues coincide; those are guarded: below a gap of 1e-8 the
@@ -28,7 +29,7 @@ from .divergences import (
     tsallis_values,
 )
 from .functions import OMDFunction, is_tsallis_order, tsallis_f
-from .states import PairBatch, ScalarSummary, _single
+from .states import PairBatch, ScalarSummary, _single, joined_summary
 
 COMMUTING_TOL = 1e-10
 DIVIDED_DIFF_GAP = 1e-8
@@ -122,7 +123,7 @@ def _bracket_uppers(summary: ScalarSummary, f: OMDFunction) -> list[BoundReport]
     dist = summary.trace_distance_1
     return [BoundReport("qubit_classical_upper", dist * bracket, applicable,
                         "requires a qubit or commuting pair"),
-            BoundReport("sqrt_d_upper", math.sqrt(summary.dim) * dist * bracket)]
+            BoundReport("sqrt_d_upper", np.sqrt(summary.dim) * dist * bracket)]
 
 
 def qubit_classical_upper(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
@@ -245,11 +246,13 @@ def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
     if q is not None:
         reports.extend(tsallis_bounds(summary, q))
     values = np.array([rep.value for rep in reports])
-    applicable, lower = np.empty((2, *values.shape), bool)
+    applicable = np.empty(values.shape, bool)
     for row, rep in enumerate(reports):
-        applicable[row], lower[row] = rep.applicable, rep.is_lower
+        applicable[row] = rep.applicable
+    lower = np.array([rep.is_lower for rep in reports])
     with np.errstate(invalid="ignore"):  # inf - inf, masked below
-        margin = np.where(lower, divergence - values, values - divergence)
+        # transposed, so that the row's orientation broadcasts over its pairs
+        margin = np.where(lower, (divergence - values).T, (values - divergence).T).T
     slack = np.where(np.isfinite(divergence) & np.isfinite(values), margin, np.nan)
     return [BoundReport(rep.bound_name, value, ok, rep.reason, rep.is_lower, row_slack)
             for rep, value, ok, row_slack in zip(reports, values, applicable, slack)]
@@ -263,23 +266,27 @@ def violated(applicable, slack):
     return applicable & (slack < SLACK_FLOOR)
 
 
-def sandwich_batch(batch: PairBatch, f: Optional[OMDFunction] = None,
+def sandwich_batch(*batches: PairBatch, f: Optional[OMDFunction] = None,
                    q: Optional[float] = None, ae11_base: str = "e"):
-    """Divergence column and every bound report over a batch.
+    """Divergence column and every bound report over the pairs of one or more
+    batches, of any dimensions, end to end in batch order.
 
     Exactly one of ``f`` and ``q`` must be given; q selects the Tsallis
     generator of that order (divergence by the direct route) and
     additionally attaches the Tsallis-specific bounds. The
-    relative-entropy-specific bounds attach only to neg-log. Returns
-    (generator, divergences, reports), the reports as bound_reports gives them.
+    relative-entropy-specific bounds attach only to neg-log. The divergence
+    runs batch by batch; the bounds run once, over the joined summary
+    columns. Returns (generator, divergences, reports), the reports as
+    bound_reports gives them.
     """
     if (f is None) == (q is None):
         raise ValueError("pass exactly one of f or q")
     if f is None:
-        f, divergence = tsallis_f(q), tsallis_values(batch, q)
+        f, divergence = tsallis_f(q), [tsallis_values(batch, q) for batch in batches]
     else:
-        divergence = spectral_values(batch, f)
-    return f, divergence, bound_reports(batch.summary, f, divergence, q, ae11_base)
+        divergence = [spectral_values(batch, f) for batch in batches]
+    divergence = np.concatenate(divergence)
+    return f, divergence, bound_reports(joined_summary(batches), f, divergence, q, ae11_base)
 
 
 @dataclass(frozen=True)
@@ -297,7 +304,7 @@ def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
     The view of sandwich_batch at index 0 for a batch of one, its columns
     read as numbers; see sandwich_batch for f, q and the bounds that attach.
     """
-    gen, divergence, columns = sandwich_batch(_single(pair), f, q, ae11_base)
+    gen, divergence, columns = sandwich_batch(_single(pair), f=f, q=q, ae11_base=ae11_base)
     result = DivergenceResult(float(divergence[0]), "spectral" if q is None else "direct",
                               gen.name)
     reports, violations = [], []

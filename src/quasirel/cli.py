@@ -406,7 +406,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     if (len(specs) + len(cfg.qs)) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
     route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
-    chunk = render_columns(batch_rows(pair, seed, [tag], [route], cfg.log_base), [0],
+    chunk = render_columns(batch_rows([pair], seed, [tag], [route], cfg.log_base), [0],
                            cfg.format)
     with _output(cfg.output_path) as out:
         _, violations = write_chunks(out, [chunk], cfg.format)

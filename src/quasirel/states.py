@@ -95,8 +95,10 @@ class ScalarSummary:
     alpha_rho and alpha_sigma are the smallest eigenvalues strictly above the
     rank threshold (the "minimal non-zero eigenvalue" convention), so they are
     well defined for rank-deficient states. A PairBatch holds its summary as
-    columns, one array entry per pair in every field but dim; summarize gives
-    a batch of one's entries as numbers. The bound formulas take either.
+    columns, one array entry per pair in every field, dim included, so the
+    columns of batches of several dimensions join into one (joined_summary);
+    summarize gives a batch of one's entries as numbers. The bound formulas
+    take either.
     """
 
     dim: int
@@ -129,7 +131,7 @@ def _summary_columns(rho: np.ndarray, sigma: np.ndarray, lam: np.ndarray,
     alpha_rho = _min_positive(lam)
     alpha_sigma = _min_positive(mu)
     s = ScalarSummary(
-        dim=rho.shape[-1],
+        dim=np.full(len(rho), rho.shape[-1]),
         lambda_rho=lam[:, 0],
         lambda_sigma=mu[:, 0],
         alpha_rho=alpha_rho,
@@ -246,7 +248,15 @@ def state_pair(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
 def summarize(pair: PairBatch) -> ScalarSummary:
     """Scalar summary of a batch of one as numbers: extreme eigenvalues, trace distance."""
     s = _single(pair).summary
-    return ScalarSummary(s.dim, *(float(getattr(s, c)[0]) for c in _COLUMNS))
+    return ScalarSummary(int(s.dim[0]), *(float(getattr(s, c)[0]) for c in _COLUMNS))
+
+
+def joined_summary(batches: Sequence[PairBatch]) -> ScalarSummary:
+    """The summary columns of several batches end to end, in batch order."""
+    if len(batches) == 1:
+        return batches[0].summary
+    return ScalarSummary(*(np.concatenate([getattr(b.summary, c) for b in batches])
+                           for c in ("dim", *_COLUMNS)))
 
 
 def default_rng(seed) -> np.random.Generator:

@@ -2,13 +2,17 @@
 
 A sweep evaluates every bound over a grid of (dimension, trial, generator)
 and streams the rows out as CSV or JSON. chunk_plan alone decides how the
-grid is cut and the order of its rows: dimensions ascending, then trials,
-at most _CHUNK_TRIALS trials a chunk. Each chunk is one PairBatch, sampled,
-validated, diagonalized and summarized once; every divergence and bound
-then runs as array operations over it, and the chunk is rendered to text
-straight from the resulting columns. The chunks run inline or in a pool of
-at most one worker per chunk, and each chunk's text is written as soon as
-it and every chunk before it are done, so a sweep holds about one chunk.
+grid is cut and the order of its rows: dimensions ascending, then trials.
+Each dimension is cut into blocks of at most _CHUNK_TRIALS trials, and
+neighbouring blocks, of one dimension or several, share a chunk while it
+holds at most _CHUNK_TRIALS pairs and _CHUNK_SQUARES in the sum of d^2 over
+its pairs. Each block is one PairBatch, sampled, validated, diagonalized and
+summarized once, and its divergences run as array operations over it; the
+bounds then run once over the chunk's joined summary columns, and the chunk
+is rendered to text straight from the resulting columns. The chunks run
+inline or in a pool of at most one worker per chunk, and each chunk's text
+is written as soon as it and every chunk before it are done, so a sweep
+holds about one chunk.
 
 Every trial owns a generator seeded by (tag, seed, dim, trial), so a pair's
 rows do not depend on the chunk it sits in or on the number of jobs.
@@ -17,7 +21,6 @@ rows do not depend on the chunk it sits in or on the number of jobs.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +37,11 @@ from .states import (
 )
 
 _TAG_SWEEP = 7001
-_CHUNK_TRIALS = 256  # caps a batch's memory; measured the fastest per pair of 64..1024
+# Caps a chunk's pairs, and so its memory; 256 pairs at d = 3 measured the
+# fastest per pair of 64..1024. A chunk may hold several dimensions' blocks
+# while their sum of d^2 stays within such a d = 3 chunk's.
+_CHUNK_TRIALS = 256
+_CHUNK_SQUARES = _CHUNK_TRIALS * 3 ** 2
 
 BOUNDS_COLUMNS = [
     "dim", "seed", "pair_tag", "f_name", "q", "bound_name",
@@ -66,19 +73,21 @@ def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random") -> Pa
     return trial_batch(seed, dim, [trial], pair_kind)
 
 
-def batch_rows(batch: PairBatch, seed, tags: list, routes: list, ae11_base: str) -> tuple:
-    """BOUNDS_COLUMNS rows for the pairs of a batch, as columns.
+def batch_rows(batches: list, seed, tags: list, routes: list, ae11_base: str) -> tuple:
+    """BOUNDS_COLUMNS rows for the pairs of one or more batches, end to end,
+    as columns.
 
     ``seed`` is an int, or "" for a pair from a file; ``tags`` gives each
     pair its pair_tag; ``routes`` lists (f, q) choices as sandwich takes
-    them. Returns (dim, seed, tags, columns), columns holding per route its
-    f_name, q cell, divergence column and bound reports in column form.
+    them. Returns (dims, seed, tags, columns): dims gives each pair its
+    dimension, and columns hold per route its f_name, q cell, divergence
+    column and bound reports in column form.
     """
     columns = []
     for f, q in routes:
-        gen, divergence, reports = sandwich_batch(batch, f=f, q=q, ae11_base=ae11_base)
+        gen, divergence, reports = sandwich_batch(*batches, f=f, q=q, ae11_base=ae11_base)
         columns.append((gen.name, "" if q is None else float(q), divergence, reports))
-    return int(batch.dim), seed, tags, columns
+    return [batch.dim for batch in batches for _ in range(len(batch))], seed, tags, columns
 
 
 def format_cell(value) -> str:
@@ -105,17 +114,17 @@ _FORMATS = {
 def render_columns(columns: tuple, order: list, fmt: str) -> tuple:
     """batch_rows' columns as ``fmt`` rows: (text, rows, violations).
 
-    Rows come pair by pair in ``order``, a list of batch indices (a pair
-    listed twice gets its rows twice), then route by route, then bound by
-    bound. ``violations`` holds the (bound_name, slack) of each applicable
+    Rows come pair by pair in ``order``, a list of indices into the pairs
+    (a pair listed twice gets its rows twice), then route by route, then
+    bound by bound. ``violations`` holds the (bound_name, slack) of each applicable
     row with slack below -1e-10. The cells a pair's rows share are
     formatted once per pair and route, the rest one column at a time, and
     each pair's rows are then one %-format of those cells.
     """
     cell, floats, b, end, sep, _, _ = _FORMATS[fmt]
-    dim, seed, tags, columns = columns
-    empty, flags = cell(""), ("false", "true")
-    pairs = [f"{b[0]}{dim}{b[1]}{cell(seed)}{b[2]}{cell(tag)}{b[3]}" for tag in tags]
+    dims, seed, tags, columns = columns
+    empty, flags, seed = cell(""), ("false", "true"), cell(seed)
+    pairs = [f"{b[0]}{dim}{b[1]}{seed}{b[2]}{cell(tag)}{b[3]}" for dim, tag in zip(dims, tags)]
     forms, cells, flagged = [], [], []  # per (route, bound): a row's %-form and its cells
     for f_name, q, divergence, reports in columns:
         route = f"{cell(f_name)}{b[4]}{cell(q)}{b[5]}"
@@ -151,30 +160,46 @@ def write_chunks(out, chunks, fmt: str) -> tuple:
     return rows, violations
 
 
-def sweep_chunk(seed: int, dim: int, trials, pair_kind: str,
+def sweep_chunk(seed: int, blocks: list, pair_kind: str,
                 f_specs: list, qs: list, ae11_base: str, fmt: str) -> tuple:
-    """One shard, rendered: a block of trials at fixed dim. Top level for pickling.
+    """One shard, rendered: a list of (dim, trials) blocks. Top level for pickling.
 
-    A trial listed more than once (its dimension was) is sampled and
-    evaluated once, and its rows are given once per listing.
+    Each block is sampled as one batch and its divergences run over it; the
+    bounds run once over the chunk. A trial listed more than once in a block
+    (its dimension was) is sampled and evaluated once, and its rows are
+    given once per listing.
     """
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
-    index = {trial: n for n, trial in enumerate(dict.fromkeys(trials))}
-    columns = batch_rows(trial_batch(seed, dim, list(index), pair_kind), int(seed),
-                         [f"{pair_kind}:{trial:06d}" for trial in index], routes, ae11_base)
-    return render_columns(columns, [index[trial] for trial in trials], fmt)
+    batches, tags, order = [], [], []
+    for dim, trials in blocks:
+        index = {trial: n for n, trial in enumerate(dict.fromkeys(trials), len(tags))}
+        batches.append(trial_batch(seed, dim, list(index), pair_kind))
+        tags += [f"{pair_kind}:{trial:06d}" for trial in index]
+        order += [index[trial] for trial in trials]
+    return render_columns(batch_rows(batches, int(seed), tags, routes, ae11_base), order, fmt)
 
 
 def chunk_plan(dims: list, trials: int) -> list:
-    """(dim, trials) chunks in row order: dims ascending, then trials, at most
-    _CHUNK_TRIALS distinct trials a chunk. A dimension listed k times gives
-    each of its trials k times in a row, so each listing gets its own copy of
-    the rows; sweep_chunk still samples and evaluates the trial once."""
+    """The chunks in row order, each a list of (dim, trials) blocks: dims
+    ascending, then trials, at most _CHUNK_TRIALS distinct trials a block.
+    A block joins the chunk before it while that chunk then holds at most
+    _CHUNK_TRIALS distinct pairs and at most _CHUNK_SQUARES in the sum of d^2
+    over them. A dimension listed k times gives each of its trials k times
+    in a row, so each listing gets its own copy of the rows; sweep_chunk
+    still samples and evaluates the trial once."""
     copies = Counter(dims)
-    blocks = [range(start, min(start + _CHUNK_TRIALS, trials))
-              for start in range(0, trials, _CHUNK_TRIALS)]
-    return [(dim, block if copies[dim] == 1 else [t for t in block for _ in range(copies[dim])])
-            for dim in sorted(copies) for block in blocks]
+    plan, pairs, squares = [], 0, 0
+    for dim in sorted(copies):
+        for start in range(0, trials, _CHUNK_TRIALS):
+            block = range(start, min(start + _CHUNK_TRIALS, trials))
+            n, weight = len(block), len(block) * dim ** 2
+            if not plan or pairs + n > _CHUNK_TRIALS or squares + weight > _CHUNK_SQUARES:
+                plan.append([])
+                pairs = squares = 0
+            plan[-1].append((dim, block if copies[dim] == 1 else
+                             [t for t in block for _ in range(copies[dim])]))
+            pairs, squares = pairs + n, squares + weight
+    return plan
 
 
 def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
@@ -203,9 +228,9 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
                             qs=qs, ae11_base=ae11_base, fmt=fmt)
     workers = min(jobs, len(plan))
     if workers <= 1:
-        return write_chunks(out, itertools.starmap(run, plan), fmt)
+        return write_chunks(out, map(run, plan), fmt)
     with ProcessPoolExecutor(max_workers=workers) as pool:  # results come in plan order
-        return write_chunks(out, pool.map(run, *zip(*plan)), fmt)
+        return write_chunks(out, pool.map(run, plan), fmt)
 
 
 def _winner(new: float, old: float, rtol: float = 1e-9) -> str:

@@ -35,7 +35,8 @@ from quasirel.bounds import (
     sandwich_batch,
     violated,
 )
-from quasirel.states import pair_batch, state_pair
+from quasirel.states import joined_summary, pair_batch, state_pair
+from quasirel.sweeps import trial_batch
 
 PAIR = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 S = summarize(PAIR)
@@ -302,3 +303,50 @@ def test_sandwich_batch_reuses_the_tsallis_descriptor():
     for q in (0.3, 1.5):
         gens = [sandwich_batch(batch, q=q)[0] for _ in range(3)]
         assert gens[0] is gens[1] is gens[2] is tsallis_f(q)
+
+
+_QUBIT_GATED = ("qubit_classical_upper", "qubit_relative_tight_upper",
+                "qubit_relative_loose_upper", "tsallis_qubit_tight_upper",
+                "tsallis_qubit_loose_upper")
+
+
+@pytest.mark.parametrize("kwargs", [{"f": neg_log()}, {"q": 0.3}, {"q": 1.5}],
+                         ids=["neg-log", "q0.3", "q1.5"])
+def test_sandwich_batch_over_mixed_dimensions_is_exact(kwargs):
+    # one call over batches of d = 2, 3 and 5 gives every pair the bits it
+    # gets in a call over its own batch
+    parts = [trial_batch(17, dim, range(n)) for dim, n in ((2, 4), (3, 5), (5, 3))]
+    dims = np.repeat([2, 3, 5], [4, 5, 3])
+    gen, divergence, columns = sandwich_batch(*parts, **kwargs)
+    assert joined_summary(parts).dim.tolist() == dims.tolist()
+    alone = [sandwich_batch(part, **kwargs) for part in parts]
+    assert all(g is gen for g, _, _ in alone)
+    assert divergence.tolist() == np.concatenate([d for _, d, _ in alone]).tolist()
+    for row, rep in enumerate(columns):
+        own = [cols[row] for _, _, cols in alone]
+        assert [c.bound_name for c in own] == [rep.bound_name] * 3
+        assert rep.value.tolist() == np.concatenate([c.value for c in own]).tolist()
+        assert rep.applicable.tolist() == np.concatenate([c.applicable for c in own]).tolist()
+        np.testing.assert_array_equal(rep.slack, np.concatenate([c.slack for c in own]))
+        if rep.bound_name in _QUBIT_GATED:  # none of these random pairs commutes
+            assert rep.applicable.tolist() == (dims == 2).tolist()
+    by_name = _by_name(columns)
+    ratio = by_name["sqrt_d_upper"].value / by_name["qubit_classical_upper"].value
+    np.testing.assert_allclose(ratio, np.sqrt(dims), rtol=1e-15)
+    assert {name for name in _QUBIT_GATED if name in by_name} == (
+        {"qubit_classical_upper", "qubit_relative_tight_upper", "qubit_relative_loose_upper"}
+        if "f" in kwargs else
+        {"qubit_classical_upper", "tsallis_qubit_tight_upper", "tsallis_qubit_loose_upper"})
+
+
+def test_summarize_keeps_an_int_dim():
+    # the column holds the dimension per pair; summarize reads it back as an
+    # int, and the sqrt(d) bound on its numbers is the column's index 0
+    for dim in range(2, 17):
+        pair = trial_batch(3, dim, [0])
+        s = summarize(pair)
+        assert type(s.dim) is int and s.dim == dim
+        assert pair.summary.dim.tolist() == [dim]
+        for f in builtin_suite():
+            assert (general_sqrt_d_upper(s, f).value
+                    == general_sqrt_d_upper(pair.summary, f).value[0])

@@ -129,7 +129,8 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys, monkeypatch):
     # with the cap at 3 trials a chunk each dimension ends on an uneven
     # chunk, and --jobs 2 and 3 share the chunks over a process pool
     monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 3)
-    assert [len(c) for _, c in chunk_plan([2, 3, 4], 7)] == [3, 3, 1] * 3
+    assert [[len(c) for _, c in chunk] for chunk in chunk_plan([2, 3, 4], 7)] == [
+        [3], [3], [1]] * 3
     for n, argv in enumerate((
             ["sweep", "--dims", "2,3", "--trials", "7", "--seed", "9",
              "--f", "neg-log", "--q", "0.5"],

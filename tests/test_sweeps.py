@@ -3,11 +3,14 @@
 import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from quasirel import bounds, paper_example_rows, sweep_bounds, sweeps
+from quasirel import bounds, builtin_suite, paper_example_rows, sweep_bounds, sweeps
 from quasirel.sweeps import chunk_plan, sweep_chunk, trial_pair
+
+ALL_F = [f.name for f in builtin_suite()]  # what --f all names
 
 
 def sweep_rows(*args, **kwargs):
@@ -60,8 +63,8 @@ def test_sweep_chunk_evaluates_one_batch(monkeypatch):
 
     monkeypatch.setattr(sweeps, "trial_pair", per_pair)
     monkeypatch.setattr(bounds, "sandwich", per_pair)
-    text, count, violations = sweep_chunk(5, 3, [0, 1, 2], "classical", ["neg-log"], [1.5],
-                                          "e", "json")
+    text, count, violations = sweep_chunk(5, [(3, [0, 1, 2])], "classical", ["neg-log"],
+                                          [1.5], "e", "json")
     rows = json.loads(f"[{text}]")
     assert len(rows) == count == 3 * (8 + 8) and violations == []
     assert [r["pair_tag"] for r in rows[::16]] == [
@@ -71,31 +74,95 @@ def test_sweep_chunk_evaluates_one_batch(monkeypatch):
 @pytest.mark.parametrize("dims,trials,jobs", [
     ([2], 1, 1), ([2], 1, 4), ([3, 2, 3], 7, 1), ([2, 3, 4], 7, 2),
     ([2, 3, 4], 7, 3), (list(range(9, 17)), 25, 2), ([5], 100, 3), ([2, 3], 2, 16),
-    ([4, 2], 600, 1), ([3, 3, 2, 3], 300, 2), ([5], 257, 3)])
+    ([4, 2], 600, 1), ([3, 3, 2, 3], 300, 2), ([5], 257, 3),
+    ([2, 3, 4, 5], 25, 1), ([2, 3, 4, 5], 25, 2), ([2, 3, 4, 5], 25, 3), ([2, 3, 3, 9], 40, 2)])
 def test_chunk_plan_covers_grid_once_in_order(monkeypatch, pools_started, dims, trials, jobs):
     plan = chunk_plan(dims, trials)
-    cells = [(dim, trial) for dim, chunk in plan for trial in chunk]
+    cells = [(dim, trial) for chunk in plan for dim, block in chunk for trial in block]
     # dims ascending, then trials; a dimension listed k times gives each of
     # its trials k times in a row, the interleaving the rows have always had
     assert cells == [(dim, trial) for dim in sorted(set(dims)) for trial in range(trials)
                      for _ in range(dims.count(dim))]
-    for dim, chunk in plan:
-        assert 0 < len(chunk) <= sweeps._CHUNK_TRIALS * dims.count(dim)
-        assert len(set(chunk)) <= sweeps._CHUNK_TRIALS
+    for chunk in plan:
+        for dim, block in chunk:
+            assert 0 < len(block) <= sweeps._CHUNK_TRIALS * dims.count(dim)
+        assert sum(len(set(block)) for _, block in chunk) <= sweeps._CHUNK_TRIALS
     # the sweep runs exactly this plan, in this order, at any number of jobs
     ran = []
-    monkeypatch.setattr(sweeps, "sweep_chunk", lambda seed, dim, chunk, **settings:
-                        ran.append((dim, chunk)) or ("", 0, []))
+    monkeypatch.setattr(sweeps, "sweep_chunk", lambda seed, chunk, **settings:
+                        ran.append(chunk) or ("", 0, []))
     sweep_bounds(dims, trials, seed=0, out=io.StringIO(), f_specs=["neg-log"], jobs=jobs)
     assert ran == plan
 
 
 def test_chunk_plan_sweep_wide_grid():
     # the benchmark's sweep_wide grid, d = 9..16 at 25 trials: one chunk of
-    # 25 per dimension, whatever the number of jobs
-    plan = chunk_plan(list(range(9, 17)), 25)
-    assert plan == [(dim, range(25)) for dim in range(9, 17)]
-    assert [len(chunk) for _, chunk in chunk_plan([4, 2], 600)] == [256, 256, 88] * 2
+    # 25 per dimension, whatever the number of jobs (d = 9 and d = 10
+    # together pass the cap on the sum of d^2)
+    plan = chunk_plan(range(9, 17), 25)
+    assert plan == [[(dim, range(25))] for dim in range(9, 17)]
+    assert [[len(block) for _, block in chunk] for chunk in chunk_plan([4, 2], 600)] == [
+        [256], [256], [88]] * 2
+
+
+def test_chunk_plan_sweep_suite_grid():
+    # the benchmark's sweep_suite grid, d = 2..5 at 25 trials: 100 pairs
+    # with a sum of d^2 of 1350, one chunk
+    assert chunk_plan(range(2, 6), 25) == [[(dim, range(25)) for dim in range(2, 6)]]
+
+
+@pytest.mark.parametrize("dims,trials", [
+    (range(2, 6), 25), (range(2, 6), 64), (range(2, 6), 65), (range(2, 17), 25),
+    ([2, 2, 3, 4], 50), ([2, 3, 4, 5, 6, 7, 8], 30), ([2, 16], 3)])
+def test_chunk_plan_caps_pairs_and_squares(dims, trials):
+    # a chunk of several blocks stays within both caps; a lone block may
+    # pass the cap on d^2 (a d = 16 block of 25 pairs), never the cap on pairs
+    for chunk in chunk_plan(dims, trials):
+        pairs = [(dim, len(set(block))) for dim, block in chunk]
+        assert sum(n for _, n in pairs) <= sweeps._CHUNK_TRIALS
+        assert len(chunk) == 1 or sum(n * dim ** 2 for dim, n in pairs) <= sweeps._CHUNK_SQUARES
+    # a chunk ends only where its next block would pass one of the caps
+    plan = chunk_plan(dims, trials)
+    for before, after in zip(plan, plan[1:]):
+        joined = [(dim, len(set(block))) for dim, block in before + after[:1]]
+        assert (sum(n for _, n in joined) > sweeps._CHUNK_TRIALS
+                or sum(n * dim ** 2 for dim, n in joined) > sweeps._CHUNK_SQUARES)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dims", [[2, 3, 4, 5], [3, 2, 5, 3]])
+def test_merged_chunks_move_no_byte(monkeypatch, fmt, dims):
+    # the same sweep with every chunk held to one dimension, the plan before
+    # chunks could span dimensions, writes the same bytes
+    def sweep_text():
+        out = io.StringIO()
+        sweep_bounds(dims, 9, seed=13, out=out, f_specs=ALL_F, qs=[0.3, 1.5], fmt=fmt)
+        return out.getvalue()
+
+    merged = sweep_text()
+    assert len(chunk_plan(dims, 9)) == 1
+    monkeypatch.setattr(sweeps, "_CHUNK_SQUARES", 0)
+    assert [len(chunk) for chunk in chunk_plan(dims, 9)] == [1] * len(set(dims))
+    assert sweep_text() == merged
+
+
+def test_sweep_chunk_runs_one_bound_pass_and_one_render(monkeypatch):
+    # a chunk of four dimensions: one bound pass per route and one render,
+    # one sampled batch per dimension
+    counts = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                            counts.update([name]) or original(*args, **kwargs))
+
+    for module, name in ((bounds, "bound_reports"), (sweeps, "render_columns"),
+                         (sweeps, "trial_batch")):
+        counting(module, name)
+    (chunk,) = chunk_plan(range(2, 6), 25)
+    text, count, _ = sweep_chunk(0, chunk, "random", ALL_F, [0.3, 1.5], "e", "csv")
+    assert counts == {"bound_reports": 6, "render_columns": 1, "trial_batch": 4}
+    assert [line.split(",")[0] for line in text.split("\n")[::count // 4]] == list("2345")
 
 
 def test_one_job_builds_no_batch_past_the_cap(monkeypatch):
@@ -158,7 +225,7 @@ def pools_started(monkeypatch):
 
 
 def test_pool_never_larger_than_the_plan(monkeypatch, pools_started):
-    sweep_rows([2, 3], trials=40, seed=4, qs=[0.5], jobs=8)
+    sweep_rows([9, 10], trials=20, seed=4, qs=[0.5], jobs=8)
     assert pools_started == [2]  # one chunk per dimension, two workers
     monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 1)
     serial = sweep_rows([2], trials=3, seed=4, f_specs=["neg-log"])
@@ -181,10 +248,11 @@ def test_rows_sorted_by_numeric_trial_past_a_million(monkeypatch, pools_started)
     # a stub chunk emits two rows for each boundary trial it holds; trial
     # 1 000 000 has a 7-digit tag, which sorts between 100000 and 100001
     # as a string
-    def stub_chunk(seed, dim, trials, pair_kind, f_specs, qs, ae11_base, fmt):
+    def stub_chunk(seed, chunk, pair_kind, f_specs, qs, ae11_base, fmt):
         rows = [{"dim": dim, "pair_tag": f"{pair_kind}:{trial:06d}", "row": k,
                  "applicable": True, "slack": 0.0}
-                for trial in _BOUNDARY if trial in trials for k in range(2)]
+                for dim, trials in chunk for trial in _BOUNDARY if trial in trials
+                for k in range(2)]
         return ",\n".join(map(json.dumps, rows)), len(rows), []
 
     monkeypatch.setattr(sweeps, "sweep_chunk", stub_chunk)
