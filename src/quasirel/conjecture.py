@@ -16,26 +16,30 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import dagger, hermitian_part
+from .linalg import ZERO_EIG_THRESHOLD, dagger, hermitian_part
 from .states import (
     PairBatch,
+    TrialStreams,
+    _classical_batch,
+    _classical_draw,
     _matrix_to_json,
-    _random_probabilities,
     _single,
-    default_rng,
+    _spectra_draw,
+    _spectral_draws,
     haar_unitaries,
-    random_classical_pairs,
+    trial_streams,
 )
 
 FUNCTIONAL_CROSS_TOL = 1e-10
 PROVEN_SLACK = 1e-10
 VIOLATION_THRESHOLD = 1.0 + 1e-10
 
-# SeedSequence tags keeping the independent trial streams disjoint.
+# Key tags keeping the independent trial streams disjoint.
 _TAG_RANDOM = 101
 _TAG_CLIMB = 202
 
@@ -259,34 +263,44 @@ class _Instances(NamedTuple):
         return doc
 
 
-def _random_instances(dim: int, rngs: list, weight_mode: str,
-                      commuting: bool) -> _Instances:
-    """One fresh instance per generator, each drawn from its own stream.
-
-    A stream gives, in order: the pair (a shuffled commuting pair, or two
-    spectra and then the Gaussians of two Haar bases), then its weights
-    (d*d uniforms) or its modular t.
-    """
-    n = len(rngs)
+def _instance_draw(dim: int, weight_mode: str, commuting: bool,
+                   rng: np.random.Generator, floor=None) -> tuple:
+    """One instance's draws in stream order, as _spectral_draws takes them:
+    the pair's (a shuffled commuting pair's, or two spectra and then the
+    Gaussians of two Haar bases), then its weights (d*d uniforms) or its
+    modular t."""
     if commuting:
-        pairs = random_classical_pairs(dim, rngs)
+        draws = _classical_draw(dim, rng, floor)
+    else:
+        draws = (_spectra_draw(rng, dim, floor), rng.standard_normal((2, 2, dim, dim)))
+    if weight_mode == "modular":
+        return (*draws, np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+    return (*draws, rng.uniform(0.0, 1.0, (dim, dim)))
+
+
+def _spectrum_floor(commuting: bool) -> float:
+    """Drawn spectra stay above this: a commuting pair's, the rank threshold."""
+    return ZERO_EIG_THRESHOLD if commuting else SPECTRUM_FLOOR
+
+
+def _random_instances(dim: int, streams: TrialStreams, weight_mode: str,
+                      commuting: bool) -> _Instances:
+    """One fresh instance per stream, each drawn from its own stream."""
+    draw = partial(_instance_draw, dim, weight_mode, commuting)
+    spectra, draws = _spectral_draws(streams, draw, _spectrum_floor(commuting))
+    if commuting:
+        z, perm, weights = draws
+        pairs = _classical_batch(spectra, z, perm)
         lam, mu = pairs.rho_spectral.eigenvalues, pairs.sigma_spectral.eigenvalues
         u_psi, u_phi = pairs.rho_spectral.eigenvectors, pairs.sigma_spectral.eigenvectors
     else:
-        spectra = np.empty((n, 2, dim))
-        z = np.empty((n, 2, 2, dim, dim))
-        for i, rng in enumerate(rngs):
-            spectra[i, 0] = _random_probabilities(dim, rng, SPECTRUM_FLOOR)
-            spectra[i, 1] = _random_probabilities(dim, rng, SPECTRUM_FLOOR)
-            z[i] = rng.standard_normal((2, 2, dim, dim))
+        z, weights = draws
         lam, mu = spectra[:, 0], spectra[:, 1]
         u = haar_unitaries(z)
         u_psi, u_phi = u[:, 0], u[:, 1]
     if weight_mode == "modular":
-        t = np.array([np.exp(rng.uniform(np.log(1e-2), np.log(1e2))) for rng in rngs])
-        return _Instances(lam, mu, u_psi, u_phi, None, t)
-    c = np.stack([rng.uniform(0.0, 1.0, (dim, dim)) for rng in rngs])
-    return _Instances(lam, mu, u_psi, u_phi, c, None)
+        return _Instances(lam, mu, u_psi, u_phi, None, weights)
+    return _Instances(lam, mu, u_psi, u_phi, weights, None)
 
 
 def _jitter(inst: _Instances, step: float, z: np.ndarray,
@@ -392,19 +406,21 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
     ``trials`` as restart count, each restart climbing from a fresh instance
     with spectrum/unitary/weight jitter, accepting on increase, abandoning a
     restart after ``plateau`` consecutive misses. Trials round-robin over
-    ``dims``. Deterministic: every trial derives its own generator from
-    (seed, dim, trial, tag), so results are independent of scheduling.
+    ``dims``. Deterministic: every trial draws from the stream of
+    default_rng((seed, dim, trial, tag)), so results are independent of
+    scheduling.
 
     The work runs on stacked arrays and the record is the same, bit for
     bit, as when trials and steps ran one at a time:
 
     * Trials run in blocks of ``_TRIAL_BLOCK``, so memory does not grow
-      with ``trials``. Each trial draws from its own stream in the order a
-      lone trial would; then each dimension's instances of the block are
-      evaluated as one stack. numpy's stacked QR, eigh, eigvalsh and matmul
-      give each matrix the bits of the 2-D call. Ratios are scanned in
-      trial order, so the first maximum wins and violations keep their
-      order.
+      with ``trials``. A block's streams are seeded in one pass, and each
+      trial draws from its own stream in the order a lone trial would; a
+      restart replays its instance draws before it climbs. Then each
+      dimension's instances of the block are evaluated as one stack.
+      numpy's stacked QR, eigh, eigvalsh and matmul give each matrix the
+      bits of the 2-D call. Ratios are scanned in trial order, so the
+      first maximum wins and violations keep their order.
     * A climb step draws the same count of normals whether or not it is
       accepted, so step j's draws are a fixed slice of the restart's stream,
       and a restart draws them ahead, ``_DRAW_STEPS`` steps at a time. A
@@ -436,16 +452,19 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
         block_dims = [dims[trial % len(dims)] for trial in block]
-        rngs = [default_rng((seed, dim, trial, tag)) for dim, trial in zip(block_dims, block)]
+        streams = trial_streams([(seed, dim, trial, tag)
+                                 for dim, trial in zip(block_dims, block)])
         # (instances, index, ratio) per trial of the block
         outcomes: list = [None] * len(block)
         for dim in dict.fromkeys(block_dims):
             members = [i for i, d in enumerate(block_dims) if d == dim]
-            insts = _random_instances(dim, [rngs[i] for i in members], weight_mode,
-                                      commuting)
+            insts = _random_instances(dim, streams.take(members), weight_mode, commuting)
             for n, (i, ratio) in enumerate(zip(members, insts.ratios().tolist())):
                 if strategy == "hill_climb":
-                    climbed, ratio = _climb(insts.take(n), ratio, rngs[i], step,
+                    # the climb goes on with the trial's stream after its instance
+                    rng = streams.restart(i)
+                    _instance_draw(dim, weight_mode, commuting, rng, _spectrum_floor(commuting))
+                    climbed, ratio = _climb(insts.take(n), ratio, rng, step,
                                             steps_per_restart, plateau, commuting)
                     outcomes[i] = (climbed, 0, ratio)
                 else:

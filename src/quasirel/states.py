@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -264,6 +264,127 @@ def default_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# SeedSequence's hash and mix constants and PCG64's multiplier, as numpy's
+# random/bit_generator.pyx and the PCG paper (O'Neill, HMC-CS-2014-0905)
+# give them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+# Fewer keys than this are seeded by PCG64 itself: the array pass costs
+# about as much as 8 PCG64 seedings, whatever the key count.
+_ARRAY_SEEDING_MIN = 8
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, n: int) -> tuple:
+    """The xor and multiply constants of n consecutive SeedSequence hashes."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)
+    return c[:-1], c[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def pcg64_states(keys: Sequence) -> list:
+    """np.random.PCG64(key).state for each key, in one pass over all of them.
+
+    The keys are tuples of one length. SeedSequence splits each entry into
+    little-endian uint32 words, mixes the words into a pool of 4 and hashes
+    the pool into two 128-bit numbers, initstate and initseq; PCG64 then
+    sets inc = 2 initseq + 1 and state = ((inc + initstate) M + inc) mod
+    2^128. The words are mixed as uint32 arrays over all keys at once, a
+    key of more than 4 words (an entry of 2^32 or more) going through the
+    extra mixing rounds only as far as its own words reach. Fewer than
+    _ARRAY_SEEDING_MIN keys, keys that do not make an array of integers (an
+    entry of 2^63 or more beside smaller ones) and keys with a negative
+    entry are seeded by PCG64 itself, so a negative entry raises as
+    default_rng does.
+    """
+    a = np.array(keys)
+    if len(a) < _ARRAY_SEEDING_MIN or a.ndim != 2 or a.dtype.kind not in "iu" or a.min() < 0:
+        return [np.random.PCG64(key).state for key in keys]
+    n = len(a)
+    high = a >> 32
+    counts = 1 + (high > 0)  # words per entry
+    ends = np.cumsum(counts, axis=1)
+    width = ends[:, -1]
+    words = np.zeros((n, max(4, int(width.max()))), dtype=np.uint32)
+    words[np.arange(n)[:, np.newaxis], ends - counts] = a & _MASK32
+    r, c = np.nonzero(high)
+    words[r, ends[r, c] - 1] = high[r, c]
+
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * words.shape[1])
+    pool = _hash(words[:, :4], xor[:4], mul[:4])
+    for src in range(4):
+        k = 4 + 3 * src
+        dst = [i for i in range(4) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hash(pool[:, src:src + 1], xor[k:k + 3], mul[k:k + 3]))
+    for p in range(4, words.shape[1]):
+        k = 4 * p
+        mixed = _mix(pool, _hash(words[:, p:p + 1], xor[k:k + 4], mul[k:k + 4]))
+        pool = np.where((width > p)[:, np.newaxis], mixed, pool)
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = _hash(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+    seeds = (out[:, 0::2] | out[:, 1::2] << np.uint64(32)).tolist()
+    states = []
+    for s0, s1, s2, s3 in seeds:
+        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        state = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+class TrialStreams:
+    """Independent random streams, one per trial, drawn through one generator.
+
+    Iterating yields the generator once per trial, set to that trial's start
+    state; a trial makes its first draws before the next is yielded.
+    restart(n) sets it to trial n's start again, so a trial whose draw was
+    rejected replays its first draws and goes on from there.
+    """
+
+    def __init__(self, states: list, rng: np.random.Generator):
+        self.states = states
+        self.rng = rng
+
+    def __iter__(self):
+        for n in range(len(self.states)):
+            yield self.restart(n)
+
+    def restart(self, n: int) -> np.random.Generator:
+        self.rng.bit_generator.state = self.states[n]
+        return self.rng
+
+    def take(self, indices) -> TrialStreams:
+        """The streams of the given trials, in that order."""
+        return TrialStreams([self.states[n] for n in indices], self.rng)
+
+
+def trial_streams(keys: Sequence) -> TrialStreams:
+    """Trial n's stream is default_rng(keys[n])'s, bit for bit: all keys are
+    seeded by one pcg64_states call, and every trial draws through one
+    generator."""
+    return TrialStreams(pcg64_states(keys), np.random.Generator(np.random.PCG64(0)))
+
+
+def _own_stream(rng: np.random.Generator) -> TrialStreams:
+    """A generator's own stream as a trial's, from where it stands."""
+    return TrialStreams([rng.bit_generator.state], rng)
+
+
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries by one stacked QR of complex Gaussians.
 
@@ -301,17 +422,17 @@ def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
             return dm
 
 
-def random_pairs(dim: int, rngs: Sequence) -> PairBatch:
-    """One pair of independent random states per generator, as a batch.
+def random_pairs(dim: int, streams: TrialStreams) -> PairBatch:
+    """One pair of independent random states per stream, as a batch.
 
-    Pair n uses rngs[n] exactly as random_pair does: its first two accepted
-    random_state draws, rho then sigma. Both draws of every generator are
-    made and validated together; a pair with a rejected draw continues its
-    own stream with random_state, and the batch is rebuilt.
+    Pair n is stream n's first two accepted random_state draws, rho then
+    sigma. Both draws of every stream are made and validated together; a
+    pair with a rejected draw restarts its stream, replays them and
+    continues with random_state, and the batch is rebuilt.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    z = np.stack([rng.standard_normal((2, 2, dim, dim)) for rng in rngs])
+    z = np.stack([rng.standard_normal((2, 2, dim, dim)) for rng in streams])
     m = _gaussian_states(z)
     batch = pair_batch(m[:, 0], m[:, 1])
     rejected = np.flatnonzero(~(batch.rho_positive & batch.sigma_positive))
@@ -319,49 +440,92 @@ def random_pairs(dim: int, rngs: Sequence) -> PairBatch:
         return batch
     rho, sigma = batch.rho.copy(), batch.sigma.copy()
     for n in rejected:
+        rng = streams.restart(n)
+        rng.standard_normal((2, 2, dim, dim))  # the draws just validated
         accepted = [state[n] for state, ok in ((rho, batch.rho_positive[n]),
                                                (sigma, batch.sigma_positive[n])) if ok]
         while len(accepted) < 2:
-            accepted.append(random_state(dim, rngs[n]).matrix)
+            accepted.append(random_state(dim, rng).matrix)
         rho[n], sigma[n] = accepted
     return pair_batch(rho, sigma)
 
 
 def random_pair(dim: int, rng: np.random.Generator) -> PairBatch:
     """Two independent random states as a batch of one."""
-    return random_pairs(dim, [rng])
+    return random_pairs(dim, _own_stream(rng))
 
 
-def _random_probabilities(dim: int, rng: np.random.Generator, floor: float) -> np.ndarray:
-    """A flat-Dirichlet probability vector, redrawn until every entry exceeds
-    floor, in descending order."""
-    alpha = np.ones(dim)
-    while True:
-        p = rng.dirichlet(alpha)
-        if p.min() > floor:
-            return np.sort(p)[::-1]
+def _dirichlet(e: np.ndarray) -> np.ndarray:
+    """Flat-Dirichlet vectors from standard exponentials along the last axis,
+    with the bits of rng.dirichlet(np.ones(d)): each row times the inverse of
+    its left-to-right sum (np.sum adds pairwise once d >= 8)."""
+    return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
-def random_classical_pairs(dim: int, rngs: Sequence) -> PairBatch:
-    """One commuting pair per generator, as a batch; see random_classical_pair."""
+def _spectra_draw(rng: np.random.Generator, dim: int, floor=None) -> np.ndarray:
+    """The (2, dim) standard exponentials of a stream's two flat-Dirichlet
+    spectra. With a floor, a row whose spectrum has an entry at or below it
+    is passed over for the stream's next dim draws, as often as it takes."""
+    e = rng.standard_exponential((2, dim))
+    if floor is None:
+        return e
+    rows = [row for row in e if _dirichlet(row).min() > floor]
+    while len(rows) < 2:
+        row = rng.standard_exponential(dim)
+        if _dirichlet(row).min() > floor:
+            rows.append(row)
+    return np.array(rows)
+
+
+def _spectral_draws(streams: TrialStreams, draw, floor: float) -> tuple:
+    """Every stream's draw(rng), stacked, with its two spectra made from them.
+
+    draw(rng, floor=None) makes one trial's draws in stream order and
+    returns them with its _spectra_draw exponentials first. The spectra are
+    normalized, floor-checked and sorted over the whole stack; a trial with
+    an entry at or below floor is drawn again from its restarted stream with
+    the floor applied. Returns the spectra, (N, 2, d) and descending, and a
+    list of the other draws' stacks.
+    """
+    draws = [np.array(column) for column in zip(*[draw(rng) for rng in streams])]
+    p = _dirichlet(draws[0])
+    for n in np.flatnonzero(np.any(p <= floor, axis=(-2, -1))):
+        for column, value in zip(draws, draw(streams.restart(n), floor)):
+            column[n] = value
+        p[n] = _dirichlet(draws[0][n])
+    return np.sort(p, axis=-1)[..., ::-1], draws[1:]
+
+
+def _classical_draw(dim: int, rng: np.random.Generator, floor=None) -> tuple:
+    """A commuting pair's draws in stream order, as _spectral_draws takes
+    them: the Gaussians of its basis, its spectra, the shuffle of sigma's."""
+    z = rng.standard_normal((2, dim, dim))
+    return _spectra_draw(rng, dim, floor), z, rng.permutation(dim)
+
+
+def _classical_batch(spectra: np.ndarray, z: np.ndarray, perm: np.ndarray) -> PairBatch:
+    """The commuting pairs of _classical_draw's stacked draws."""
+    u = haar_unitaries(z)
+    p = spectra[:, 0, np.newaxis, :]
+    q = np.take_along_axis(spectra[:, 1], perm, axis=-1)[:, np.newaxis, :]
+    return pair_batch((u * p) @ dagger(u), (u * q) @ dagger(u))
+
+
+def random_classical_pairs(dim: int, streams: TrialStreams) -> PairBatch:
+    """One commuting pair per stream, as a batch; see random_classical_pair."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    gaussians, spectra = [], []
-    for rng in rngs:
-        gaussians.append(rng.standard_normal((2, dim, dim)))
-        p = _random_probabilities(dim, rng, ZERO_EIG_THRESHOLD)
-        q = _random_probabilities(dim, rng, ZERO_EIG_THRESHOLD)
-        spectra.append((p, q[rng.permutation(dim)]))
-    u = haar_unitaries(np.stack(gaussians))
-    spectra = np.array(spectra)[:, :, np.newaxis, :]
-    return pair_batch((u * spectra[:, 0]) @ dagger(u), (u * spectra[:, 1]) @ dagger(u))
+    spectra, (z, perm) = _spectral_draws(streams, partial(_classical_draw, dim),
+                                         ZERO_EIG_THRESHOLD)
+    return _classical_batch(spectra, z, perm)
 
 
 def random_classical_pair(dim: int, rng: np.random.Generator) -> PairBatch:
     """A commuting pair, as a batch of one: both states diagonal in one shared
-    random basis, with sigma's spectrum randomly permuted against rho's, so
-    the overlap matrix is a permutation matrix."""
-    return random_classical_pairs(dim, [rng])
+    random basis, with flat-Dirichlet spectra above the rank threshold and
+    sigma's randomly permuted against rho's, so the overlap matrix is a
+    permutation matrix."""
+    return random_classical_pairs(dim, _own_stream(rng))
 
 
 def example_pair(dim: int) -> PairBatch:

@@ -14,8 +14,9 @@ inline or in a pool of at most one worker per chunk, and each chunk's text
 is written as soon as it and every chunk before it are done, so a sweep
 holds about one chunk.
 
-Every trial owns a generator seeded by (tag, seed, dim, trial), so a pair's
-rows do not depend on the chunk it sits in or on the number of jobs.
+Every trial owns the random stream of default_rng((tag, seed, dim, trial)),
+so a pair's rows do not depend on the chunk it sits in or on the number of
+jobs; a chunk seeds all its trials' streams in one pass.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
 from .functions import parse_f_spec
 from .states import (
     PairBatch,
-    default_rng,
+    TrialStreams,
     example_pair,
     random_classical_pairs,
     random_pairs,
     summarize,
+    trial_streams,
 )
 
 _TAG_SWEEP = 7001
@@ -53,24 +55,23 @@ PAPER_EXAMPLE_COLUMNS = [
 ]
 
 
-def trial_rng(seed: int, dim: int, trial: int):
-    """The generator owned by one (dim, trial) cell of a sweep."""
-    return default_rng((_TAG_SWEEP, seed, dim, trial))
+def trial_key(seed: int, dim: int, trial: int) -> tuple:
+    """The seed of one (dim, trial) cell's random stream."""
+    return (_TAG_SWEEP, seed, dim, trial)
 
 
-def trial_batch(seed: int, dim: int, trials, pair_kind: str = "random") -> PairBatch:
-    """The pairs of the given trials at one dimension, each from its own generator."""
-    rngs = [trial_rng(seed, dim, trial) for trial in trials]
+def trial_batch(dim: int, streams: TrialStreams, pair_kind: str = "random") -> PairBatch:
+    """The pairs of the given trial streams at one dimension."""
     if pair_kind == "random":
-        return random_pairs(dim, rngs)
+        return random_pairs(dim, streams)
     if pair_kind == "classical":
-        return random_classical_pairs(dim, rngs)
+        return random_classical_pairs(dim, streams)
     raise ValueError(f"unknown pair_kind {pair_kind!r}")
 
 
 def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random") -> PairBatch:
     """One trial's pair: a batch of one from trial_batch."""
-    return trial_batch(seed, dim, [trial], pair_kind)
+    return trial_batch(dim, trial_streams([trial_key(seed, dim, trial)]), pair_kind)
 
 
 def batch_rows(batches: list, seed, tags: list, routes: list, ae11_base: str) -> tuple:
@@ -170,12 +171,15 @@ def sweep_chunk(seed: int, blocks: list, pair_kind: str,
     given once per listing.
     """
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
-    batches, tags, order = [], [], []
+    spans, keys, tags, order = [], [], [], []
     for dim, trials in blocks:
-        index = {trial: n for n, trial in enumerate(dict.fromkeys(trials), len(tags))}
-        batches.append(trial_batch(seed, dim, list(index), pair_kind))
+        index = {trial: n for n, trial in enumerate(dict.fromkeys(trials), len(keys))}
+        spans.append((dim, range(len(keys), len(keys) + len(index))))
+        keys += [trial_key(seed, dim, trial) for trial in index]
         tags += [f"{pair_kind}:{trial:06d}" for trial in index]
         order += [index[trial] for trial in trials]
+    streams = trial_streams(keys)  # the whole chunk seeded in one pass
+    batches = [trial_batch(dim, streams.take(span), pair_kind) for dim, span in spans]
     return render_columns(batch_rows(batches, int(seed), tags, routes, ae11_base), order, fmt)
 
 

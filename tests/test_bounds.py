@@ -35,8 +35,8 @@ from quasirel.bounds import (
     sandwich_batch,
     violated,
 )
-from quasirel.states import joined_summary, pair_batch, state_pair
-from quasirel.sweeps import trial_batch
+from quasirel.states import joined_summary, pair_batch, state_pair, trial_streams
+from quasirel.sweeps import trial_batch, trial_key, trial_pair
 
 PAIR = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 S = summarize(PAIR)
@@ -315,7 +315,8 @@ _QUBIT_GATED = ("qubit_classical_upper", "qubit_relative_tight_upper",
 def test_sandwich_batch_over_mixed_dimensions_is_exact(kwargs):
     # one call over batches of d = 2, 3 and 5 gives every pair the bits it
     # gets in a call over its own batch
-    parts = [trial_batch(17, dim, range(n)) for dim, n in ((2, 4), (3, 5), (5, 3))]
+    parts = [trial_batch(dim, trial_streams([trial_key(17, dim, t) for t in range(n)]))
+             for dim, n in ((2, 4), (3, 5), (5, 3))]
     dims = np.repeat([2, 3, 5], [4, 5, 3])
     gen, divergence, columns = sandwich_batch(*parts, **kwargs)
     assert joined_summary(parts).dim.tolist() == dims.tolist()
@@ -343,7 +344,7 @@ def test_summarize_keeps_an_int_dim():
     # the column holds the dimension per pair; summarize reads it back as an
     # int, and the sqrt(d) bound on its numbers is the column's index 0
     for dim in range(2, 17):
-        pair = trial_batch(3, dim, [0])
+        pair = trial_pair(3, dim, 0)
         s = summarize(pair)
         assert type(s.dim) is int and s.dim == dim
         assert pair.summary.dim.tolist() == [dim]

@@ -26,7 +26,8 @@ from quasirel.conjecture import (
     _Instances,
     _jitter,
 )
-from quasirel.states import state_pair
+from quasirel.states import _own_stream, _spectra_draw, _spectral_draws, state_pair
+from scripted_streams import ScriptedStream
 from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
 
 
@@ -250,6 +251,18 @@ def test_hill_climb_matches_serial_oracle(monkeypatch, weight_mode, commuting):
                   seed=42, weight_mode=weight_mode, commuting=commuting)
 
 
+# enough trials or restarts for the array seeding pass
+@pytest.mark.parametrize("strategy,trials", [("random", 40), ("hill_climb", 9)])
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_search_matches_serial_oracle_at_seeds_past_32_bits(monkeypatch, strategy, trials,
+                                                            weight_mode, commuting):
+    # a seed of 2^32 or more makes 5-word keys, as the held-out benchmark seed does
+    _same_records(monkeypatch, dims=(2, 3, 5), trials=trials, strategy=strategy,
+                  seed=104729 * 100_000 + 3, weight_mode=weight_mode, commuting=commuting,
+                  steps_per_restart=40)
+
+
 def test_hill_climb_matches_oracle_across_draw_blocks(monkeypatch):
     # a plateau as long as the climb keeps every restart running past
     # several blocks of drawn-ahead steps
@@ -316,19 +329,13 @@ def test_proven_slack_both_sides(scale, holds):
 
 
 def test_spectrum_floor_both_sides():
-    # drawn spectra: an entry at 0.9 * SPECTRUM_FLOOR is redrawn, one at 1.1x kept
-    class Scripted:
-        def __init__(self, *draws):
-            self.draws = [np.array(d) for d in draws]
-
-        def dirichlet(self, alpha):
-            return self.draws.pop(0)
-
+    # drawn spectra: an entry at 0.9 * SPECTRUM_FLOOR is passed over, one at 1.1x kept
     low, high = 0.9 * SPECTRUM_FLOOR, 1.1 * SPECTRUM_FLOOR
-    rng = Scripted([low, 1.0 - low], [high, 1.0 - high])
-    spectrum = conjecture._random_probabilities(2, rng, SPECTRUM_FLOOR)
-    np.testing.assert_array_equal(spectrum, [1.0 - high, high])
-    assert rng.draws == []
+    rng = ScriptedStream(exponentials=[[low, 1.0 - low], [high, 1.0 - high], [high, 1.0 - high]])
+    spectra, _ = _spectral_draws(
+        _own_stream(rng), lambda rng, floor=None: (_spectra_draw(rng, 2, floor),), SPECTRUM_FLOOR)
+    np.testing.assert_array_equal(spectra[0], [[1.0 - high, high]] * 2)
+    assert rng.exponentials_used == rng.exponentials.size
     # jittered spectra: a bump to 0.9x is clipped up to the floor, one to 1.1x is kept
     inst = _Instances(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
                       np.eye(2)[np.newaxis], np.eye(2)[np.newaxis], None, np.array([1.0]))

@@ -62,7 +62,7 @@ def test_state_stack_symmetrized_once(monkeypatch):
         calls.append(np.shape(a))
         return hermitian_part(a, *args, **kwargs)
 
-    batch = states.random_pairs(3, [np.random.default_rng(seed) for seed in range(4)])
+    batch = states.random_pairs(3, states.trial_streams([(seed,) for seed in range(4)]))
     monkeypatch.setattr(linalg, "hermitian_part", counted)
     monkeypatch.setattr(states, "hermitian_part", counted)
     again = states.pair_batch(batch.rho, batch.sigma)

@@ -35,13 +35,19 @@ from quasirel.states import (
     EIGENVALUE_FLOOR,
     TRACE_TOL,
     PairBatch,
-    _random_probabilities,
+    _dirichlet,
+    _own_stream,
+    _spectra_draw,
+    _spectral_draws,
     haar_unitaries,
     pair_batch,
+    pcg64_states,
     random_classical_pairs,
     random_pairs,
     state_pair,
+    trial_streams,
 )
+from scripted_streams import ScriptedStream
 from serial_search import haar_unitary as serial_haar_unitary
 
 
@@ -184,88 +190,170 @@ def test_pair_dict_round_trip():
     np.testing.assert_array_equal(again.sigma, pair.sigma)
 
 
-class _FlatStream:
-    """Stub generator whose first Gaussian matrix has a zero last row.
-
-    standard_normal serves one fixed stream in order, whatever block shapes
-    it is asked for, so a state drawn from the stub is rank-deficient first.
-    """
-
-    def __init__(self, dim, seed):
-        self.stream = default_rng(seed).standard_normal(64 * dim * dim)
-        self.stream.reshape(-1, dim, dim)[:2, -1, :] = 0.0  # real and imaginary parts
-        self.used = 0
-
-    def standard_normal(self, size):
-        n = int(np.prod(size))
-        out = self.stream[self.used:self.used + n].reshape(size)
-        self.used += n
-        return out.copy()
+def _one_spectrum(rng, dim, floor):
+    """One flat-Dirichlet spectrum at a time, as rng.dirichlet(np.ones(dim))
+    computes it from dim exponentials (scaled by the inverse of their
+    left-to-right sum), redrawn until every entry exceeds floor; descending."""
+    while True:
+        e = rng.standard_exponential(dim)
+        acc = 0.0
+        for x in e:
+            acc += x
+        p = e * (1.0 / acc)
+        if p.min() > floor:
+            return np.sort(p)[::-1]
 
 
-class _ZeroWeightFirst:
-    """Stub generator: a real one whose first Dirichlet draw has a zero weight."""
-
-    def __init__(self, seed):
-        self.rng = default_rng(seed)
-        self.dirichlet_calls = 0
-
-    def dirichlet(self, alpha):
-        self.dirichlet_calls += 1
-        if self.dirichlet_calls == 1:
-            return np.eye(len(alpha))[0]
-        return self.rng.dirichlet(alpha)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-class _ScriptedDirichlet:
-    """Stub generator whose dirichlet returns the given vectors in turn."""
-
-    def __init__(self, *draws):
-        self.draws = [np.array(d) for d in draws]
-
-    def dirichlet(self, alpha):
-        return self.draws.pop(0)
+def _stream_spectra(stream, dim, floor):
+    """A stream's two spectra, through the stacked sampler's draw and floor check."""
+    spectra, _ = _spectral_draws(
+        _own_stream(stream), lambda rng, floor=None: (_spectra_draw(rng, dim, floor),), floor)
+    return spectra[0]
 
 
 def test_random_probabilities_floor_both_sides():
     floor = 1e-8
-    at_floor, above = [floor, 1.0 - floor], [2 * floor, 1.0 - 2 * floor]
-    # a draw with an entry at the floor is redrawn; one just above it is kept
-    got = _random_probabilities(2, _ScriptedDirichlet(at_floor, above), floor)
-    np.testing.assert_array_equal(got, above[::-1])
-    got = _random_probabilities(2, _ScriptedDirichlet(above, at_floor), floor)
-    np.testing.assert_array_equal(got, above[::-1])
+    # each row sums to exactly 1, so it is its own spectrum
+    at_floor = [floor, 1.0 - floor]
+    above, above_too = [2 * floor, 1.0 - 2 * floor], [3 * floor, 1.0 - 3 * floor]
+    # a row with an entry at the floor is passed over for the stream's next;
+    # one just above it is kept, in either row of the first draw
+    for rows in ((at_floor, above, above_too), (above, at_floor, above_too)):
+        stream = ScriptedStream(exponentials=rows)
+        np.testing.assert_array_equal(_stream_spectra(stream, 2, floor),
+                                      [above[::-1], above_too[::-1]])
+        assert stream.exponentials_used == 6
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_exponential_spectra_match_dirichlet(dim):
+    # np.sum would add pairwise from d = 8 and miss the last bit
+    for seed in range(200):
+        one, block = default_rng((seed, dim)), default_rng((seed, dim))
+        expected = [one.dirichlet(np.ones(dim)) for _ in range(2)]
+        np.testing.assert_array_equal(_dirichlet(_spectra_draw(block, dim)), expected)
+        assert one.bit_generator.state == block.bit_generator.state
 
 
 def test_batch_sampler_continues_stream_after_rejection():
     dim = 3
-    sequential, batched = _FlatStream(dim, 14), _FlatStream(dim, 14)
+    normals = default_rng(14).standard_normal(64 * dim * dim)
+    normals.reshape(-1, dim, dim)[:2, -1, :] = 0.0  # rho's first draw is rank-deficient
+    sequential, batched = ScriptedStream(normals), ScriptedStream(normals)
     rho = random_state(dim, sequential).matrix
     sigma = random_state(dim, sequential).matrix
-    batch = random_pairs(dim, [batched])
+    batch = random_pair(dim, batched)
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
     # the first draw was rejected: both paths consumed three Gaussian pairs
-    assert sequential.used == batched.used == 3 * 2 * dim * dim
+    assert sequential.normals_used == batched.normals_used == 3 * 2 * dim * dim
 
 
 def test_classical_batch_sampler_continues_stream_after_rejection():
     dim = 4
-    sequential, batched = _ZeroWeightFirst(15), _ZeroWeightFirst(15)
+    exponentials = default_rng(15).standard_exponential(64)
+    exponentials[0] = 0.0  # rho's first spectrum has a zero weight
+    normals = default_rng(16).standard_normal(2 * dim * dim)
+    sequential, batched = (ScriptedStream(normals, exponentials, seed=15) for _ in range(2))
     # the per-trial draw order random_classical_pair has always used
     u = haar_unitaries(sequential.standard_normal((2, dim, dim)))
-    p = _random_probabilities(dim, sequential, ZERO_EIG_THRESHOLD)
-    q = _random_probabilities(dim, sequential, ZERO_EIG_THRESHOLD)
+    p = _one_spectrum(sequential, dim, ZERO_EIG_THRESHOLD)
+    q = _one_spectrum(sequential, dim, ZERO_EIG_THRESHOLD)
     q = q[sequential.permutation(dim)]
     rho = density_matrix((u * p) @ u.conj().T).matrix
     sigma = density_matrix((u * q) @ u.conj().T).matrix
-    batch = random_classical_pairs(dim, [batched])
+    batch = random_classical_pair(dim, batched)
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
-    assert sequential.dirichlet_calls == batched.dirichlet_calls == 3
+    assert sequential.exponentials_used == batched.exponentials_used == 3 * dim
+    assert sequential.state[2] == batched.state[2]  # the same permutation draws
+
+
+def _keys(n, dim):
+    return [(7001, 5, dim, trial) for trial in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["random", "classical"])
+def test_keyed_batch_resumes_rejected_trial_streams(monkeypatch, kind):
+    # a raised rank threshold rejects the first draws of some trials of a
+    # keyed batch; each of them goes on with its own stream and ends where
+    # one draw at a time from default_rng(key) does
+    dim, threshold = 3, 0.05
+    monkeypatch.setattr(states, "ZERO_EIG_THRESHOLD", threshold)
+    keys = _keys(40, dim)
+    sample = random_pairs if kind == "random" else random_classical_pairs
+    batch = sample(dim, trial_streams(keys))
+    rejected = 0
+    for n, key in enumerate(keys):
+        rng, first = default_rng(key), default_rng(key)
+        if kind == "random":
+            rho, sigma = random_state(dim, rng).matrix, random_state(dim, rng).matrix
+            first.standard_normal((2, 2, dim, dim))
+        else:
+            u = haar_unitaries(rng.standard_normal((2, dim, dim)))
+            p = _one_spectrum(rng, dim, threshold)
+            q = _one_spectrum(rng, dim, threshold)[rng.permutation(dim)]
+            rho, sigma = (u * p) @ u.conj().T, (u * q) @ u.conj().T
+            first.standard_normal((2, dim, dim))
+            first.standard_exponential((2, dim))
+            first.permutation(dim)
+        # a trial drew past its first draws only if one of them was rejected
+        rejected += rng.bit_generator.state != first.bit_generator.state
+        np.testing.assert_array_equal(batch.rho[n], density_matrix(rho).matrix)
+        np.testing.assert_array_equal(batch.sigma[n], density_matrix(sigma).matrix)
+    assert 0 < rejected < len(keys)
+
+
+def test_pcg64_states_match_seed_sequence():
+    rng = default_rng(20)
+    keys = rng.integers(0, 2 ** 32, (5000, 4))
+    keys[:50, 1] = 0
+    keys[50:100, 2] = 2 ** 32 - 1
+    keys = [(0, 0, 0, 0), (2 ** 32 - 1,) * 4] + [tuple(int(v) for v in key) for key in keys]
+    assert pcg64_states(keys) == [np.random.PCG64(key).state for key in keys]
+
+
+def test_pcg64_states_of_keys_past_32_bits(monkeypatch):
+    # 5- and 6-word entropy, alone and in one call with 4-word keys; the
+    # first are the sweep and search keys of the held-out benchmark seed.
+    # The array pass takes every list, however short.
+    monkeypatch.setattr(states, "_ARRAY_SEEDING_MIN", 1)
+    held_out = [(7001, 104729 * 100_000 + i, dim, trial)
+                for i in range(3) for dim in (2, 9) for trial in (0, 24)]
+    held_out += [(104729 * 100_000, dim, trial, 101) for dim, trial in ((3, 0), (6, 255))]
+    wide = [(2 ** 32, 2 ** 33 + 5, 3, 4), (1, 2 ** 63 - 1, 2 ** 40, 7),
+            (2 ** 62, 0, 2 ** 32 - 1, 1)]
+    unsigned = [(2 ** 63 + 5, 2 ** 64 - 1, 2 ** 63, 2 ** 63)]  # a uint64 array
+    for keys in (held_out, wide, unsigned, held_out + wide + unsigned + [(7001, 0, 3, 1)]):
+        assert pcg64_states(keys) == [np.random.PCG64(key).state for key in keys]
+
+
+@pytest.mark.parametrize("keys", [1, 8])
+def test_pcg64_states_negative_entry_raises_as_default_rng(keys):
+    with pytest.raises(ValueError) as expected:
+        default_rng((7001, -1, 3, 0))
+    with pytest.raises(ValueError) as got:
+        pcg64_states([(7001, 0, 3, trial) for trial in range(keys - 1)] + [(7001, -1, 3, 0)])
+    assert str(got.value) == str(expected.value)
+
+
+def test_pcg64_states_of_few_keys():
+    # below the array pass's size, and at it
+    keys = _keys(states._ARRAY_SEEDING_MIN, 3)
+    for n in (1, len(keys) - 1, len(keys)):
+        assert pcg64_states(keys[:n]) == [np.random.PCG64(key).state for key in keys[:n]]
+
+
+def test_trial_streams_draw_as_default_rng():
+    keys = _keys(states._ARRAY_SEEDING_MIN, 4) + [(7001, 104729 * 100_000, 4, 0)]
+    streams = trial_streams(keys)
+    drawn = [rng.standard_normal(7) for rng in streams]
+    for n, key in enumerate(keys):
+        np.testing.assert_array_equal(drawn[n], default_rng(key).standard_normal(7))
+    restarted = streams.take([len(keys) - 1, 0])
+    for n, key in zip((0, 1), (keys[-1], keys[0])):
+        np.testing.assert_array_equal(restarted.restart(n).standard_normal(3),
+                                      default_rng(key).standard_normal(3))
 
 
 def test_pair_batch_matches_pairs_built_one_by_one():
@@ -336,7 +424,7 @@ def test_state_pair_validates_as_density_matrix():
 
 @pytest.mark.parametrize("size", [0, 2])
 def test_per_pair_functions_take_only_a_batch_of_one(size):
-    batch = random_pairs(3, [default_rng(18), default_rng(19)])
+    batch = random_pairs(3, trial_streams([(18,), (19,)]))
     if size == 0:  # no pair_batch input builds an empty batch: cut one down
         batch = dataclasses.replace(batch, rho=batch.rho[:0])
     assert len(batch) == size

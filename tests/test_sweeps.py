@@ -169,9 +169,9 @@ def test_one_job_builds_no_batch_past_the_cap(monkeypatch):
     sizes = []
     trial_batch = sweeps.trial_batch
 
-    def recording(seed, dim, trials, pair_kind="random"):
-        sizes.append(len(trials))
-        return trial_batch(seed, dim, trials, pair_kind)
+    def recording(dim, streams, pair_kind="random"):
+        sizes.append(len(streams.states))
+        return trial_batch(dim, streams, pair_kind)
 
     monkeypatch.setattr(sweeps, "trial_batch", recording)
     trials = sweeps._CHUNK_TRIALS + 3
@@ -184,9 +184,9 @@ def test_repeated_dimension_is_sampled_once(monkeypatch):
     sizes = []
     trial_batch = sweeps.trial_batch
 
-    def recording(seed, dim, trials, pair_kind="random"):
-        sizes.append(len(trials))
-        return trial_batch(seed, dim, trials, pair_kind)
+    def recording(dim, streams, pair_kind="random"):
+        sizes.append(len(streams.states))
+        return trial_batch(dim, streams, pair_kind)
 
     monkeypatch.setattr(sweeps, "trial_batch", recording)
     rows, _ = sweep_rows([3, 3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
