@@ -10,10 +10,15 @@ where bisection can descend through the full double-precision range. The
 naive single map t = u/(1-u) puts the tail at u = 1, where doubles have only
 ~1e-16 of room; heavy-tailed measures need t beyond 1e16, which that map
 cannot represent (see the panel floor below).
+
+Near such a singularity only the panels [0, b] keep splitting, down a spine
+of left children whose right siblings settle within a level or two; so one
+round descends SPINE_DEPTH levels of that spine at once.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -23,6 +28,7 @@ LOCAL_TOL = 1e-9
 # Panels narrower than this are accepted as-is; with singularities mapped to
 # the origin this floor is never the accuracy limiter.
 MIN_PANEL_WIDTH = 1e-120
+SPINE_DEPTH = 16  # levels a round requests below a pending [0, b]; others get 2
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -31,16 +37,29 @@ class QuadratureError(RuntimeError):
     """The integrator exhausted its evaluation budget before converging."""
 
 
-# A panel's halves, then its quarters, as index pairs into its edges
-# (a, q1, mid, q3, b).
-_SUBPANELS = ((0, 2), (2, 4), (0, 1), (1, 2), (2, 3), (3, 4))
+def _requests(a: float, b: float, levels: int) -> list:
+    """The panels a round evaluates for the pending panel (a, b): its halves,
+    then, `levels` levels down its left-child chain, the halves of each right
+    child and of its left sibling, so the halves of the k-th left child sit
+    at index 4k and those of its right sibling at 4k - 2. It stops above
+    children narrower than MIN_PANEL_WIDTH, never deeper than depth-first
+    bisection goes."""
+    mid = 0.5 * (a + b)
+    out = [(a, mid), (mid, b)]
+    for _ in range(levels - 1):
+        if mid - a < MIN_PANEL_WIDTH or b - mid < MIN_PANEL_WIDTH:
+            break
+        centre = 0.5 * (mid + b)
+        out += [(mid, centre), (centre, b)]
+        b, mid = mid, 0.5 * (a + mid)
+        out += [(a, mid), (mid, b)]
+    return out
 
 
 def _panel_sums(integrand: Callable, panels: list, n_inner: int) -> list:
     """Gauss-Legendre estimates of the panels (a, b) from one integrand call:
     the first n_inner of h itself, the rest of the mapped tail h(1/s)/s^2."""
-    ends = np.array(panels)
-    a, b = ends[:, 0], ends[:, 1]
+    a, b = np.fromiter(chain.from_iterable(panels), float, 2 * len(panels)).reshape(-1, 2).T
     half = 0.5 * (b - a)
     x = np.multiply.outer(half, _NODES)
     x += (0.5 * (a + b))[:, np.newaxis]
@@ -68,16 +87,18 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
     the Gauss nodes of both pieces, and must evaluate it elementwise,
     returning real values of the same shape.
 
-    Bisection is level-synchronous: each round evaluates the halves and the
-    quarters of every pending panel of both pieces in one call, settles the
-    panels and then the halves of those that split, and leaves pending the
-    quarters of halves that split too. A panel is accepted once its halves
-    change its estimate by less than LOCAL_TOL, or it is narrower than
-    MIN_PANEL_WIDTH. These are the panels a depth-first bisection accepts,
-    and each piece sums them in its order, by descending left end, so the
-    result is the depth-first one bit for bit. The budget is charged only
-    for the points that bisection evaluates, so QuadratureError (budget
-    exhausted before every panel settles) is raised on the same inputs.
+    Each round evaluates, in one integrand call, the halves and quarters of
+    every pending panel of both pieces, or for a pending panel [0, b], where
+    the mapped singularities sit, SPINE_DEPTH levels below it (_requests).
+    It settles each pending panel, then each child whose halves it has: a
+    panel is accepted once its halves change its estimate by less than
+    LOCAL_TOL, or it is narrower than MIN_PANEL_WIDTH; the children of the
+    others settle in this round or the next. These are the panels a
+    depth-first bisection accepts, and each piece sums them in its order,
+    by descending left end, so the result is the depth-first one bit for
+    bit. The budget is charged only for the points that bisection
+    evaluates, so QuadratureError (budget exhausted before every panel
+    settles) is raised on the same inputs.
     """
     spent = 0
 
@@ -89,39 +110,32 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
                 f"evaluation budget {budget} exhausted; integrand too rough")
 
     accepted = ([], [])  # per piece, (0, 1) then the tail: (a, sum) per panel
-
-    def settle(piece: int, a: float, b: float, estimate: float, left: float,
-               right: float) -> bool:
-        if abs(left + right - estimate) < LOCAL_TOL or (b - a) < MIN_PANEL_WIDTH:
-            accepted[piece].append((a, left + right))
-            return True
-        return False
-
     charge(2)
     root = _panel_sums(integrand, [(0.0, 1.0)] * 2, 1)
     pending = ([(0.0, 1.0, root[0])], [(0.0, 1.0, root[1])])  # (a, b, estimate)
     while pending[0] or pending[1]:
-        panels = pending[0] + pending[1]
-        charge(2 * len(panels))
-        edges = []
-        for a, b, _ in panels:
+        charge(2 * (len(pending[0]) + len(pending[1])))
+        panels, stack = [], []  # (piece, a, b, estimate, index of its halves, end)
+        for piece, queue in enumerate(pending):
+            n_inner = len(panels)  # piece 0's panel count, once past piece 0
+            for a, b, estimate in queue:
+                start = len(panels)
+                panels += _requests(a, b, SPINE_DEPTH if a == 0.0 else 2)
+                stack.append((piece, a, b, estimate, start, len(panels)))
+        sums = _panel_sums(integrand, panels, n_inner)
+        grown, ahead = ([], []), 0
+        while stack:
+            piece, a, b, estimate, i, end = stack.pop()
             mid = 0.5 * (a + b)
-            edges.append((a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b))
-        sums = _panel_sums(integrand, [(e[i], e[j]) for e in edges for i, j in _SUBPANELS],
-                           6 * len(pending[0]))
-        grown = ([], [])
-        split = 0
-        for n, ((a, b, estimate), (_, q1, mid, q3, _)) in enumerate(zip(panels, edges)):
-            piece = int(n >= len(pending[0]))
-            left, right, ll, lr, rl, rr = sums[6 * n:6 * n + 6]
-            if settle(piece, a, b, estimate, left, right):
-                continue
-            split += 1
-            for lo, md, hi, half, ql, qr in ((a, q1, mid, left, ll, lr),
-                                             (mid, q3, b, right, rl, rr)):
-                if not settle(piece, lo, hi, half, ql, qr):
-                    grown[piece].extend([(lo, md, ql), (md, hi, qr)])
-        charge(4 * split)
+            left, right = sums[i], sums[i + 1]
+            if abs(left + right - estimate) < LOCAL_TOL or (b - a) < MIN_PANEL_WIDTH:
+                accepted[piece].append((a, left + right))
+            elif i + 2 < end:  # the right child's halves at i + 2, the left's at i + 4
+                stack += [(piece, a, mid, left, i + 4, end), (piece, mid, b, right, i + 2, i + 4)]
+                ahead += 2
+            else:
+                grown[piece].extend([(a, mid, left), (mid, b, right)])
+        charge(2 * ahead)
         pending = grown
 
     inner, outer = (_descending_sum(panels) for panels in accepted)
