@@ -214,16 +214,17 @@ class _Instances(NamedTuple):
     """N search instances of one dimension as stacked arrays (cap fixed at 1).
 
     lam[n] and mu[n] are descending spectra of rho and sigma with eigenbases
-    u_psi[n] and u_phi[n]. The weights are c[n] (uniform mode), or
-    1 / (t[n] + mu_k / lam_j) in modular mode, where c is None.
+    u_psi[n] and u_phi[n]. w[n] is the instance's weight part: the (d, d)
+    weights C in uniform mode, or in modular mode the number t of the
+    weights 1 / (t + mu_k / lam_j). Only ratios, _jitter and to_dict read
+    which of the two w holds, from its shape.
     """
 
     lam: np.ndarray
     mu: np.ndarray
     u_psi: np.ndarray
     u_phi: np.ndarray
-    c: Optional[np.ndarray]
-    t: Optional[np.ndarray]
+    w: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -231,17 +232,14 @@ class _Instances(NamedTuple):
 
     def take(self, n: int) -> _Instances:
         """Instance n as a batch of one."""
-        sl = slice(n, n + 1)
-        return _Instances(self.lam[sl], self.mu[sl], self.u_psi[sl], self.u_phi[sl],
-                          None if self.c is None else self.c[sl],
-                          None if self.t is None else self.t[sl])
+        return _Instances(*(field[n:n + 1] for field in self))
 
     def ratios(self) -> np.ndarray:
         """|Tr(D(rho - sigma))| / (cap ||rho - sigma||_1) per instance, 0 where rho = sigma."""
         lam, mu = self.lam, self.mu
         phi_dagger = dagger(self.u_phi)
         overlaps = np.abs(phi_dagger @ self.u_psi) ** 2
-        c, cap = (self.c, 1.0) if self.t is None else _modular_weights(lam, mu, self.t)
+        c, cap = (self.w, 1.0) if self.w.ndim > 1 else _modular_weights(lam, mu, self.w)
         numerator = np.abs(_sum_formula(c, lam, mu, overlaps))
         rho = (self.u_psi * lam[:, np.newaxis, :]) @ dagger(self.u_psi)
         sigma = (self.u_phi * mu[:, np.newaxis, :]) @ phi_dagger
@@ -250,16 +248,16 @@ class _Instances(NamedTuple):
         return np.where(equal, 0.0, numerator / (cap * np.where(equal, 1.0, dist)))
 
     def to_dict(self, n: int, ratio: float) -> dict:
-        lam, mu, u_psi, u_phi = self.lam[n], self.mu[n], self.u_psi[n], self.u_phi[n]
+        lam, mu, u_psi, u_phi, w = (field[n] for field in self)
         doc = {
             "dim": self.dim,
             "ratio": float(ratio),
             "rho": _matrix_to_json((u_psi * lam) @ u_psi.conj().T),
             "sigma": _matrix_to_json((u_phi * mu) @ u_phi.conj().T),
-            "t": None if self.t is None else float(self.t[n]),
+            "t": None if w.ndim else float(w),
         }
-        if self.t is None:
-            doc["c_entries"] = [[float(v) for v in row] for row in self.c[n]]
+        if w.ndim:
+            doc["c_entries"] = [[float(v) for v in row] for row in w]
         return doc
 
 
@@ -278,29 +276,20 @@ def _instance_draw(dim: int, weight_mode: str, commuting: bool,
     return (*draws, rng.uniform(0.0, 1.0, (dim, dim)))
 
 
-def _spectrum_floor(commuting: bool) -> float:
-    """Drawn spectra stay above this: a commuting pair's, the rank threshold."""
-    return ZERO_EIG_THRESHOLD if commuting else SPECTRUM_FLOOR
-
-
-def _random_instances(dim: int, streams: TrialStreams, weight_mode: str,
+def _random_instances(streams: TrialStreams, draw, floor: float,
                       commuting: bool) -> _Instances:
-    """One fresh instance per stream, each drawn from its own stream."""
-    draw = partial(_instance_draw, dim, weight_mode, commuting)
-    spectra, draws = _spectral_draws(streams, draw, _spectrum_floor(commuting))
+    """One fresh instance per stream, each drawn by draw (an _instance_draw)
+    from its own stream with spectra above floor."""
+    spectra, (*pair_draws, w) = _spectral_draws(streams, draw, floor)
     if commuting:
-        z, perm, weights = draws
-        pairs = _classical_batch(spectra, z, perm)
+        pairs = _classical_batch(spectra, *pair_draws)
         lam, mu = pairs.rho_spectral.eigenvalues, pairs.sigma_spectral.eigenvalues
         u_psi, u_phi = pairs.rho_spectral.eigenvectors, pairs.sigma_spectral.eigenvectors
     else:
-        z, weights = draws
         lam, mu = spectra[:, 0], spectra[:, 1]
-        u = haar_unitaries(z)
+        u = haar_unitaries(*pair_draws)
         u_psi, u_phi = u[:, 0], u[:, 1]
-    if weight_mode == "modular":
-        return _Instances(lam, mu, u_psi, u_phi, None, weights)
-    return _Instances(lam, mu, u_psi, u_phi, weights, None)
+    return _Instances(lam, mu, u_psi, u_phi, w)
 
 
 def _jitter(inst: _Instances, step: float, z: np.ndarray,
@@ -308,26 +297,24 @@ def _jitter(inst: _Instances, step: float, z: np.ndarray,
     """Candidate steps from a batch-of-one instance, one per row of z.
 
     A row holds one step's standard normals in the order the step draws
-    them: the weight bumps (d*d for c, or 1 for log t), the spectrum bumps of
-    lam then mu, then the real and imaginary Gaussians of the rotations of
-    psi and of phi. With ``perm`` phi follows psi through the fixed
-    phase-permutation, and phi's rotation is skipped; its normals are still
-    part of the row.
+    them: the weight bumps (one per entry of w[0]: a clipped additive step
+    for each C_kj, a multiplicative step exp(step * z) for t), the spectrum
+    bumps of lam then mu, then the real and imaginary Gaussians of the
+    rotations of psi and of phi. With ``perm`` phi follows psi through the
+    fixed phase-permutation, and phi's rotation is skipped; its normals are
+    still part of the row.
     """
-    k, d = z.shape[0], inst.dim
-    if inst.c is None:
-        w, c, t = 1, None, inst.t * np.exp(step * z[:, 0])
-    else:
-        w, t = d * d, None
-        c = np.clip(inst.c + step * z[:, :w].reshape(k, d, d), 0.0, 1.0)
+    k, d, n = z.shape[0], inst.dim, inst.w[0].size  # n weight bumps per row
+    bumps = step * z[:, :n].reshape(k, *inst.w.shape[1:])
+    w = np.clip(inst.w + bumps, 0.0, 1.0) if inst.w.ndim > 1 else inst.w * np.exp(bumps)
     spectra = np.stack((inst.lam, inst.mu), axis=1)
-    spectra = np.clip(spectra + step * z[:, w:w + 2 * d].reshape(k, 2, d),
+    spectra = np.clip(spectra + step * z[:, n:n + 2 * d].reshape(k, 2, d),
                       SPECTRUM_FLOOR, None)
     spectra /= spectra.sum(axis=-1, keepdims=True)
     spectra = np.sort(spectra, axis=-1)[..., ::-1]
 
     rotated = 1 if perm is not None else 2
-    g = z[:, w + 2 * d:w + 2 * d + rotated * 2 * d * d].reshape(k * rotated, 2, d, d)
+    g = z[:, n + 2 * d:n + 2 * d + rotated * 2 * d * d].reshape(k * rotated, 2, d, d)
     g = g[:, 0] + 1j * g[:, 1]
     h = (g + dagger(g)) / 2.0
     # One np.linalg.norm per matrix: a stacked sum of squares rounds
@@ -338,7 +325,7 @@ def _jitter(inst: _Instances, step: float, z: np.ndarray,
         k, rotated, d, d)
     u_psi = inst.u_psi @ rot[:, 0]
     u_phi = u_psi @ perm if perm is not None else inst.u_phi @ rot[:, 1]
-    return _Instances(spectra[:, 0], spectra[:, 1], u_psi, u_phi, c, t)
+    return _Instances(spectra[:, 0], spectra[:, 1], u_psi, u_phi, w)
 
 
 def _climb(inst: _Instances, ratio: float, rng: np.random.Generator, step: float,
@@ -353,7 +340,7 @@ def _climb(inst: _Instances, ratio: float, rng: np.random.Generator, step: float
     # jitter must preserve that relation.
     perm = inst.u_psi[0].conj().T @ inst.u_phi[0] if commuting else None
     d = inst.dim
-    width = (1 if inst.c is None else d * d) + 2 * d + 4 * d * d  # normals per step
+    width = inst.w[0].size + 2 * d + 4 * d * d  # normals per step
     draws = np.empty((0, width))
     first = 0  # step number of draws[0]
     done = misses = 0
@@ -446,6 +433,9 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
     check_search_arguments(trials, step, steps_per_restart, plateau)
 
     tag = _TAG_RANDOM if strategy == "random" else _TAG_CLIMB
+    draws = {dim: partial(_instance_draw, dim, weight_mode, commuting) for dim in dims}
+    # a commuting pair's spectra stay above the rank threshold
+    floor = ZERO_EIG_THRESHOLD if commuting else SPECTRUM_FLOOR
     best_ratio = -1.0
     best_instance: Optional[dict] = None
     violations = []
@@ -458,12 +448,12 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         outcomes: list = [None] * len(block)
         for dim in dict.fromkeys(block_dims):
             members = [i for i, d in enumerate(block_dims) if d == dim]
-            insts = _random_instances(dim, streams.take(members), weight_mode, commuting)
+            insts = _random_instances(streams.take(members), draws[dim], floor, commuting)
             for n, (i, ratio) in enumerate(zip(members, insts.ratios().tolist())):
                 if strategy == "hill_climb":
                     # the climb goes on with the trial's stream after its instance
                     rng = streams.restart(i)
-                    _instance_draw(dim, weight_mode, commuting, rng, _spectrum_floor(commuting))
+                    draws[dim](rng, floor)
                     climbed, ratio = _climb(insts.take(n), ratio, rng, step,
                                             steps_per_restart, plateau, commuting)
                     outcomes[i] = (climbed, 0, ratio)

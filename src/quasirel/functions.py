@@ -170,14 +170,17 @@ def normalization_residual(f: OMDFunction) -> float:
 
 
 def make_custom(name: str, eval: Callable, a: float, measure_density: Callable,
-                d1_at_1: float, d2_at_1: float,
-                value_at_zero: Optional[float] = None,
+                d1_at_1: float, d2_at_1: float, value_at_zero: float,
                 shift: float = 0.0) -> OMDFunction:
     """Register a user-supplied generator, validating it before returning.
 
     Rejects descriptors with eval(1) != 0, a < 0, a negative or non-finite
     measure density on a sample grid, a large normalization residual, or a
     representation that fails to reproduce eval on a spot grid.
+
+    ``value_at_zero`` is the limit of f at 0+, ``math.inf`` where f grows
+    without bound; it is required, because eval at any small x is finite
+    either way.
 
     ``measure_density`` is called by the quadrature with one flat array per
     round that mixes points from (0, 1) and (1, inf); it must evaluate
@@ -193,8 +196,6 @@ def make_custom(name: str, eval: Callable, a: float, measure_density: Callable,
         raise ValueError(f"{name}: measure density is not finite on the sample grid")
     if np.any(wvals < -1e-12):
         raise ValueError(f"{name}: measure density is negative on the sample grid")
-    if value_at_zero is None:
-        value_at_zero = float(eval(1e-30))
     f = OMDFunction(name, eval, float(a), 0.0, measure_density,
                     float(d1_at_1), float(d2_at_1), float(shift),
                     float(value_at_zero))

@@ -28,6 +28,7 @@ from quasirel.conjecture import (
 )
 from quasirel.states import _own_stream, _spectra_draw, _spectral_draws, state_pair
 from scripted_streams import ScriptedStream
+from serial_search import Instance as SerialInstance
 from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
 
 
@@ -203,8 +204,13 @@ def test_search_rejects_bad_arguments():
                           weight_mode="gaussian")
 
 
-def test_record_round_trips_and_replays(tmp_path):
-    record = conjecture_search((3, 4, 5), trials=90, strategy="random", seed=23)
+@pytest.mark.parametrize("strategy", ["random", "hill_climb"])
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_record_round_trips_and_replays(tmp_path, strategy, weight_mode, commuting):
+    record = conjecture_search((3, 4, 5), trials=90 if strategy == "random" else 6,
+                               strategy=strategy, seed=23, weight_mode=weight_mode,
+                               commuting=commuting, steps_per_restart=60)
     path = tmp_path / "record.json"
     save_record(path, record)
     doc = json.loads(path.read_text())
@@ -213,13 +219,18 @@ def test_record_round_trips_and_replays(tmp_path):
     rho = np.array([[complex(re, im) for re, im in row] for row in inst["rho"]])
     sigma = np.array([[complex(re, im) for re, im in row] for row in inst["sigma"]])
     pair = state_pair(rho, sigma)
-    w = WeightedOverlapFunctional(
-        np.array(inst["c_entries"]), 1.0,
-        pair.rho_spectral.eigenvectors[0], pair.sigma_spectral.eigenvectors[0],
-    )
+    if weight_mode == "modular":
+        assert "c_entries" not in inst
+        w = modular_weight_matrix(pair, inst["t"])
+    else:
+        assert inst["t"] is None
+        w = WeightedOverlapFunctional(
+            np.array(inst["c_entries"]), 1.0,
+            pair.rho_spectral.eigenvectors[0], pair.sigma_spectral.eigenvectors[0],
+        )
     value = abs(functional_value(w, pair))
     dist = trace_norm(rho - sigma)
-    assert value / dist == pytest.approx(record.max_ratio, rel=1e-8)
+    assert value / (w.c_cap * dist) == pytest.approx(record.max_ratio, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +260,18 @@ def test_hill_climb_matches_serial_oracle(monkeypatch, weight_mode, commuting):
     # the default climb settings, which the CLI and criterion 6 use
     _same_records(monkeypatch, dims=(2, 3, 4), trials=4, strategy="hill_climb",
                   seed=42, weight_mode=weight_mode, commuting=commuting)
+
+
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_second_objective_climbs_alike_in_both_searches(monkeypatch, weight_mode, commuting):
+    # the climb sees the objective only through ratios: swapping in another
+    # one, lambda_max(rho) * mu_min(sigma), leaves the two searches equal
+    monkeypatch.setattr(conjecture._Instances, "ratios",
+                        lambda self: self.lam[:, 0] * self.mu[:, -1])
+    monkeypatch.setattr(SerialInstance, "ratio", lambda self: float(self.lam[0] * self.mu[-1]))
+    _same_records(monkeypatch, dims=(2, 3, 4), trials=4, strategy="hill_climb",
+                  seed=45, weight_mode=weight_mode, commuting=commuting)
 
 
 # enough trials or restarts for the array seeding pass
@@ -338,7 +361,7 @@ def test_spectrum_floor_both_sides():
     assert rng.exponentials_used == rng.exponentials.size
     # jittered spectra: a bump to 0.9x is clipped up to the floor, one to 1.1x is kept
     inst = _Instances(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
-                      np.eye(2)[np.newaxis], np.eye(2)[np.newaxis], None, np.array([1.0]))
+                      np.eye(2)[np.newaxis], np.eye(2)[np.newaxis], np.array([1.0]))
     z = np.zeros((2, 1 + 4 + 16))
     z[0, 2], z[1, 2] = low - 0.5, high - 0.5  # lam[1] moves to low, then to high
     stepped = _jitter(inst, 1.0, z, None)

@@ -147,19 +147,19 @@ def test_make_custom_rebuilds_neg_power():
 def test_make_custom_rejections():
     w = lambda t: np.ones_like(t)  # noqa: E731
     with pytest.raises(ValueError):
-        make_custom("offset", lambda x: 1.0 - x + 0.5, 0.0, w, -1.0, 0.0)
+        make_custom("offset", lambda x: 1.0 - x + 0.5, 0.0, w, -1.0, 0.0, 1.5)
     with pytest.raises(ValueError):
-        make_custom("neg-a", lambda x: 1.0 - x, -1.0, w, -1.0, 0.0)
+        make_custom("neg-a", lambda x: 1.0 - x, -1.0, w, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         make_custom(
             "neg-measure", lambda x: -np.log(x), 0.0,
-            lambda t: -np.ones_like(t), -1.0, 1.0,
+            lambda t: -np.ones_like(t), -1.0, 1.0, math.inf,
         )
     with pytest.raises(ValueError):
         # density of the wrong size: representation cannot reproduce eval
         make_custom(
             "halved", lambda x: -np.log(x), 0.0,
-            lambda t: 0.5 * np.ones_like(t), -1.0, 1.0,
+            lambda t: 0.5 * np.ones_like(t), -1.0, 1.0, math.inf,
         )
 
 
@@ -168,7 +168,7 @@ def test_make_custom_rejects_non_finite_density():
     with pytest.raises(ValueError, match="not finite"):
         make_custom(
             "nan-measure", lambda x: -np.log(x), 0.0,
-            lambda t: np.where(t > 1e3, np.nan, 1.0), -1.0, 1.0,
+            lambda t: np.where(t > 1e3, np.nan, 1.0), -1.0, 1.0, math.inf,
         )
 
 
@@ -195,7 +195,7 @@ def test_representation_tolerance_both_sides(scale, accepted):
 
     def register():
         return make_custom("scaled-neg-log", lambda x: -np.log(x), 0.0,
-                           lambda t: (1.0 + offset) * np.ones_like(t), -1.0, 1.0)
+                           lambda t: (1.0 + offset) * np.ones_like(t), -1.0, 1.0, math.inf)
 
     if not accepted:
         with pytest.raises(ValueError, match="representation disagrees"):

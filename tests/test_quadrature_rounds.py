@@ -15,9 +15,12 @@ from quasirel import (
     functions,
     integrate_halfline,
     make_custom,
+    neg_log,
     normalization_residual,
     parse_f_spec,
     quadrature,
+    quasi_entropy_spectral,
+    state_pair,
 )
 from quasirel.cli import _DEFAULT_REPR_SPECS, _REPR_GRID
 from quasirel.quadrature import MIN_PANEL_WIDTH
@@ -116,3 +119,12 @@ def test_make_custom_singular_density_equals_depth_first_oracle(monkeypatch):
     monkeypatch.setattr(functions, "integrate_halfline", serial_quadrature.integrate_halfline)
     f = _inverse_sqrt_generator()
     assert pinned == [f.b] + [eval_via_representation(f, x) for x in spots]
+
+
+def test_inverse_sqrt_generator_is_infinite_off_support():
+    # rho puts mass on sigma's kernel and f(x) = 0.3 pi (x^-1/2 - 1) blows up
+    # at 0+, so the divergence is +inf, as neg-log's is; eval at a tiny x
+    # (9.4e14 at 1e-30) would make it a large finite number instead
+    pair = state_pair(np.diag([0.5, 0.5]).astype(complex), np.diag([1.0, 0.0]).astype(complex))
+    assert quasi_entropy_spectral(pair, neg_log()).value == math.inf
+    assert quasi_entropy_spectral(pair, _inverse_sqrt_generator()).value == math.inf
