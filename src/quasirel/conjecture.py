@@ -292,17 +292,45 @@ def _random_instances(streams: TrialStreams, draw, floor: float,
     return _Instances(lam, mu, u_psi, u_phi, w)
 
 
-def _jitter(inst: _Instances, step: float, z: np.ndarray,
+def _rotations(z: np.ndarray, step: float, d: int, rotated: int) -> np.ndarray:
+    """Basis rotations exp(i step H / ||H||_F) of climb steps, one stack per
+    row of z, shape (k, rotated, d, d).
+
+    A row's last 4 d^2 normals are the real and imaginary Gaussians of G for
+    psi, then for phi, with H = (G + G^dagger) / 2; with rotated = 1 only
+    psi's rotation is built. numpy's stacked eigh gives each H the bits of
+    the 2-D call.
+    """
+    k = z.shape[0]
+    g = z[:, -4 * d * d:][:, :rotated * 2 * d * d].reshape(k * rotated, 2, d, d)
+    g = g[:, 0] + 1j * g[:, 1]
+    h = (g + dagger(g)) / 2.0
+    # ||H||_F^2 summed as np.linalg.norm sums it: the dot products of the
+    # real parts and of the imaginary parts over the same strided views,
+    # each the BLAS dot that norm calls. A plain sum of squares rounds
+    # differently, and a last-bit change moves the climb's path. The floor
+    # only guards H = 0: below about 1e-154 the squares underflow, so such
+    # an H reads a norm of 0 here as in np.linalg.norm.
+    flat = h.reshape(k * rotated, 1, d * d)
+    squares = (flat.real @ np.swapaxes(flat.real, 1, 2)
+               + flat.imag @ np.swapaxes(flat.imag, 1, 2))
+    h /= np.maximum(np.sqrt(squares), 1e-300)
+    vals, vecs = np.linalg.eigh(h)
+    return ((vecs * np.exp(1j * step * vals)[:, np.newaxis, :]) @ dagger(vecs)).reshape(
+        k, rotated, d, d)
+
+
+def _jitter(inst: _Instances, step: float, z: np.ndarray, rot: np.ndarray,
             perm: Optional[np.ndarray]) -> _Instances:
     """Candidate steps from a batch-of-one instance, one per row of z.
 
     A row holds one step's standard normals in the order the step draws
     them: the weight bumps (one per entry of w[0]: a clipped additive step
     for each C_kj, a multiplicative step exp(step * z) for t), the spectrum
-    bumps of lam then mu, then the real and imaginary Gaussians of the
-    rotations of psi and of phi. With ``perm`` phi follows psi through the
-    fixed phase-permutation, and phi's rotation is skipped; its normals are
-    still part of the row.
+    bumps of lam then mu, then the Gaussians of the rotations of psi and
+    of phi, which _rotations has already turned into rot. With ``perm``
+    phi follows psi through the fixed phase-permutation, and rot holds
+    psi's rotation only; phi's normals are still part of the row.
     """
     k, d, n = z.shape[0], inst.dim, inst.w[0].size  # n weight bumps per row
     bumps = step * z[:, :n].reshape(k, *inst.w.shape[1:])
@@ -312,17 +340,6 @@ def _jitter(inst: _Instances, step: float, z: np.ndarray,
                       SPECTRUM_FLOOR, None)
     spectra /= spectra.sum(axis=-1, keepdims=True)
     spectra = np.sort(spectra, axis=-1)[..., ::-1]
-
-    rotated = 1 if perm is not None else 2
-    g = z[:, n + 2 * d:n + 2 * d + rotated * 2 * d * d].reshape(k * rotated, 2, d, d)
-    g = g[:, 0] + 1j * g[:, 1]
-    h = (g + dagger(g)) / 2.0
-    # One np.linalg.norm per matrix: a stacked sum of squares rounds
-    # differently, and a last-bit change moves the climb's path.
-    h /= np.array([max(np.linalg.norm(m), 1e-300) for m in h])[:, np.newaxis, np.newaxis]
-    vals, vecs = np.linalg.eigh(h)
-    rot = ((vecs * np.exp(1j * step * vals)[:, np.newaxis, :]) @ dagger(vecs)).reshape(
-        k, rotated, d, d)
     u_psi = inst.u_psi @ rot[:, 0]
     u_phi = u_psi @ perm if perm is not None else inst.u_phi @ rot[:, 1]
     return _Instances(spectra[:, 0], spectra[:, 1], u_psi, u_phi, w)
@@ -332,17 +349,21 @@ def _climb(inst: _Instances, ratio: float, rng: np.random.Generator, step: float
            steps: int, plateau: int, commuting: bool) -> tuple:
     """Hill-climb a batch-of-one instance; return the final instance and ratio.
 
-    Row j of ``draws`` holds step j's normals. A round evaluates the next k
-    steps' candidates from the current instance as one stack and accepts
-    the first that improves (see conjecture_search for why this is exact).
+    Row j of ``draws`` holds step j's normals and row j of ``rots`` its
+    rotations, built once when the step is drawn. A round evaluates the
+    next k steps' candidates from the current instance as one stack and
+    accepts the first that improves (see conjecture_search for why this is
+    exact).
     """
     # For commuting pairs the two bases differ by a fixed phase-permutation;
     # jitter must preserve that relation.
     perm = inst.u_psi[0].conj().T @ inst.u_phi[0] if commuting else None
+    rotated = 1 if commuting else 2
     d = inst.dim
     width = inst.w[0].size + 2 * d + 4 * d * d  # normals per step
     draws = np.empty((0, width))
-    first = 0  # step number of draws[0]
+    rots = np.empty((0, rotated, d, d), dtype=complex)
+    first = 0  # step number of draws[0] and rots[0]
     done = misses = 0
     size = _FIRST_ROUND
     while done < steps:
@@ -351,9 +372,12 @@ def _climb(inst: _Instances, ratio: float, rng: np.random.Generator, step: float
         if done + k > drawn:
             # whole blocks, never past the last step
             more = min(-(-(done + k - drawn) // _DRAW_STEPS) * _DRAW_STEPS, steps - drawn)
-            draws = np.concatenate((draws[done - first:], rng.standard_normal((more, width))))
+            fresh = rng.standard_normal((more, width))
+            draws = np.concatenate((draws[done - first:], fresh))
+            rots = np.concatenate((rots[done - first:], _rotations(fresh, step, d, rotated)))
             first = done
-        cands = _jitter(inst, step, draws[done - first:done - first + k], perm)
+        rows = slice(done - first, done - first + k)
+        cands = _jitter(inst, step, draws[rows], rots[rows], perm)
         cand_ratios = cands.ratios().tolist()
         hit = next((j for j, r in enumerate(cand_ratios) if r > ratio), None)
         if hit is None:
@@ -420,6 +444,9 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
       k starts at ``_FIRST_ROUND``, doubles after a round of misses, and
       never passes the plateau or the steps left, so no round reaches past
       where the one-at-a-time climb stops.
+    * A step's basis rotations depend only on its draws, so a restart
+      builds them when it draws the step, with one stacked eigh per drawn
+      block, and a step scored again in a later round reuses them.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:

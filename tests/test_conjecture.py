@@ -25,10 +25,12 @@ from quasirel.conjecture import (
     VIOLATION_THRESHOLD,
     _Instances,
     _jitter,
+    _rotations,
 )
 from quasirel.states import _own_stream, _spectra_draw, _spectral_draws, state_pair
 from scripted_streams import ScriptedStream
 from serial_search import Instance as SerialInstance
+from serial_search import _unitary_jitter as serial_unitary_jitter
 from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
 
 
@@ -364,6 +366,104 @@ def test_spectrum_floor_both_sides():
                       np.eye(2)[np.newaxis], np.eye(2)[np.newaxis], np.array([1.0]))
     z = np.zeros((2, 1 + 4 + 16))
     z[0, 2], z[1, 2] = low - 0.5, high - 0.5  # lam[1] moves to low, then to high
-    stepped = _jitter(inst, 1.0, z, None)
+    stepped = _jitter(inst, 1.0, z, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2, 2)), None)
     kept = np.array([SPECTRUM_FLOOR, high])
     np.testing.assert_allclose(stepped.lam[:, 1], kept / (0.5 + kept), rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Climb rotations, built once per drawn step.
+
+def _rotations_one_at_a_time(z, step, d, rotated):
+    """Each row's rotations as the serial oracle builds them: np.linalg.norm
+    and a 2-D eigh per matrix, applied to the identity."""
+    out = np.empty((len(z), rotated, d, d), dtype=complex)
+    for row, normals in enumerate(z):
+        stream = ScriptedStream(normals=normals[normals.size - 4 * d * d:])
+        for r in range(rotated):
+            out[row, r] = serial_unitary_jitter(np.eye(d), step, stream)
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("k", [1, 7, 32])
+@pytest.mark.parametrize("rotated", [1, 2])
+def test_rotations_keep_their_bits(d, k, rotated):
+    # rows as the climb draws them: weight and spectrum bumps first
+    z = default_rng((d, k, rotated)).standard_normal((k, d * d + 2 * d + 4 * d * d))
+    np.testing.assert_array_equal(_rotations(z, 0.05, d, rotated),
+                                  _rotations_one_at_a_time(z, 0.05, d, rotated))
+
+
+def test_rotation_norm_floor_both_sides():
+    d = 3
+    z = default_rng(7).standard_normal((2, 4 * d * d))
+    # under the floor: H = 0 leaves the basis where it is, with no 0/0
+    z[0] = 0.0
+    with np.errstate(all="raise"):
+        rot = _rotations(z, 0.05, d, 2)
+    assert np.all(np.isfinite(rot))
+    np.testing.assert_allclose(rot[0], np.broadcast_to(np.eye(d), (2, d, d)), rtol=0, atol=1e-15)
+    # above it: normals scaled by 2^-500 (||H||_F near 7e-151, every square
+    # still a normal double) are normalized to the same H, bit for bit
+    tiny = z[1:] * 2.0 ** -500
+    assert np.min(np.abs(tiny)) ** 2 > np.finfo(float).tiny
+    np.testing.assert_array_equal(_rotations(tiny, 0.05, d, 2), rot[1:])
+
+
+@pytest.mark.parametrize("gap, equal", [(0.5e-14, True), (2e-14, False)])
+def test_equal_states_guard_both_sides(gap, equal):
+    # identity bases, spectra apart by gap / 2 in each entry: ||rho - sigma||_1 = gap
+    eye = np.eye(2)[np.newaxis]
+    lam, mu = np.array([[0.5 + gap / 2, 0.5 - gap / 2]]), np.array([[0.5, 0.5]])
+    inst = _Instances(lam, mu, eye, eye, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+    ratio = inst.ratios()[0]
+    if equal:
+        assert ratio == 0.0
+    else:
+        numerator = lam[0, 0] - mu[0, 0]  # only C_00 weighs in
+        dist = np.sum(np.abs(lam - mu))
+        assert dist == pytest.approx(gap, rel=1e-2)
+        assert ratio == pytest.approx(numerator / dist, rel=1e-12)
+
+
+def test_drawn_step_rotation_is_built_once(monkeypatch):
+    # per restart: the stream state at the climb's start, the rows handed to
+    # the rotation builder and the candidates scored
+    restarts, climbing = [], []
+    real_climb, real_rotations, real_ratios = (
+        conjecture._climb, conjecture._rotations, _Instances.ratios)
+
+    def climb(inst, ratio, rng, *args):
+        restarts.append({"state": rng.bit_generator.state, "built": [], "scored": 0})
+        climbing.append(restarts[-1])
+        try:
+            return real_climb(inst, ratio, rng, *args)
+        finally:
+            climbing.pop()
+
+    def rotations(z, *args):
+        climbing[-1]["built"].append(z.copy())
+        return real_rotations(z, *args)
+
+    def ratios(self):
+        for restart in climbing:
+            restart["scored"] += len(self.lam)
+        return real_ratios(self)
+
+    monkeypatch.setattr(conjecture, "_climb", climb)
+    monkeypatch.setattr(conjecture, "_rotations", rotations)
+    monkeypatch.setattr(_Instances, "ratios", ratios)
+    steps = 200
+    conjecture_search((3, 4), 3, "hill_climb", seed=44, steps_per_restart=steps)
+    assert len(restarts) == 3
+    for restart in restarts:
+        built = np.concatenate(restart["built"])
+        # the rows built are the rows the restart drew, in stream order, once each
+        stream = np.random.Generator(np.random.PCG64())
+        stream.bit_generator.state = restart["state"]
+        np.testing.assert_array_equal(built, stream.standard_normal(built.shape))
+        assert len(built) <= steps
+    # rounds score steps again after an accepted step; they build none again
+    assert sum(len(np.concatenate(r["built"])) for r in restarts) < sum(
+        r["scored"] for r in restarts)
