@@ -1,29 +1,15 @@
-"""Quasi-relative entropies of density matrices and their trace-distance bounds."""
+"""Quasi-relative entropies of density matrices and their trace-distance bounds.
 
-from .linalg import EigenSystem, eigh, hermitian_part, vec
-from .states import (
-    DensityMatrix,
-    PairBatch,
-    ScalarSummary,
-    default_rng,
-    density_matrix,
-    example_pair,
-    load_pair,
-    pair_from_dict,
-    pair_to_dict,
-    random_classical_pair,
-    random_pair,
-    random_state,
-    save_pair,
-    state_pair,
-    summarize,
-)
+The package exports what the command-line tool, the acceptance gate and the
+paper's bound formulas use; everything else is reached through its module.
+"""
+
+from .linalg import eigh, hermitian_part
+from .states import default_rng, load_pair, state_pair, summarize
 from .quadrature import QuadratureError, integrate_halfline
 from .functions import (
-    OMDFunction,
     builtin_suite,
     eval_via_representation,
-    make_custom,
     neg_log,
     neg_power,
     normalization_residual,
@@ -31,15 +17,12 @@ from .functions import (
     tsallis_f,
 )
 from .divergences import (
-    DivergenceResult,
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
     tsallis_direct,
     umegaki,
 )
 from .bounds import (
-    BoundReport,
-    SandwichReport,
     ae11_upper,
     general_sqrt_d_upper,
     guarded_log_diff_quot,
@@ -51,39 +34,21 @@ from .bounds import (
     sandwich,
     tsallis_bounds,
 )
-from .conjecture import (
-    SearchRecord,
-    WeightedOverlapFunctional,
-    conjecture_search,
-    functional_value,
-    modular_weight_matrix,
-    proven_case_check,
-    random_functional,
-    save_record,
-)
+from .conjecture import conjecture_search, proven_case_check, random_functional, save_record
 from .sweeps import paper_example_rows, sweep_bounds
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenSystem", "eigh", "hermitian_part", "vec",
-    "DensityMatrix", "PairBatch", "ScalarSummary", "default_rng",
-    "density_matrix", "example_pair", "load_pair",
-    "pair_from_dict", "pair_to_dict", "random_classical_pair", "random_pair",
-    "random_state", "save_pair", "state_pair", "summarize",
+    "eigh", "hermitian_part",
+    "default_rng", "load_pair", "state_pair", "summarize",
     "QuadratureError", "integrate_halfline",
-    "OMDFunction", "builtin_suite",
-    "eval_via_representation", "make_custom", "neg_log", "neg_power",
+    "builtin_suite", "eval_via_representation", "neg_log", "neg_power",
     "normalization_residual", "parse_f_spec", "tsallis_f",
-    "DivergenceResult", "quasi_entropy_spectral",
-    "quasi_entropy_superoperator", "tsallis_direct", "umegaki",
-    "BoundReport", "SandwichReport", "ae11_upper", "general_sqrt_d_upper",
-    "guarded_log_diff_quot", "guarded_power_diff_quot", "pinsker_lower",
-    "qubit_classical_upper", "qubit_relative_upper", "relative_entropy_upper",
-    "sandwich", "tsallis_bounds",
-    "SearchRecord", "WeightedOverlapFunctional", "conjecture_search",
-    "functional_value", "modular_weight_matrix", "proven_case_check",
-    "random_functional", "save_record",
+    "quasi_entropy_spectral", "quasi_entropy_superoperator", "tsallis_direct", "umegaki",
+    "ae11_upper", "general_sqrt_d_upper", "guarded_log_diff_quot",
+    "guarded_power_diff_quot", "pinsker_lower", "qubit_classical_upper",
+    "qubit_relative_upper", "relative_entropy_upper", "sandwich", "tsallis_bounds",
+    "conjecture_search", "proven_case_check", "random_functional", "save_record",
     "paper_example_rows", "sweep_bounds",
-    "__version__",
 ]

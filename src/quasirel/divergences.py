@@ -3,11 +3,13 @@
 The spectral route sums lambda_j f(mu_k/lambda_j) |<phi_k|psi_j>|^2 over both
 eigensystems. The direct route uses trace formulas special to the Umegaki and
 Tsallis families. The superoperator route diagonalizes the d^2 x d^2 matrix
-of the relative modular operator X -> sigma X rho^{-1} (the pair keeps that
-spectrum, see PairBatch.modular_spectrum) and pairs f of it with
-vec(sqrt(rho)); it never touches the overlap sum, so the two routes check one
-another. The per-pair entry points take a PairBatch of one. A generator is
-an OMDFunction descriptor; the routes read its eval, name and value_at_zero.
+of the relative modular operator X -> sigma X rho^{-1} of every pair in one
+stacked call (the batch keeps those spectra, see PairBatch.modular_spectrum)
+and pairs f of each with vec(sqrt(rho)); it never touches the overlap sum, so
+the two routes check one another. Each route takes a PairBatch of any length
+and gives one value per pair; its per-pair entry point reads index 0 of a
+batch of one. A generator is an OMDFunction descriptor; the routes read its
+eval, name and value_at_zero.
 
 Rank deficiency follows one support rule. The direct routes take functions of
 a state on its support, eigenvalues at or below ZERO_EIG_THRESHOLD mapping to
@@ -134,21 +136,27 @@ def tsallis_direct(pair: PairBatch, q: float) -> DivergenceResult:
                             f"tsallis:q={q:g}")
 
 
-def quasi_entropy_superoperator(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
+def superoperator_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     """Oracle route through the materialized relative modular operator.
 
-    Computes <vec(sqrt rho), f(M) vec(sqrt rho)> with M the modular matrix of
-    a batch of one; independent of the overlap sum by construction. Dimension
-    is capped because M is d^2 x d^2.
+    Computes <vec(sqrt rho), f(M) vec(sqrt rho)> per pair, M the pair's
+    modular matrix; independent of the overlap sum by construction, and
+    +inf where f of the modular spectrum is not finite. Dimension is capped
+    because M is d^2 x d^2.
     """
-    if _single(pair).dim > SUPEROP_DIM_CAP:
-        raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {pair.dim}")
-    if not (pair.rho_positive[0] and pair.sigma_positive[0]):
+    if batch.dim > SUPEROP_DIM_CAP:
+        raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {batch.dim}")
+    if not np.all(batch.rho_positive & batch.sigma_positive):
         raise ValueError("superoperator route requires strictly positive states")
-    vals, weights = pair.modular_spectrum
+    vals, weights = batch.modular_spectrum
     with np.errstate(all="ignore"):
         fvals = np.asarray(f.eval(vals), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        return DivergenceResult(math.inf, "superoperator", f.name)
-    return DivergenceResult(float(np.sum(fvals * weights)), "superoperator", f.name)
+        values = np.sum(fvals * weights, axis=-1)
+    values[~np.all(np.isfinite(fvals), axis=-1)] = math.inf
+    return values
 
+
+def quasi_entropy_superoperator(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
+    """S_f(rho||sigma) of a batch of one by the superoperator route; see superoperator_values."""
+    return DivergenceResult(float(superoperator_values(_single(pair), f)[0]), "superoperator",
+                            f.name)

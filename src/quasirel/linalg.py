@@ -1,9 +1,8 @@
 """Dense Hermitian linear algebra at small dimension.
 
-Hermitian validation, eigendecompositions, spectral reconstruction, and the
-vectorization helper used by the superoperator route. Eigenvalues are always
-reported in descending order; column k of the eigenvector matrix pairs with
-eigenvalue k.
+Hermitian validation, eigendecompositions and spectral reconstruction, of one
+matrix or of a stack of them. Eigenvalues are always reported in descending
+order; column k of the eigenvector matrix pairs with eigenvalue k.
 """
 
 from __future__ import annotations
@@ -65,9 +64,4 @@ def spectral_matrix(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V†, symmetrized; V and values may be stacks."""
     out = (vecs * values[..., np.newaxis, :]) @ dagger(vecs)
     return (out + dagger(out)) / 2.0
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a d x d matrix into a length-d^2 vector."""
-    return np.asarray(x).reshape(-1)
 

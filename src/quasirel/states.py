@@ -24,7 +24,6 @@ from .linalg import (
     eigh,
     hermitian_part,
     spectral_matrix,
-    vec,
 )
 
 TRACE_TOL = 1e-12
@@ -188,21 +187,27 @@ class PairBatch:
 
     @cached_property
     def modular_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of X -> sigma X rho^{-1} of a batch of one and the weights
-        |<e_k|vec sqrt(rho)>|^2 of its eigenvectors; computed on first use.
+        """Per pair, the eigenvalues of X -> sigma X rho^{-1} and the weights
+        |<e_k|vec sqrt(rho)>|^2 of its eigenvectors, each (N, d^2); computed
+        on first use.
 
         Both states must be strictly positive. The eigenvalues are squares of
         those of the half power kron(sqrt sigma, rho^{-1/2 T}): eigh of the
         modular matrix itself is only accurate to eps*||M|| on the small
         eigenvalues, which generators singular at 0+ amplify past the 1e-9
-        cross-route contract.
+        cross-route contract. The half powers are built as one broadcast
+        product and diagonalized by one stacked eigh, which gives each pair
+        the bits of its own 2-D kron and eigh.
         """
-        lam, psi = _single(self).rho_spectral.eigenvalues[0], self.rho_spectral.eigenvectors[0]
-        mu, phi = self.sigma_spectral.eigenvalues[0], self.sigma_spectral.eigenvectors[0]
-        half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
-                       spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
+        n, d = len(self), self.dim
+        (lam, psi), (mu, phi) = self.rho_spectral, self.sigma_spectral
+        a = spectral_matrix(phi, np.sqrt(mu))
+        b = np.swapaxes(spectral_matrix(psi, 1.0 / np.sqrt(lam)), -1, -2)
+        half = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, d * d, d * d)
         half_vals, vecs = eigh(half)
-        coeffs = vecs.conj().T @ vec(spectral_matrix(psi, np.sqrt(lam)))
+        s = spectral_matrix(psi, np.sqrt(lam)).reshape(n, d * d)
+        # A stacked matmul, not einsum: einsum regroups the sums.
+        coeffs = (dagger(vecs) @ s[..., None])[..., 0]
         spectrum = (half_vals ** 2, np.abs(coeffs) ** 2)
         for array in spectrum:
             array.setflags(write=False)
@@ -380,11 +385,6 @@ def trial_streams(keys: Sequence) -> TrialStreams:
     return TrialStreams(pcg64_states(keys), np.random.Generator(np.random.PCG64(0)))
 
 
-def _own_stream(rng: np.random.Generator) -> TrialStreams:
-    """A generator's own stream as a trial's, from where it stands."""
-    return TrialStreams([rng.bit_generator.state], rng)
-
-
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries by one stacked QR of complex Gaussians.
 
@@ -450,11 +450,6 @@ def random_pairs(dim: int, streams: TrialStreams) -> PairBatch:
     return pair_batch(rho, sigma)
 
 
-def random_pair(dim: int, rng: np.random.Generator) -> PairBatch:
-    """Two independent random states as a batch of one."""
-    return random_pairs(dim, _own_stream(rng))
-
-
 def _dirichlet(e: np.ndarray) -> np.ndarray:
     """Flat-Dirichlet vectors from standard exponentials along the last axis,
     with the bits of rng.dirichlet(np.ones(d)): each row times the inverse of
@@ -512,20 +507,15 @@ def _classical_batch(spectra: np.ndarray, z: np.ndarray, perm: np.ndarray) -> Pa
 
 
 def random_classical_pairs(dim: int, streams: TrialStreams) -> PairBatch:
-    """One commuting pair per stream, as a batch; see random_classical_pair."""
+    """One commuting pair per stream, as a batch: both states diagonal in one
+    shared random basis, with flat-Dirichlet spectra above the rank threshold
+    and sigma's randomly permuted against rho's, so the overlap matrix is a
+    permutation matrix."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     spectra, (z, perm) = _spectral_draws(streams, partial(_classical_draw, dim),
                                          ZERO_EIG_THRESHOLD)
     return _classical_batch(spectra, z, perm)
-
-
-def random_classical_pair(dim: int, rng: np.random.Generator) -> PairBatch:
-    """A commuting pair, as a batch of one: both states diagonal in one shared
-    random basis, with flat-Dirichlet spectra above the rank threshold and
-    sigma's randomly permuted against rho's, so the overlap matrix is a
-    permutation matrix."""
-    return random_classical_pairs(dim, _own_stream(rng))
 
 
 def example_pair(dim: int) -> PairBatch:

@@ -5,11 +5,15 @@ fixed arrays, each in order whatever block shapes it is asked for, and
 permutations from a real generator. It is its own bit generator: its state
 is how far it has read, so a sampler restarts it as it restarts any
 generator, and the read counts say how much of each stream was consumed.
+own_stream hands a sampler a generator, scripted or real, as one trial's
+stream, so it draws from where that generator stands.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from quasirel.states import TrialStreams
 
 
 class ScriptedStream:
@@ -44,3 +48,8 @@ class ScriptedStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self.rng.permutation(n)
+
+
+def own_stream(rng) -> TrialStreams:
+    """A generator's own stream as a trial's, from where it stands."""
+    return TrialStreams([rng.bit_generator.state], rng)

@@ -14,7 +14,8 @@ import numpy as np
 
 from quasirel import conjecture
 from quasirel.conjecture import SearchRecord
-from quasirel.states import default_rng, random_classical_pair
+from quasirel.states import default_rng, random_classical_pairs
+from scripted_streams import own_stream
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,7 +87,7 @@ def _spectrum(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_instance(dim, rng, weight_mode, commuting) -> Instance:
     if commuting:
-        pair = random_classical_pair(dim, rng)
+        pair = random_classical_pairs(dim, own_stream(rng))
         lam = pair.rho_spectral.eigenvalues[0].copy()
         mu = pair.sigma_spectral.eigenvalues[0].copy()
         u_psi, u_phi = pair.rho_spectral.eigenvectors[0], pair.sigma_spectral.eigenvectors[0]

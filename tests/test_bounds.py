@@ -9,8 +9,6 @@ import pytest
 from quasirel import (
     ae11_upper,
     builtin_suite,
-    default_rng,
-    example_pair,
     general_sqrt_d_upper,
     guarded_log_diff_quot,
     guarded_power_diff_quot,
@@ -18,8 +16,6 @@ from quasirel import (
     neg_power,
     qubit_classical_upper,
     qubit_relative_upper,
-    random_classical_pair,
-    random_pair,
     relative_entropy_upper,
     sandwich,
     summarize,
@@ -30,13 +26,16 @@ from quasirel import (
 from quasirel import bounds
 from quasirel.bounds import (
     COMMUTING_TOL,
+    SLACK_FLOOR,
+    BoundReport,
     _bracket_core,
     bound_reports,
     sandwich_batch,
     violated,
 )
-from quasirel.states import joined_summary, pair_batch, state_pair, trial_streams
-from quasirel.sweeps import trial_batch, trial_key, trial_pair
+from quasirel.states import (example_pair, joined_summary, pair_batch, random_pairs, state_pair,
+                             trial_streams)
+from quasirel.sweeps import render_columns, trial_batch, trial_key, trial_pair
 
 PAIR = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 S = summarize(PAIR)
@@ -60,8 +59,7 @@ def test_qubit_classical_upper_on_neg_power():
 
 
 def test_qubit_classical_gated_off_in_higher_dim():
-    rng = default_rng(41)
-    rep = qubit_classical_upper(summarize(random_pair(3, rng)), neg_log())
+    rep = qubit_classical_upper(summarize(random_pairs(3, trial_streams([41]))), neg_log())
     assert not rep.applicable
     assert "commuting" in rep.reason
 
@@ -107,8 +105,7 @@ def test_qubit_relative_worked_values():
     tight, loose = qubit_relative_upper(S)
     assert tight.value == pytest.approx(math.log(2.0), rel=1e-12)
     assert loose.value == pytest.approx(1.0, rel=1e-12)
-    rng = default_rng(42)
-    for rep in qubit_relative_upper(summarize(random_pair(3, rng))):
+    for rep in qubit_relative_upper(summarize(random_pairs(3, trial_streams([42])))):
         assert not rep.applicable
 
 
@@ -225,9 +222,8 @@ def test_sandwich_vacuous_on_support_violation():
 
 
 def test_sandwich_random_pairs_no_violations():
-    rng = default_rng(43)
-    for _ in range(25):
-        pair = random_pair(int(rng.integers(2, 6)), rng)
+    for trial in range(25):
+        pair = trial_pair(43, 2 + trial % 4, trial)
         for kwargs in ({"f": neg_log()}, {"q": 0.3}, {"q": 1.5}):
             assert sandwich(pair, **kwargs).violations == []
 
@@ -235,12 +231,11 @@ def test_sandwich_random_pairs_no_violations():
 def test_sandwich_is_index_n_of_sandwich_batch():
     # one batch per dimension mixes random and classical pairs, plus the
     # qubit PAIR at d = 2 and example_pair(4), whose divergence is infinite
-    rng = default_rng(44)
     calls = [{"f": f} for f in builtin_suite()] + [{"q": q} for q in (0.3, 1.5, 2.0)]
     seen = {"infinite": 0, "inapplicable": 0}
     for dim in range(2, 9):
-        pairs = [random_pair(dim, rng), random_pair(dim, rng),
-                 random_classical_pair(dim, rng), random_classical_pair(dim, rng)]
+        pairs = [trial_pair(44, dim, trial, kind)
+                 for trial, kind in enumerate(("random", "random", "classical", "classical"))]
         pairs += {2: [PAIR], 4: [example_pair(4)]}.get(dim, [])
         batch = pair_batch(np.concatenate([p.rho for p in pairs]),
                            np.concatenate([p.sigma for p in pairs]))
@@ -272,16 +267,36 @@ def test_sandwich_is_index_n_of_sandwich_batch():
 def test_commuting_tolerance_both_sides(scale, applicable):
     # a d = 3 pair counts as commuting below COMMUTING_TOL, and only then
     # gets the qubit/commuting bound
-    summary = dataclasses.replace(summarize(random_pair(3, default_rng(71))),
+    summary = dataclasses.replace(summarize(random_pairs(3, trial_streams([71]))),
                                   commutator_norm=scale * COMMUTING_TOL)
     assert qubit_classical_upper(summary, neg_log()).applicable is applicable
+
+
+@pytest.mark.parametrize("scale, flagged", [(0.9, False), (1.1, True)])
+def test_slack_floor_both_sides(scale, flagged):
+    # an applicable slack is a violation only below the floor, for the rule
+    # alone and for the rows a sweep renders
+    slack = scale * SLACK_FLOOR
+    assert violated(True, slack) is flagged
+    report = BoundReport("b", np.array([1.0]), np.array([True]), "", False, np.array([slack]))
+    columns = ([3], 5, ["t"], [("neg-log", "", np.array([1.0]), [report])])
+    text, rows, violations = render_columns(columns, [0], "csv")
+    assert rows == 1 and ("%.17g" % slack) in text
+    assert violations == ([("b", slack)] if flagged else [])
+
+
+def test_slack_floor_never_flags_inapplicable_or_missing_slack():
+    assert violated(False, -1.0) is False
+    assert violated(True, math.nan) is False
+    np.testing.assert_array_equal(
+        violated(np.array([False, True, True]), np.array([-1.0, math.nan, -1.0])),
+        [False, False, True])
 
 
 def test_bracket_core_once_per_route(monkeypatch):
     # the qubit-classical and sqrt(d) bounds share one bracket per route,
     # and keep the values the standalone formulas give
-    rng = default_rng(45)
-    pairs = [random_pair(3, rng), random_classical_pair(3, rng)]
+    pairs = [trial_pair(45, 3, 0), trial_pair(45, 3, 1, "classical")]
     batch = pair_batch(np.concatenate([p.rho for p in pairs]),
                        np.concatenate([p.sigma for p in pairs]))
     calls = []
@@ -299,7 +314,7 @@ def test_bracket_core_once_per_route(monkeypatch):
 
 
 def test_sandwich_batch_reuses_the_tsallis_descriptor():
-    batch = random_pair(3, default_rng(46))
+    batch = random_pairs(3, trial_streams([46]))
     for q in (0.3, 1.5):
         gens = [sandwich_batch(batch, q=q)[0] for _ in range(3)]
         assert gens[0] is gens[1] is gens[2] is tsallis_f(q)

@@ -11,10 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasirel import (QuadratureError, bounds, cli, default_rng, functions, pair_to_dict,
-                      random_pair, save_pair, sweeps)
+from quasirel import QuadratureError, bounds, cli, functions, sweeps
 from quasirel.cli import main, parse_dims, render_rows
-from quasirel.states import state_pair
+from quasirel.states import pair_to_dict, random_pairs, save_pair, state_pair, trial_streams
 from quasirel.sweeps import chunk_plan
 
 
@@ -62,8 +61,7 @@ def test_paper_example_frozen_rows(capsys):
 
 
 def test_divergence_on_saved_pair(tmp_path, capsys):
-    rng = default_rng(61)
-    pair = random_pair(3, rng)
+    pair = random_pairs(3, trial_streams([61]))
     path = tmp_path / "pair.json"
     save_pair(path, pair, seed=61)
     code, out, err = _run(
@@ -78,8 +76,7 @@ def test_divergence_on_saved_pair(tmp_path, capsys):
 
 
 def test_divergence_identical_states_is_zero(tmp_path, capsys):
-    rng = default_rng(62)
-    rho = random_pair(3, rng).rho[0]
+    rho = random_pairs(3, trial_streams([62])).rho[0]
     path = tmp_path / "same.json"
     save_pair(path, state_pair(rho, rho))
     code, out, _ = _run(
@@ -296,7 +293,7 @@ def test_negative_slack_notes_read_the_columns(monkeypatch, capsys):
 def test_bound_tables_are_the_bytes_of_the_dict_rendering(tmp_path, capsys):
     # the column renderer gives the bytes json.dumps and render_rows give for
     # the same rows, infinite divergences and empty slacks included
-    rho = random_pair(3, default_rng(5)).rho[0]
+    rho = random_pairs(3, trial_streams([5])).rho[0]
     path = tmp_path / "singular.json"
     save_pair(path, state_pair(rho, np.diag([1.0, 0.0, 0.0])))
     for argv in (["sweep", "--dims", "3,2", "--trials", "3", "--f", "neg-log", "--q", "0.5",
@@ -505,7 +502,7 @@ def test_malformed_pair_file_exits_3(tmp_path, capsys, doc):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_pair_file_exits_3(tmp_path, capsys, state, bad):
     # json reads NaN and Infinity cells; the error names them, not a symptom
-    doc = pair_to_dict(random_pair(2, default_rng(64)))
+    doc = pair_to_dict(random_pairs(2, trial_streams([64])))
     doc[state][0][0] = [bad, 0.0]
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
@@ -517,7 +514,7 @@ def test_non_finite_pair_file_exits_3(tmp_path, capsys, state, bad):
 
 def _saved_pair(tmp_path):
     path = tmp_path / "pair.json"
-    save_pair(path, random_pair(3, default_rng(63)), seed=63)
+    save_pair(path, random_pairs(3, trial_streams([63])), seed=63)
     return path
 
 

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from quasirel import (
-    WeightedOverlapFunctional,
     conjecture_search,
     default_rng,
-    example_pair,
-    functional_value,
-    modular_weight_matrix,
     proven_case_check,
     random_functional,
-    random_pair,
     save_record,
 )
 from quasirel import conjecture
@@ -23,12 +18,17 @@ from quasirel.conjecture import (
     PROVEN_SLACK,
     SPECTRUM_FLOOR,
     VIOLATION_THRESHOLD,
+    WeightedOverlapFunctional,
     _Instances,
     _jitter,
     _rotations,
+    functional_value,
+    modular_weight_matrix,
 )
-from quasirel.states import _own_stream, _spectra_draw, _spectral_draws, state_pair
-from scripted_streams import ScriptedStream
+from quasirel.states import (_spectra_draw, _spectral_draws, example_pair, random_pairs,
+                             state_pair, trial_streams)
+from quasirel.sweeps import trial_pair
+from scripted_streams import ScriptedStream, own_stream
 from serial_search import Instance as SerialInstance
 from serial_search import _unitary_jitter as serial_unitary_jitter
 from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
@@ -67,15 +67,15 @@ def test_functional_value_dual_paths_agree():
     # trace internally and raises on disagreement; surviving 100 random
     # instances is the assertion
     rng = default_rng(51)
-    for _ in range(100):
-        pair = random_pair(int(rng.integers(2, 6)), rng)
+    for trial in range(100):
+        pair = trial_pair(51, 2 + trial % 4, trial)
         w = _aligned_functional(pair, rng)
         functional_value(w, pair)
 
 
 def test_functional_value_rejects_foreign_bases():
     rng = default_rng(52)
-    pair = random_pair(3, rng)
+    pair = trial_pair(52, 3, 0)
     w = random_functional(3, rng)  # bases unrelated to the pair
     with pytest.raises(ValueError):
         functional_value(w, pair)
@@ -83,7 +83,7 @@ def test_functional_value_rejects_foreign_bases():
 
 def test_functional_vanishes_at_equal_states():
     rng = default_rng(53)
-    rho = random_pair(4, rng).rho[0]
+    rho = trial_pair(53, 4, 0).rho[0]
     pair = state_pair(rho, rho)
     w = _aligned_functional(pair, rng)
     assert abs(functional_value(w, pair)) < 1e-12
@@ -91,7 +91,7 @@ def test_functional_vanishes_at_equal_states():
 
 def test_d_matrix_shape_and_trace_identity():
     rng = default_rng(54)
-    pair = random_pair(3, rng)
+    pair = trial_pair(54, 3, 0)
     w = _aligned_functional(pair, rng)
     d = w.d_matrix()
     diff = pair.rho[0] - pair.sigma[0]
@@ -136,9 +136,25 @@ def test_proven_case_hypothesis_violations_raise():
         proven_case_check(w2, np.diag([1.0, -1.0]), "qubit")  # unknown case
 
 
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+def test_proven_case_gates_both_sides(scale, accepted):
+    # in the identity bases, X is diagonal up to its off-diagonal entry; a
+    # 2x2 diag(t, 0) has trace t exactly
+    eye = np.eye(2, dtype=complex)
+    w = WeightedOverlapFunctional(np.full((2, 2), 0.5), 1.0, eye, eye)
+    gates = [("diagonal", np.array([[0.3, scale * 1e-10], [scale * 1e-10, -0.2]]),
+              "not diagonal in either basis"),
+             ("qubit_traceless", np.diag([scale * 1e-12, 0.0]), "not traceless")]
+    for case, x, message in gates:
+        if accepted:
+            assert proven_case_check(w, x, case)
+        else:
+            with pytest.raises(ValueError, match=message):
+                proven_case_check(w, x, case)
+
+
 def test_modular_weights_structure():
-    rng = default_rng(58)
-    pair = random_pair(4, rng)
+    pair = random_pairs(4, trial_streams([58]))
     w = modular_weight_matrix(pair, t=0.7)
     assert np.max(w.c_entries) == pytest.approx(w.c_cap, rel=1e-12)
     lam, mu = pair.rho_spectral.eigenvalues[0], pair.sigma_spectral.eigenvalues[0]
@@ -326,7 +342,7 @@ def test_functional_cross_tolerance_both_sides(scale, agrees):
     # scales the explicit trace by (1 + eps)^2 and not the eigenvalue sum;
     # eps is chosen so the routes differ by scale * FUNCTIONAL_CROSS_TOL
     rng = default_rng(59)
-    pair = random_pair(3, rng)
+    pair = trial_pair(59, 3, 0)
     w = _aligned_functional(pair, rng)
     value = functional_value(w, pair)
     gap = scale * FUNCTIONAL_CROSS_TOL * max(1.0, abs(value)) / abs(value)
@@ -358,7 +374,7 @@ def test_spectrum_floor_both_sides():
     low, high = 0.9 * SPECTRUM_FLOOR, 1.1 * SPECTRUM_FLOOR
     rng = ScriptedStream(exponentials=[[low, 1.0 - low], [high, 1.0 - high], [high, 1.0 - high]])
     spectra, _ = _spectral_draws(
-        _own_stream(rng), lambda rng, floor=None: (_spectra_draw(rng, 2, floor),), SPECTRUM_FLOOR)
+        own_stream(rng), lambda rng, floor=None: (_spectra_draw(rng, 2, floor),), SPECTRUM_FLOOR)
     np.testing.assert_array_equal(spectra[0], [[1.0 - high, high]] * 2)
     assert rng.exponentials_used == rng.exponentials.size
     # jittered spectra: a bump to 0.9x is clipped up to the floor, one to 1.1x is kept

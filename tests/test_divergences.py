@@ -5,17 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasirel import (
     builtin_suite,
     default_rng,
-    example_pair,
     neg_log,
     neg_power,
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
-    random_classical_pair,
-    random_pair,
     tsallis_direct,
     tsallis_f,
     umegaki,
@@ -25,11 +24,14 @@ from quasirel.divergences import (
     OVERLAP_SKIP,
     SUPEROP_DIM_CAP,
     spectral_values,
+    superoperator_values,
     tsallis_values,
     umegaki_values,
 )
-from quasirel.linalg import ZERO_EIG_THRESHOLD, eigh, spectral_matrix, vec
-from quasirel.states import pair_batch, state_pair
+from quasirel.linalg import ZERO_EIG_THRESHOLD, eigh, spectral_matrix
+from quasirel.states import (example_pair, pair_batch, random_classical_pairs, random_pairs,
+                             state_pair, trial_streams)
+from quasirel.sweeps import trial_batch, trial_key, trial_pair
 from serial_search import haar_unitary
 from spectral_oracle import dual_function
 
@@ -55,10 +57,9 @@ def test_tsallis_frozen_value():
 
 
 def test_three_routes_agree_on_random_pairs():
-    rng = default_rng(31)
-    for _ in range(10):
+    for trial in range(10):
         for dim in (2, 3, 4):
-            pair = random_pair(dim, rng)
+            pair = trial_pair(31, dim, trial)
             for f in builtin_suite():
                 spectral = quasi_entropy_spectral(pair, f).value
                 superop = quasi_entropy_superoperator(pair, f).value
@@ -74,6 +75,42 @@ def test_three_routes_agree_on_random_pairs():
                 )
 
 
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(2, 6), kind=st.sampled_from(["random", "classical"]),
+       seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 5))
+# A nearly equal commuting pair: S_f is 9.5e-8 for tsallis:q=0.3, and the
+# routes differ by 9.9e-17, a relative 1.04e-9. The first-order terms
+# cancel in every route, so agreement there is absolute, as in the test
+# above.
+@example(dim=2, kind="classical", seed=904276770, size=1)
+def test_routes_agree_over_stacked_batches(dim, kind, seed, size):
+    batch = trial_batch(dim, trial_streams([trial_key(seed, dim, t) for t in range(size)]), kind)
+    singles = [trial_pair(seed, dim, t, kind) for t in range(size)]
+    for f in builtin_suite():
+        stacked = superoperator_values(batch, f)
+        np.testing.assert_allclose(stacked, spectral_values(batch, f), rtol=1e-9, atol=1e-12)
+        # a pair's value does not depend on the stack it sits in
+        np.testing.assert_array_equal(stacked, [superoperator_values(p, f)[0] for p in singles])
+    np.testing.assert_allclose(umegaki_values(batch), spectral_values(batch, neg_log()),
+                               rtol=1e-9, atol=1e-12)
+    for q in (0.3, 1.5):
+        np.testing.assert_allclose(tsallis_values(batch, q), spectral_values(batch, tsallis_f(q)),
+                                   rtol=1e-9, atol=1e-12)
+
+
+def test_superoperator_values_checks_the_whole_batch():
+    flat, skewed = np.diag([0.5, 0.5]), np.diag([0.9, 0.1])
+    batch = pair_batch(np.stack([flat, skewed]), np.stack([flat, skewed[::-1, ::-1]]))
+    # f finite below 5: the flat pair's modular spectrum is all 1, the
+    # skewed pair's reaches 9, so only the second value is +inf
+    capped = dataclasses.replace(neg_log(), eval=lambda x: np.where(x < 5.0, 1.0 - x, np.inf))
+    values = superoperator_values(batch, capped)
+    assert values[0] == 0.0 and values[1] == math.inf
+    singular = pair_batch(np.stack([flat, flat]), np.stack([flat, np.diag([1.0, 0.0])]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        superoperator_values(singular, neg_log())
+
+
 def test_result_metadata():
     res = quasi_entropy_spectral(CLASSICAL, neg_log())
     assert res.method == "spectral"
@@ -86,7 +123,7 @@ def test_result_metadata():
 
 def test_unitary_invariance():
     rng = default_rng(32)
-    pair = random_pair(3, rng)
+    pair = trial_pair(32, 3, 0)
     u = haar_unitary(3, rng)
     rotated = state_pair(
         u @ pair.rho[0] @ u.conj().T, u @ pair.sigma[0] @ u.conj().T
@@ -98,12 +135,11 @@ def test_unitary_invariance():
 
 
 def test_nonnegative_and_zero_at_equality():
-    rng = default_rng(33)
-    for _ in range(25):
-        pair = random_pair(3, rng)
+    for trial in range(25):
+        pair = trial_pair(33, 3, trial)
         for f in builtin_suite():
             assert quasi_entropy_spectral(pair, f).value >= -1e-12
-    same = random_pair(4, rng)
+    same = trial_pair(33, 4, 0)
     equal = state_pair(same.rho[0], same.rho[0])
     for f in builtin_suite():
         assert abs(quasi_entropy_spectral(equal, f).value) < 1e-12
@@ -126,9 +162,8 @@ def test_support_conventions():
 
 def test_dual_generator_swaps_arguments():
     # S_f(rho||sigma) = S_g(sigma||rho) with g(x) = x f(1/x), exactly
-    rng = default_rng(35)
-    for _ in range(10):
-        pair = random_pair(3, rng)
+    for trial in range(10):
+        pair = trial_pair(35, 3, trial)
         for f in (neg_log(), neg_power(0.5), tsallis_f(1.5)):
             lhs = quasi_entropy_spectral(pair, f).value
             rhs = quasi_entropy_spectral(state_pair(pair.sigma[0], pair.rho[0]),
@@ -137,53 +172,52 @@ def test_dual_generator_swaps_arguments():
 
 
 def test_modular_matrix_spectrum_is_ratio_multiset():
-    rng = default_rng(36)
-    pair = random_pair(3, rng)
-    vals, weights = pair.modular_spectrum
-    lam = pair.rho_spectral.eigenvalues[0]
-    mu = pair.sigma_spectral.eigenvalues[0]
-    expected = np.sort(np.outer(mu, 1.0 / lam).ravel())
-    np.testing.assert_allclose(np.sort(vals), expected, rtol=1e-9)
-    # the weights split ||vec sqrt(rho)||^2 = Tr rho = 1
-    assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-12)
+    # every pair of a stack has its own ratio multiset
+    batch = random_pairs(3, trial_streams([36, 136, 236]))
+    vals, weights = batch.modular_spectrum
+    assert vals.shape == weights.shape == (3, 9)
+    for n in range(3):
+        lam = batch.rho_spectral.eigenvalues[n]
+        mu = batch.sigma_spectral.eigenvalues[n]
+        expected = np.sort(np.outer(mu, 1.0 / lam).ravel())
+        np.testing.assert_allclose(np.sort(vals[n]), expected, rtol=1e-9)
+        # the weights split ||vec sqrt(rho)||^2 = Tr rho = 1
+        assert float(np.sum(weights[n])) == pytest.approx(1.0, abs=1e-12)
 
 
 def _superoperator_recomputed(pair, f):
-    """The superoperator value from a fresh half-power eigh, as the route
-    computed it before the pair kept its modular spectrum."""
+    """The superoperator value from a fresh 2-D kron and half-power eigh, as
+    the route computed it before the batch kept its pairs' modular spectra."""
     lam, psi = (a[0] for a in pair.rho_spectral)
     mu, phi = (a[0] for a in pair.sigma_spectral)
     half = np.kron(spectral_matrix(phi, np.sqrt(mu)),
                    spectral_matrix(psi, 1.0 / np.sqrt(lam)).T)
     half_vals, vecs = eigh(half)
-    coeffs = vecs.conj().T @ vec(spectral_matrix(psi, np.sqrt(lam)))
+    coeffs = vecs.conj().T @ spectral_matrix(psi, np.sqrt(lam)).reshape(-1)
     return float(np.sum(np.asarray(f.eval(half_vals ** 2), dtype=float)
                         * np.abs(coeffs) ** 2))
 
 
 def test_modular_spectrum_diagonalized_once_per_pair(monkeypatch):
-    rng = default_rng(40)
     for dim in (2, 5, 8):
-        pair = random_pair(dim, rng)
+        pair = trial_pair(40, dim, 0)
         calls = []
         monkeypatch.setattr(states, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         values = [quasi_entropy_superoperator(pair, f).value for f in builtin_suite()]
         monkeypatch.undo()
-        assert calls == [(dim * dim, dim * dim)]
+        assert calls == [(1, dim * dim, dim * dim)]
         assert values == [_superoperator_recomputed(pair, f) for f in builtin_suite()]
 
 
 def test_superoperator_route_guards():
-    rng = default_rng(37)
     with pytest.raises(ValueError):
-        quasi_entropy_superoperator(random_pair(13, rng), neg_log())
+        quasi_entropy_superoperator(random_pairs(13, trial_streams([37])), neg_log())
     with pytest.raises(ValueError):
         quasi_entropy_superoperator(example_pair(3), neg_power(0.5))
 
 
 def test_commuting_pair_reduces_to_classical_sum():
-    rng = default_rng(38)
-    pair = random_classical_pair(5, rng)
+    pair = random_classical_pairs(5, trial_streams([38]))
     p = pair.rho_spectral.eigenvalues[0]
     # overlaps form a permutation; recover sigma's spectrum in rho's basis
     perm = np.argmax(pair.overlaps[0] > 0.5, axis=0)
@@ -203,9 +237,8 @@ def test_batch_values_match_each_pair_alone():
     # a pair's value must not depend on the batch it sits in: regular pairs,
     # a commuting pair with skipped overlap terms, and a rank-deficient sigma
     # (then, for umegaki, a rank-deficient rho) share one batch
-    rng = default_rng(39)
-    pairs = [random_pair(3, rng) for _ in range(4)]
-    pairs += [random_classical_pair(3, rng), example_pair(3)]
+    pairs = [trial_pair(39, 3, trial) for trial in range(4)]
+    pairs += [trial_pair(39, 3, 4, "classical"), example_pair(3)]
 
     def batch_of(group):
         return pair_batch(np.concatenate([p.rho for p in group]),
@@ -225,10 +258,11 @@ def test_batch_values_match_each_pair_alone():
 
 
 def test_superoperator_dimension_cap_both_sides():
-    pair = random_pair(SUPEROP_DIM_CAP, default_rng(72))
+    pair = random_pairs(SUPEROP_DIM_CAP, trial_streams([72]))
     assert math.isfinite(quasi_entropy_superoperator(pair, neg_log()).value)
     with pytest.raises(ValueError, match="capped at dim"):
-        quasi_entropy_superoperator(random_pair(SUPEROP_DIM_CAP + 1, default_rng(72)), neg_log())
+        quasi_entropy_superoperator(random_pairs(SUPEROP_DIM_CAP + 1, trial_streams([72])),
+                                    neg_log())
 
 
 @pytest.mark.parametrize("scale, finite", [(0.9, True), (1.1, False)])
@@ -299,7 +333,7 @@ def test_direct_routes_rho_eigenvalue_at_threshold(scale, on_support):
     p = np.concatenate([rng.dirichlet(np.ones(dim - 1)), [0.0]])
     p[-1] = scale * ZERO_EIG_THRESHOLD
     p[0] -= p[-1]
-    pair = state_pair(_state(haar_unitary(dim, rng), p), random_pair(dim, rng).sigma[0])
+    pair = state_pair(_state(haar_unitary(dim, rng), p), trial_pair(42, dim, 0).sigma[0])
     lam = pair.rho_spectral.eigenvalues[0]
     mu = pair.sigma_spectral.eigenvalues[0]
     assert bool(lam[-1] > ZERO_EIG_THRESHOLD) is on_support

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from quasirel import (
     builtin_suite,
     eval_via_representation,
-    make_custom,
     neg_log,
     neg_power,
     normalization_residual,
     parse_f_spec,
     tsallis_f,
 )
-from quasirel.functions import REPRESENTATION_RTOL
+from quasirel.functions import REPRESENTATION_RTOL, make_custom
 from spectral_oracle import dual_function, monotonicity_spot_check
 
 GRID = np.geomspace(1e-3, 1e3, 13)

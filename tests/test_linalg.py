@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quasirel import eigh, hermitian_part, vec
+from quasirel import eigh, hermitian_part
 from quasirel import linalg, states
 from serial_search import trace_norm
 from spectral_oracle import SpectralDomainError, eigvalsh_desc, mat_func
@@ -108,9 +108,3 @@ def test_mat_func_rejects_out_of_domain():
     with pytest.raises(SpectralDomainError):
         mat_func(indefinite, np.sqrt)
 
-
-def test_vec_is_row_major_and_invertible():
-    x = np.arange(9, dtype=float).reshape(3, 3)
-    v = vec(x)
-    np.testing.assert_array_equal(v[:3], x[0])
-    np.testing.assert_array_equal(v.reshape(3, 3), x)

@@ -14,7 +14,6 @@ from quasirel import (
     eval_via_representation,
     functions,
     integrate_halfline,
-    make_custom,
     neg_log,
     normalization_residual,
     parse_f_spec,
@@ -23,6 +22,7 @@ from quasirel import (
     state_pair,
 )
 from quasirel.cli import _DEFAULT_REPR_SPECS, _REPR_GRID
+from quasirel.functions import make_custom
 from quasirel.quadrature import MIN_PANEL_WIDTH
 
 # Their origin panels never meet LOCAL_TOL, so bisection descends to

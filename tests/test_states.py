@@ -8,27 +8,18 @@ import pytest
 
 from quasirel import (
     default_rng,
-    density_matrix,
-    example_pair,
-    functional_value,
     load_pair,
-    modular_weight_matrix,
     neg_log,
-    pair_from_dict,
-    pair_to_dict,
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
-    random_classical_pair,
     random_functional,
-    random_pair,
-    random_state,
     sandwich,
-    save_pair,
     summarize,
     tsallis_direct,
     umegaki,
 )
 from quasirel import states
+from quasirel.conjecture import functional_value, modular_weight_matrix
 from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD, EigenSystem, eigh
 from quasirel.states import (
     DOUBLE_STOCHASTIC_TOL,
@@ -36,18 +27,24 @@ from quasirel.states import (
     TRACE_TOL,
     PairBatch,
     _dirichlet,
-    _own_stream,
     _spectra_draw,
     _spectral_draws,
+    density_matrix,
+    example_pair,
     haar_unitaries,
     pair_batch,
+    pair_from_dict,
+    pair_to_dict,
     pcg64_states,
     random_classical_pairs,
     random_pairs,
+    random_state,
+    save_pair,
     state_pair,
     trial_streams,
 )
-from scripted_streams import ScriptedStream
+from quasirel.sweeps import trial_pair
+from scripted_streams import ScriptedStream, own_stream
 from serial_search import haar_unitary as serial_haar_unitary
 
 
@@ -109,9 +106,8 @@ def test_random_state_strictly_positive():
 
 
 def test_pair_overlaps_doubly_stochastic():
-    rng = default_rng(9)
-    for _ in range(50):
-        pair = random_pair(int(rng.integers(2, 7)), rng)
+    for trial in range(50):
+        pair = trial_pair(9, 2 + trial % 5, trial)
         ov = pair.overlaps[0]
         assert np.all(ov >= -1e-15)
         np.testing.assert_allclose(ov.sum(axis=0), 1.0, atol=1e-10)
@@ -119,8 +115,7 @@ def test_pair_overlaps_doubly_stochastic():
 
 
 def test_swapped_exchanges_roles():
-    rng = default_rng(10)
-    pair = random_pair(3, rng)
+    pair = random_pairs(3, trial_streams([10]))
     rev = state_pair(pair.sigma[0], pair.rho[0])
     np.testing.assert_array_equal(rev.rho, pair.sigma)
     np.testing.assert_array_equal(rev.sigma, pair.rho)
@@ -128,8 +123,7 @@ def test_swapped_exchanges_roles():
 
 
 def test_classical_pair_overlap_structure():
-    rng = default_rng(11)
-    shuffled = random_classical_pair(5, rng)
+    shuffled = random_classical_pairs(5, trial_streams([11]))
     ov = shuffled.overlaps[0]
     # permutation matrix: a single 1 per row and column
     np.testing.assert_allclose(np.sort(ov, axis=1)[:, :-1], 0.0, atol=1e-10)
@@ -169,8 +163,7 @@ def test_example_pair_trace_distance():
 
 
 def test_json_round_trip_exact(tmp_path):
-    rng = default_rng(12)
-    pair = random_pair(4, rng)
+    pair = random_pairs(4, trial_streams([12]))
     path = tmp_path / "pair.json"
     save_pair(path, pair, seed=12, tags=["unit"])
     loaded = load_pair(path)
@@ -183,8 +176,7 @@ def test_json_round_trip_exact(tmp_path):
 
 
 def test_pair_dict_round_trip():
-    rng = default_rng(13)
-    pair = random_classical_pair(3, rng)
+    pair = random_classical_pairs(3, trial_streams([13]))
     again = pair_from_dict(pair_to_dict(pair))
     np.testing.assert_array_equal(again.rho, pair.rho)
     np.testing.assert_array_equal(again.sigma, pair.sigma)
@@ -207,7 +199,7 @@ def _one_spectrum(rng, dim, floor):
 def _stream_spectra(stream, dim, floor):
     """A stream's two spectra, through the stacked sampler's draw and floor check."""
     spectra, _ = _spectral_draws(
-        _own_stream(stream), lambda rng, floor=None: (_spectra_draw(rng, dim, floor),), floor)
+        own_stream(stream), lambda rng, floor=None: (_spectra_draw(rng, dim, floor),), floor)
     return spectra[0]
 
 
@@ -242,7 +234,7 @@ def test_batch_sampler_continues_stream_after_rejection():
     sequential, batched = ScriptedStream(normals), ScriptedStream(normals)
     rho = random_state(dim, sequential).matrix
     sigma = random_state(dim, sequential).matrix
-    batch = random_pair(dim, batched)
+    batch = random_pairs(dim, own_stream(batched))
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
     # the first draw was rejected: both paths consumed three Gaussian pairs
@@ -255,14 +247,14 @@ def test_classical_batch_sampler_continues_stream_after_rejection():
     exponentials[0] = 0.0  # rho's first spectrum has a zero weight
     normals = default_rng(16).standard_normal(2 * dim * dim)
     sequential, batched = (ScriptedStream(normals, exponentials, seed=15) for _ in range(2))
-    # the per-trial draw order random_classical_pair has always used
+    # the per-trial draw order the commuting sampler has always used
     u = haar_unitaries(sequential.standard_normal((2, dim, dim)))
     p = _one_spectrum(sequential, dim, ZERO_EIG_THRESHOLD)
     q = _one_spectrum(sequential, dim, ZERO_EIG_THRESHOLD)
     q = q[sequential.permutation(dim)]
     rho = density_matrix((u * p) @ u.conj().T).matrix
     sigma = density_matrix((u * q) @ u.conj().T).matrix
-    batch = random_classical_pair(dim, batched)
+    batch = random_classical_pairs(dim, own_stream(batched))
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
     assert sequential.exponentials_used == batched.exponentials_used == 3 * dim
@@ -357,8 +349,7 @@ def test_trial_streams_draw_as_default_rng():
 
 
 def test_pair_batch_matches_pairs_built_one_by_one():
-    rng = default_rng(16)
-    pairs = [random_pair(3, rng) for _ in range(5)]
+    pairs = [trial_pair(16, 3, trial) for trial in range(5)]
     batch = pair_batch(np.concatenate([p.rho for p in pairs]),
                        np.concatenate([p.sigma for p in pairs]))
     assert len(batch) == 5 and batch.dim == 3
@@ -395,12 +386,11 @@ def test_validation_threshold_both_sides(make, bound, message):
 
 
 def test_single_pair_constructors_return_a_batch_of_one(tmp_path):
-    rng = default_rng(17)
     path = tmp_path / "pair.json"
-    save_pair(path, random_pair(2, rng))
-    pairs = [random_pair(3, rng), random_classical_pair(3, rng), example_pair(3),
+    save_pair(path, trial_pair(17, 2, 0))
+    pairs = [trial_pair(17, 3, 0), trial_pair(17, 3, 0, "classical"), example_pair(3),
              state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25])),
-             pair_from_dict(pair_to_dict(random_pair(2, rng))), load_pair(path)]
+             pair_from_dict(pair_to_dict(trial_pair(17, 2, 1))), load_pair(path)]
     for pair in pairs:
         assert isinstance(pair, PairBatch) and len(pair) == 1
         assert pair.rho.shape == pair.sigma.shape == (1, pair.dim, pair.dim)
@@ -437,8 +427,6 @@ def test_per_pair_functions_take_only_a_batch_of_one(size):
                  lambda p: functional_value(w, p), pair_to_dict):
         with pytest.raises(ValueError, match="batch of one"):
             call(batch)
-    with pytest.raises(ValueError, match="batch of one"):
-        batch.modular_spectrum
 
 
 @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
