@@ -47,11 +47,14 @@ class DivergenceResult:
 def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     """The closed-form double sum over both eigensystems, one value per pair.
 
-    Terms whose overlap weight is below 1e-16 are skipped. A zero eigenvalue
-    of sigma with surviving weight contributes f's limit at 0+ when that is
-    finite and makes the whole divergence +inf when it is not. Each pair's
-    surviving terms are summed in row-major order, as one contiguous run,
-    so a pair's value does not depend on the batch it sits in.
+    The terms form one (N, d, d) array, indexed [n, k, j] like the overlaps:
+    f(mu_k/lambda_j) lambda_j |<phi_k|psi_j>|^2 where mu_k is above the rank
+    threshold, f's limit at 0+ in place of f(0) on sigma's kernel rows, and
+    0 where the overlap weight is below 1e-16. A pair is +inf when one of
+    its terms is not finite: a counted f-value, or a kernel row carrying
+    weight when f blows up at 0+. Each pair's d^2 terms are summed in
+    row-major order as one contiguous run, so its value does not depend on
+    the batch it sits in.
     """
     if not np.all(batch.rho_positive):
         raise ValueError("spectral route requires a strictly positive rho")
@@ -59,25 +62,13 @@ def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     mu = batch.sigma_spectral.eigenvalues
     weights = batch.overlaps * lam[:, np.newaxis, :]  # [n, k, j] = overlap * lambda_j
     live = batch.overlaps >= OVERLAP_SKIP
-    positive_mu = mu > ZERO_EIG_THRESHOLD
-    counted = live & positive_mu[:, :, np.newaxis]
+    positive_mu = (mu > ZERO_EIG_THRESHOLD)[:, :, np.newaxis]
     with np.errstate(all="ignore"):
-        fvals = np.asarray(f.eval(mu[:, :, np.newaxis] / lam[:, np.newaxis, :]), dtype=float)
-        terms = fvals * weights
-    values = np.where(np.any(counted & ~np.isfinite(fvals), axis=(1, 2)), math.inf, 0.0)
-    regular = np.all(counted, axis=(1, 2)) & (values == 0.0)
-    values[regular] += terms[regular].reshape(-1, batch.dim ** 2).sum(axis=1)
-    for n in np.flatnonzero(~regular & (values == 0.0)):
-        # Skipped terms or a singular sigma: sum the survivors alone, since
-        # padding zeros into the run would regroup the pairwise sum.
-        zero_live = live[n][~positive_mu[n]]
-        if np.any(zero_live):
-            if not math.isfinite(f.value_at_zero):
-                values[n] = math.inf
-                continue
-            values[n] += f.value_at_zero * float(np.sum(weights[n][~positive_mu[n]][zero_live]))
-        values[n] += float(np.sum(terms[n][counted[n]]))
-    return values
+        fvals = f.eval(mu[:, :, np.newaxis] / lam[:, np.newaxis, :])
+        terms = np.where(live, np.where(positive_mu, fvals, f.value_at_zero), 0.0) * weights
+        # 0.0 + keeps a sum of negative zeros (rho = sigma under neg-log) at +0
+        sums = 0.0 + terms.reshape(len(batch), batch.dim ** 2).sum(axis=1)
+    return np.where(np.all(np.isfinite(terms), axis=(1, 2)), sums, math.inf)
 
 
 def quasi_entropy_spectral(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
