@@ -5,6 +5,7 @@ commutator norm) and returns BoundReports. Inapplicable inputs produce
 applicable=False reports with a reason, never a silent number. The formulas
 are one body of numpy code: on a PairBatch's summary columns every value is
 a column with one entry per pair, and on summarize's numbers it is a number.
+Both run the same numpy ufuncs, so a number has the bits of its column entry.
 The dimension is a column like the rest, so one pass covers pairs of
 several dimensions. bound_reports lays a route's reports out as columns and
 sets their slacks; sandwich reads index 0 of them for a batch of one.
@@ -61,21 +62,6 @@ class BoundReport(NamedTuple):
     slack: Optional[float] = None
 
 
-# The bounds keep libm's rounding of log, log1p and pow: numpy's vectorized
-# versions differ in the last bit on a few percent of inputs, and a slack far
-# smaller than its bound turns that bit into a visible change. So these run
-# math.log, math.log1p and pow on each entry as a Python float.
-_LOG = np.frompyfunc(math.log, 1, 1)
-_LOG1P = np.frompyfunc(math.log1p, 1, 1)
-_POW = np.frompyfunc(pow, 2, 1)
-
-
-def _libm(ufunc: np.ufunc, *args):
-    """One of the libm ufuncs above as floats: a number for numbers, a column
-    for columns ([()] reads a 0-d result as a number)."""
-    return np.asarray(ufunc(*args), dtype=float)[()]
-
-
 def _guarded(gap, limit, numerator, denominator):
     """numerator/denominator, or its limit where |gap| is under the guard.
 
@@ -89,15 +75,15 @@ def _guarded(gap, limit, numerator, denominator):
 def guarded_log_diff_quot(x, y):
     """(log x - log y)/(x - y), with the 1/midpoint limit under the gap guard."""
     gap = x - y
-    return _guarded(gap, 2.0 / (x + y), _libm(_LOG, x) - _libm(_LOG, y), gap)
+    return _guarded(gap, 2.0 / (x + y), np.log(x) - np.log(y), gap)
 
 
 def guarded_power_diff_quot(x, y, q: float):
     """(x^(1-q) - y^(1-q))/(x - y), limit (1-q) c^(-q) at the midpoint."""
     gap = x - y
     s = 1.0 - q
-    limit = (1.0 - q) * _libm(_POW, 0.5 * (x + y), -q)
-    return _guarded(gap, limit, _libm(_POW, x, s) - _libm(_POW, y, s), gap)
+    limit = (1.0 - q) * np.power(0.5 * (x + y), -q)
+    return _guarded(gap, limit, np.power(x, s) - np.power(y, s), gap)
 
 
 def _bracket_core(summary: ScalarSummary, f: OMDFunction):
@@ -112,7 +98,7 @@ def _bracket_core(summary: ScalarSummary, f: OMDFunction):
 
 def pinsker_lower(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
     """Lower bound f''(1)/2 * ||rho - sigma||_1^2."""
-    value = 0.5 * f.d2_at_1 * _libm(_POW, summary.trace_distance_1, 2)
+    value = 0.5 * f.d2_at_1 * np.square(summary.trace_distance_1)
     return BoundReport("pinsker_lower", value, is_lower=True)
 
 
@@ -166,8 +152,8 @@ def ae11_upper(summary: ScalarSummary, base: str = "e") -> BoundReport:
     if base not in ("e", "2"):
         raise ValueError(f"base must be 'e' or '2', got {base!r}")
     t = summary.T
-    value = ((summary.alpha_sigma + t) * _libm(_LOG1P, t / summary.alpha_sigma)
-             - summary.alpha_rho * _libm(_LOG1P, t / summary.alpha_rho))
+    value = ((summary.alpha_sigma + t) * np.log1p(t / summary.alpha_sigma)
+             - summary.alpha_rho * np.log1p(t / summary.alpha_rho))
     if base == "2":
         value = value / math.log(2.0)
     name = "ae11_upper" if base == "e" else "ae11_upper_base2"
@@ -201,21 +187,21 @@ def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
         return [BoundReport("tsallis_bounds", dist * math.nan, False,
                             f"q={q:g} outside (0,2)\\{{1}}")]
     alpha, alph_s = summary.alpha, summary.alpha_sigma
-    lam_q = _libm(_POW, lam_r, q)
+    lam_q = np.power(lam_r, q)
     values = []
     if q > 1.0:
         lam_joint = np.maximum(summary.lambda_rho, summary.lambda_sigma)
         ceil_coeff = (math.ceil(q) - 1.0) / (q - 1.0)
         values.append(("tsallis_ceil_upper",
-                       ceil_coeff * _libm(_POW, lam_joint / alph_s, q - 1.0) * dist))
-        prior = dist * lam_q / _libm(_POW, alpha, q) / (q - 1.0)
+                       ceil_coeff * np.power(lam_joint / alph_s, q - 1.0) * dist))
+        prior = dist * lam_q / np.power(alpha, q) / (q - 1.0)
         values.append(("tsallis_prior_upper", prior))
         values.append(("tsallis_improved_upper", prior * (q - 1.0)))
     else:
-        values.append(("tsallis_prior_upper", dist * lam_q / _libm(_POW, alph_s, q) / (1.0 - q)))
+        values.append(("tsallis_prior_upper", dist * lam_q / np.power(alph_s, q) / (1.0 - q)))
         diff_quot = guarded_power_diff_quot(summary.alpha_rho, alph_s, q)
         values.append(("tsallis_tight_upper", dist * lam_q * diff_quot / (1.0 - q)))
-        values.append(("tsallis_loose_upper", dist * lam_q / _libm(_POW, alpha, q)))
+        values.append(("tsallis_loose_upper", dist * lam_q / np.power(alpha, q)))
     reports = [BoundReport(name, value) for name, value in values]
     qubit_ok = summary.dim == 2
     qubit_reason = "requires a qubit pair"
@@ -223,7 +209,7 @@ def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
     reports.append(BoundReport("tsallis_qubit_tight_upper",
                                dist * lam_q * qubit_quot / (1.0 - q),
                                qubit_ok, qubit_reason))
-    reports.append(BoundReport("tsallis_qubit_loose_upper", dist * lam_q / _libm(_POW, alph_s, q),
+    reports.append(BoundReport("tsallis_qubit_loose_upper", dist * lam_q / np.power(alph_s, q),
                                qubit_ok, qubit_reason))
     return reports
 

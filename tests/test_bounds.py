@@ -26,6 +26,7 @@ from quasirel import (
 from quasirel import bounds
 from quasirel.bounds import (
     COMMUTING_TOL,
+    DIVIDED_DIFF_GAP,
     SLACK_FLOOR,
     BoundReport,
     _bracket_core,
@@ -159,6 +160,19 @@ def test_guard_continuity_at_small_gap():
         assert guarded_power_diff_quot(x, y, q) == pytest.approx(limit, rel=1e-5)
     # under the guard the limit branch is returned exactly
     assert guarded_log_diff_quot(1.0, 1.0 + 1e-9) == 2.0 / (2.0 + 1e-9)
+    # on either side of DIVIDED_DIFF_GAP each quotient returns the bits of
+    # its limit (under) or of the plain quotient expression (over)
+    x = 0.5
+    for scale in (0.9, 1.1):
+        y = x + scale * DIVIDED_DIFF_GAP
+        cases = [(guarded_log_diff_quot(x, y), 2.0 / (x + y), (np.log(x) - np.log(y)) / (x - y))]
+        for q in (0.3, 1.5):
+            s = 1.0 - q
+            cases.append((guarded_power_diff_quot(x, y, q), s * np.power(0.5 * (x + y), -q),
+                          (np.power(x, s) - np.power(y, s)) / (x - y)))
+        for value, limit, quotient in cases:
+            assert limit != quotient
+            assert value == (limit if scale < 1.0 else quotient)
 
 
 def test_bracket_core_guard_continuity():
@@ -169,6 +183,15 @@ def test_bracket_core_guard_continuity():
     assert s.lambda_rho - s.alpha_sigma == pytest.approx(1e-6, rel=1e-6)
     core = _bracket_core(s, neg_log())
     assert core == pytest.approx(-neg_log().d1_at_1, rel=1e-5)
+    # on either side of DIVIDED_DIFF_GAP, on a summary of numbers: the limit
+    # -f'(1) under it, the plain quotient f(x)/(1 - x) over it
+    for scale in (0.9, 1.1):
+        s = dataclasses.replace(S, alpha_sigma=S.lambda_rho - scale * DIVIDED_DIFF_GAP)
+        x = s.alpha_sigma / s.lambda_rho
+        for f in builtin_suite():
+            limit, quotient = -f.d1_at_1, f.eval(x) / (1.0 - x)
+            assert limit != quotient
+            assert _bracket_core(s, f) == (limit if scale < 1.0 else quotient)
 
 
 def test_with_divergence_skips_infinities():
@@ -366,3 +389,51 @@ def test_summarize_keeps_an_int_dim():
         for f in builtin_suite():
             assert (general_sqrt_d_upper(s, f).value
                     == general_sqrt_d_upper(pair.summary, f).value[0])
+
+
+def test_pinsker_squares_a_number_as_it_squares_a_column():
+    # Python's ** on a float calls libm's pow, which (glibc 2.36) rounds the
+    # square of this distance one bit away from numpy's square of a column
+    dist = 0.8534422874604821
+    number, column = (bounds.pinsker_lower(dataclasses.replace(S, trace_distance_1=t), neg_log())
+                      for t in (dist, np.array([dist])))
+    assert number.value == column.value[0]
+
+_FORMULA_ORDERS = (0.1, 0.3, 0.5, 0.9, 1.1, 1.5, 2.0)
+
+
+def _formula_reports(summary):
+    """The report of every formula bound_reports attaches, each formula alone."""
+    reports = []
+    for f in builtin_suite():
+        reports += [bounds.pinsker_lower(summary, f), *bounds._bracket_uppers(summary, f)]
+    reports += [*relative_entropy_upper(summary), ae11_upper(summary, "e"),
+                ae11_upper(summary, "2"), *qubit_relative_upper(summary)]
+    for q in _FORMULA_ORDERS:
+        reports += tsallis_bounds(summary, q)
+    return reports
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.view(np.uint64) == b.view(np.uint64)
+
+
+def test_formulas_give_summarize_numbers_the_bits_of_their_column():
+    # the formulas are one body of numpy code: on summarize's numbers every
+    # report has the bits of its pair's entry in the report over the batch
+    checked = 0
+    for dim in range(2, 7):
+        pairs = [trial_pair(48, dim, trial, kind)
+                 for kind in ("random", "classical") for trial in range(6)]
+        pairs += [example_pair(dim)] if dim >= 3 else []
+        batch = pair_batch(np.concatenate([p.rho for p in pairs]),
+                           np.concatenate([p.sigma for p in pairs]))
+        columns = _formula_reports(batch.summary)
+        for n, pair in enumerate(pairs):
+            for rep, col in zip(_formula_reports(summarize(pair)), columns, strict=True):
+                assert rep.bound_name == col.bound_name
+                assert _same_bits(rep.value, col.value[n]), (dim, n, rep.bound_name)
+                assert rep.applicable == np.broadcast_to(col.applicable, len(pairs))[n]
+                checked += 1
+    assert checked == 64 * 53
