@@ -155,9 +155,10 @@ def _dims(value) -> list:
 
 
 def _orders(value) -> list:
-    if isinstance(value, str):
-        value = [float(tok) for tok in value.split(",") if tok.strip()]
-    qs = value if isinstance(value, list) else [value]
+    qs = ([float(tok) for tok in value.split(",") if tok.strip()] if isinstance(value, str)
+          else value if isinstance(value, list) else [value])
+    if not qs:
+        raise ValueError(f"must name at least one order, got {value!r}")
     for q in qs:
         if not _is_json(q, (float, int)) or not is_tsallis_order(q):
             raise ValueError(f"must lie in (0, 2] excluding 1, got {q!r}")
@@ -168,6 +169,8 @@ def _f_specs(value: str) -> list:
     if value == "all":
         return [f.name for f in builtin_suite()]
     specs = [spec for spec in map(str.strip, value.split(",")) if spec]
+    if not specs:
+        raise ValueError(f"must name at least one generator, got {value!r}")
     for spec in specs:
         parse_f_spec(spec)  # raises with the offending spec named
     return specs

@@ -576,3 +576,34 @@ def test_one_pair_commands_reject_a_second_value(tmp_path, capsys, argv, key, va
     code, out, err = _config_run(tmp_path, capsys, argv, {key: value})
     assert code == 3 and out == ""
     assert err.startswith("error:") and repr(key) in err and "single value" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--dims", "2", "--trials", "1", "--f", ","], "--f"),
+    (["sweep", "--dims", "2", "--trials", "1", "--f="], "--f"),
+    (["sweep", "--dims", "2", "--trials", "1", "--q", ","], "--q"),
+    (["divergence", "--f", ","], "--f"),
+    (["divergence", "--q", ","], "--q"),
+    (["bounds", "--f", ","], "--f"),
+    (["bounds", "--q", ","], "--q"),
+    (["repr-check", "--f", ","], "--f"),
+])
+def test_a_flag_naming_no_generator_or_order_exits_3(capsys, argv, flag):
+    # an empty list would otherwise fall back to the command's default and run
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and flag in err and "at least one" in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["sweep", "--dims", "2", "--trials", "1"], {"f_spec": ""}),
+    (["sweep", "--dims", "2", "--trials", "1"], {"q": []}),
+    (["divergence"], {"f_spec": ","}),
+    (["bounds"], {"q": []}),
+    (["repr-check"], {"f_spec": ""}),
+])
+def test_a_config_key_naming_no_generator_or_order_exits_3(tmp_path, capsys, argv, doc):
+    code, out, err = _config_run(tmp_path, capsys, argv, doc)
+    (key,) = doc
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and repr(key) in err and "at least one" in err
