@@ -155,8 +155,10 @@ def _dims(value) -> list:
 
 
 def _orders(value) -> list:
-    qs = ([float(tok) for tok in value.split(",") if tok.strip()] if isinstance(value, str)
-          else value if isinstance(value, list) else [value])
+    if isinstance(value, str):
+        qs = [float(tok) for tok in value.split(",") if tok.strip()]
+    else:
+        qs = value if isinstance(value, list) else [value]
     if not qs:
         raise ValueError(f"must name at least one order, got {value!r}")
     for q in qs:

@@ -399,6 +399,7 @@ def test_pinsker_squares_a_number_as_it_squares_a_column():
                       for t in (dist, np.array([dist])))
     assert number.value == column.value[0]
 
+
 _FORMULA_ORDERS = (0.1, 0.3, 0.5, 0.9, 1.1, 1.5, 2.0)
 
 
