@@ -10,9 +10,11 @@ its pairs. Each block is one PairBatch, sampled, validated, diagonalized and
 summarized once, and its divergences run as array operations over it; the
 bounds then run once over the chunk's joined summary columns, and the chunk
 is rendered to text straight from the resulting columns. The chunks run
-inline or in a pool of at most one worker per chunk, and each chunk's text
-is written as soon as it and every chunk before it are done, so a sweep
-holds about one chunk.
+inline, or at N jobs the calling process runs chunks 0, N, 2N, ... and child
+process k the chunks k, k + N, ..., sending their text down its own pipe.
+Each chunk's text is written in plan order as soon as it is in hand, and a
+child that runs ahead blocks on its full pipe, so a sweep holds about one
+chunk per process.
 
 Every trial owns the random stream of default_rng((tag, seed, dim, trial)),
 so a pair's rows do not depend on the chunk it sits in or on the number of
@@ -21,10 +23,10 @@ jobs; a chunk seeds all its trials' streams in one pass.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
 from .functions import parse_f_spec
@@ -212,8 +214,9 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
     """Sandwich every bound over trials x dims x generators, writing the rows
     to the text stream ``out`` as ``fmt`` ("csv" or "json") chunk by chunk.
 
-    ``trials`` counts pairs per dimension. Returns write_chunks' (rows,
-    violations).
+    ``trials`` counts pairs per dimension, and ``jobs`` processes, this one
+    included; the bytes do not depend on ``jobs``. Returns write_chunks'
+    (rows, violations).
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -233,8 +236,60 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
     workers = min(jobs, len(plan))
     if workers <= 1:
         return write_chunks(out, map(run, plan), fmt)
-    with ProcessPoolExecutor(max_workers=workers) as pool:  # results come in plan order
-        return write_chunks(out, pool.map(run, plan), fmt)
+    with _children(run, plan, workers) as children:
+        chunks = (_receive(*children[n % workers - 1]) if n % workers else run(chunk)
+                  for n, chunk in enumerate(plan))
+        return write_chunks(out, chunks, fmt)
+
+
+def _stripe(run, chunks, sender) -> None:
+    """A child's stripe: each chunk's text, or the exception it raised, sent in order."""
+    for chunk in chunks:
+        try:
+            result = run(chunk)
+        except Exception as exc:
+            sender.send(exc)  # the calling process re-raises it in plan order
+            return
+        sender.send(result)
+
+
+@contextlib.contextmanager
+def _children(run, plan: list, workers: int):
+    """Starts child k = 1 .. workers - 1 on chunks k, k + workers, ... of
+    ``plan``; yields each child's (process, receiving end of its pipe)."""
+    import multiprocessing
+
+    children = []
+    try:
+        for k in range(1, workers):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_stripe, args=(run, plan[k::workers], sender),
+                                            name=f"sweep worker {k}", daemon=True)
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        yield children
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # before the pipes close, or a child blocked in send stays so
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
+
+
+def _receive(child, receiver):
+    """A child's next chunk, re-raising the exception it sent in its place."""
+    try:
+        result = receiver.recv()
+    except EOFError:  # the child ended without sending it
+        child.join()
+        raise ChildProcessError(f"{child.name} exited with code {child.exitcode} "
+                                "before sending its chunks") from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def _winner(new: float, old: float, rtol: float = 1e-9) -> str:

@@ -1,9 +1,12 @@
 """Command line surface: parsing, output formats, exit codes, determinism."""
 
 import csv
+import functools
 import io
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -141,6 +144,7 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys, monkeypatch):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
     capsys.readouterr()
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_classical_pairs(capsys):
@@ -343,6 +347,44 @@ def test_sweep_out_is_all_or_nothing(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+_TWO_CHUNKS = ["sweep", "--dims", "9,10", "--trials", "20", "--f", "neg-log"]
+_sweep_chunk = sweeps.sweep_chunk
+
+
+# Stand-ins for sweep_chunk, at module level so that they pickle. At --jobs 2
+# the d = 9 chunk, the first of _TWO_CHUNKS, runs in the calling process and
+# the d = 10 chunk in a child.
+def _dying_at_10(seed, blocks, **settings):
+    if blocks[0][0] == 10:
+        os._exit(9)
+    return _sweep_chunk(seed, blocks, **settings)
+
+
+def _failing_at(dim, seed, blocks, **settings):
+    # every other chunk is 1 MiB, more than a pipe holds, so a child that
+    # runs ahead blocks in send until the sweep ends it
+    if blocks[0][0] == dim:
+        raise ValueError(f"chunk at d = {dim} failed")
+    return "x" * 2 ** 20, 1, []
+
+
+def test_a_sweep_worker_that_dies_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(sweeps, "sweep_chunk", _dying_at_10)
+    code, _, err = _run(capsys, _TWO_CHUNKS + ["--jobs", "2"])
+    assert code == 4
+    assert err == "error: sweep worker 1 exited with code 9 before sending its chunks\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("dim", [9, 10])
+def test_a_failing_chunk_exits_alike_at_any_jobs(monkeypatch, capsys, dim):
+    monkeypatch.setattr(sweeps, "sweep_chunk", functools.partial(_failing_at, dim))
+    results = [_run(capsys, _TWO_CHUNKS + ["--jobs", jobs]) for jobs in ("1", "2")]
+    assert results[0] == results[1]
+    assert results[0][0] == 3 and results[0][2] == f"error: chunk at d = {dim} failed\n"
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
     # the sweep holds about one chunk: 8 chunks peak no higher than 2 chunks
     # by as much as one chunk's text
@@ -362,6 +404,16 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
         sizes.append(out.stat().st_size / chunks)
     capsys.readouterr()
     assert abs(peaks[1] - peaks[0]) < min(sizes), (peaks, sizes)
+
+
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing is imported only when a sweep starts child processes
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quasirel.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def test_console_entry_point_runs():

@@ -1,5 +1,6 @@
 """Batch drivers shared by the CLI: grids, flattening, worked table."""
 
+import contextlib
 import io
 import json
 import math
@@ -200,27 +201,29 @@ def test_repeated_dimension_is_sampled_once(monkeypatch):
     assert rows[::2 * 8] == once[::8]
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+class _InlinePipe:
+    """Stands in for a child's pipe: runs the stripe's next chunk in-process
+    when it is received, so a stub chunk's records stay in this process."""
 
-    def __init__(self, started, max_workers):
-        started.append(max_workers)
+    def __init__(self, run, chunks):
+        self.results = map(run, chunks)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def recv(self):
+        return next(self.results)
 
 
 @pytest.fixture
 def pools_started(monkeypatch):
+    """Records the processes of each striped sweep, this one included, and
+    runs every child's stripe in-process."""
     started = []
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor",
-                        lambda max_workers: _InlinePool(started, max_workers))
+
+    @contextlib.contextmanager
+    def inline_children(run, plan, workers):
+        started.append(workers)
+        yield [(None, _InlinePipe(run, plan[k::workers])) for k in range(1, workers)]
+
+    monkeypatch.setattr(sweeps, "_children", inline_children)
     return started
 
 
