@@ -58,8 +58,11 @@ class WeightedOverlapFunctional:
     basis_phi: np.ndarray  # columns |phi_k>
 
     def __post_init__(self):
+        if not (math.isfinite(self.c_cap) and self.c_cap >= 0.0):
+            raise ValueError(f"cap must be a finite number >= 0, got {self.c_cap}")
         c = np.asarray(self.c_entries, dtype=float)
-        if np.any(c < -1e-12) or np.any(c > self.c_cap + 1e-12):
+        # written so that a NaN weight, for which no comparison holds, fails
+        if not ((c >= -1e-12) & (c <= self.c_cap + 1e-12)).all():
             raise ValueError(f"weights must lie in [0, {self.c_cap}]")
 
     @property
@@ -112,7 +115,7 @@ def _sum_formula(c_entries: np.ndarray, lam: np.ndarray, mu: np.ndarray,
     """sum_kj C_kj (lam_j - mu_k) overlaps_kj, for one pair or each of a stack."""
     gaps = lam[..., np.newaxis, :] - mu[..., :, np.newaxis]
     terms = c_entries * gaps * overlaps
-    return np.sum(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
 
 
 def functional_value(w: WeightedOverlapFunctional, pair: PairBatch) -> float:
@@ -243,7 +246,7 @@ class _Instances(NamedTuple):
         numerator = np.abs(_sum_formula(c, lam, mu, overlaps))
         rho = (self.u_psi * lam[:, np.newaxis, :]) @ dagger(self.u_psi)
         sigma = (self.u_phi * mu[:, np.newaxis, :]) @ phi_dagger
-        dist = np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
+        dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
         equal = dist < 1e-14
         return np.where(equal, 0.0, numerator / (cap * np.where(equal, 1.0, dist)))
 
@@ -273,7 +276,7 @@ def _instance_draw(dim: int, weight_mode: str, commuting: bool,
         draws = (_spectra_draw(rng, dim, floor), rng.standard_normal((2, 2, dim, dim)))
     if weight_mode == "modular":
         return (*draws, np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-    return (*draws, rng.uniform(0.0, 1.0, (dim, dim)))
+    return (*draws, rng.random((dim, dim)))  # uniform(0, 1)'s bits, without its wrapper
 
 
 def _random_instances(streams: TrialStreams, draw, floor: float,
@@ -334,12 +337,16 @@ def _jitter(inst: _Instances, step: float, z: np.ndarray, rot: np.ndarray,
     """
     k, d, n = z.shape[0], inst.dim, inst.w[0].size  # n weight bumps per row
     bumps = step * z[:, :n].reshape(k, *inst.w.shape[1:])
-    w = np.clip(inst.w + bumps, 0.0, 1.0) if inst.w.ndim > 1 else inst.w * np.exp(bumps)
-    spectra = np.stack((inst.lam, inst.mu), axis=1)
-    spectra = np.clip(spectra + step * z[:, n:n + 2 * d].reshape(k, 2, d),
-                      SPECTRUM_FLOOR, None)
+    # np.clip's bits from the bare ufuncs, which skip its wrapper
+    w = (np.minimum(np.maximum(inst.w + bumps, 0.0), 1.0) if inst.w.ndim > 1
+         else inst.w * np.exp(bumps))
+    spectra = step * z[:, n:n + 2 * d].reshape(k, 2, d)
+    spectra[:, 0] += inst.lam  # bump + lam is lam + bump, bit for bit
+    spectra[:, 1] += inst.mu
+    np.maximum(spectra, SPECTRUM_FLOOR, out=spectra)
     spectra /= spectra.sum(axis=-1, keepdims=True)
-    spectra = np.sort(spectra, axis=-1)[..., ::-1]
+    spectra.sort(axis=-1)
+    spectra = spectra[..., ::-1]
     u_psi = inst.u_psi @ rot[:, 0]
     u_phi = u_psi @ perm if perm is not None else inst.u_phi @ rot[:, 1]
     return _Instances(spectra[:, 0], spectra[:, 1], u_psi, u_phi, w)

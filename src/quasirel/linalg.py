@@ -41,7 +41,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 class EigenSystem(NamedTuple):

@@ -242,8 +242,16 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
         return write_chunks(out, chunks, fmt)
 
 
-def _stripe(run, chunks, sender) -> None:
-    """A child's stripe: each chunk's text, or the exception it raised, sent in order."""
+def _stripe(run, chunks, sender, receivers) -> None:
+    """A child's stripe: each chunk's text, or the exception it raised, sent in order.
+
+    ``receivers`` are the receiving ends the child inherited, its own pipe's
+    and its earlier siblings'. It closes them first, so that once the
+    calling process is gone a send to a full pipe fails with EPIPE instead
+    of blocking for good.
+    """
+    for receiver in receivers:
+        receiver.close()
     for chunk in chunks:
         try:
             result = run(chunk)
@@ -263,7 +271,9 @@ def _children(run, plan: list, workers: int):
     try:
         for k in range(1, workers):
             receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_stripe, args=(run, plan[k::workers], sender),
+            inherited = [r for _, r in children] + [receiver]
+            child = multiprocessing.Process(target=_stripe,
+                                            args=(run, plan[k::workers], sender, inherited),
                                             name=f"sweep worker {k}", daemon=True)
             child.start()
             sender.close()

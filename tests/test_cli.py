@@ -7,8 +7,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -404,6 +406,36 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
         sizes.append(out.stat().st_size / chunks)
     capsys.readouterr()
     assert abs(peaks[1] - peaks[0]) < min(sizes), (peaks, sizes)
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sweep_workers_end_when_the_calling_process_is_killed():
+    # the calling process blocks on a stdout pipe nobody reads, and its
+    # worker then blocks sending on its own full pipe; once the calling
+    # process is killed, that send must fail, so the session's group empties
+    argv = [sys.executable, "-m", "quasirel.cli", "sweep", "--dims", "10..16",
+            "--trials", "3000", "--f", "neg-log", "--jobs", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    try:
+        time.sleep(2.0)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while _group_alive(proc.pid):
+            if time.monotonic() > deadline:
+                os.killpg(proc.pid, signal.SIGKILL)
+                pytest.fail("a sweep worker outlived the calling process by 10 s")
+            time.sleep(0.1)
+    finally:
+        proc.stdout.close()
 
 
 def test_cli_import_loads_no_process_pool():

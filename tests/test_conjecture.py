@@ -53,6 +53,22 @@ def test_weight_validation():
         WeightedOverlapFunctional(np.full((3, 3), -0.5), 1.0, u, v)
 
 
+@pytest.mark.parametrize("weight, cap, message", [
+    (np.nan, 1.0, "weights"),
+    (0.5, np.nan, "cap"),
+    (np.inf, np.inf, "cap"),
+    (0.5, np.inf, "cap"),
+])
+def test_weight_validation_rejects_nan_and_infinity(weight, cap, message):
+    # a range check that rejects when a comparison holds passes a NaN, and
+    # an infinite cap admits infinite weights
+    eye = np.eye(2, dtype=complex)
+    c = np.full((2, 2), 0.5)
+    c[1, 0] = weight
+    with pytest.raises(ValueError, match=message):
+        WeightedOverlapFunctional(c, cap, eye, eye)
+
+
 def test_random_functional_draw_order():
     # weights first, then the two bases, as two serial Haar draws would give them
     rng, serial = default_rng(49), default_rng(49)

@@ -4,7 +4,9 @@ Each case reruns a recorded `quasirel sweep` command (recorded before the
 batched core) or `quasirel conjecture --strategy random` command (recorded
 before the batched search) and compares it with its file under tests/data/
 the way the benchmark's reference gate does: text and integers exactly,
-floating-point tokens within 1e-13 relative.
+floating-point tokens within 1e-13 relative. The `--strategy hill_climb`
+records, recorded before the climb's numpy calls were trimmed, must match
+byte for byte.
 """
 
 import gzip
@@ -37,6 +39,13 @@ SEARCH_CASES = {
     "conjecture_commuting_modular.json": ["--dims", "3,5", "--commuting",
                                           "--weights", "modular",
                                           "--trials", "300", "--seed", "34"],
+}
+
+CLIMB_CASES = {
+    "conjecture_climb_uniform.json": ["--dims", "3..6", "--trials", "8", "--seed", "31"],
+    "conjecture_climb_commuting_modular.json": ["--dims", "3,5", "--weights", "modular",
+                                                "--commuting", "--trials", "4",
+                                                "--seed", "31"],
 }
 
 
@@ -77,6 +86,16 @@ def test_search_matches_golden_record(name, tmp_path, capsys):
     with gzip.open(DATA / f"{name}.gz", "rt") as fh:
         expected = fh.read()
     assert worst_deviation(expected, out.read_text()) <= RTOL
+
+
+@pytest.mark.parametrize("name", sorted(CLIMB_CASES))
+def test_climb_matches_golden_record_byte_for_byte(name, tmp_path, capsys):
+    out = tmp_path / name
+    argv = ["conjecture", "--strategy", "hill_climb", *CLIMB_CASES[name], "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with gzip.open(DATA / f"{name}.gz", "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_worst_deviation_flags_text_and_scales_floats():
