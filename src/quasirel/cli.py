@@ -45,6 +45,7 @@ from .divergences import (
     tsallis_direct,
     umegaki,
 )
+from . import functions
 from .functions import (
     builtin_suite,
     eval_via_representation,
@@ -465,7 +466,7 @@ def cmd_repr_check(cfg: RunConfig) -> int:
             via = eval_via_representation(f, float(x))
             worst = max(worst, abs(via - direct) / max(1.0, abs(direct)))
         residual = abs(normalization_residual(f))
-        ok = worst < 1e-6 and residual < 1e-6
+        ok = worst < functions.REPRESENTATION_RTOL and residual < functions.REPRESENTATION_RTOL
         all_ok = all_ok and ok
         rows.append({
             "f_name": f.name, "max_rel_error": worst,

@@ -23,19 +23,16 @@ import numpy as np
 
 from .linalg import ZERO_EIG_THRESHOLD, dagger, hermitian_part
 from .states import (
-    PairBatch,
     TrialStreams,
     _classical_batch,
     _classical_draw,
     _matrix_to_json,
-    _single,
     _spectra_draw,
     _spectral_draws,
     haar_unitaries,
     trial_streams,
 )
 
-FUNCTIONAL_CROSS_TOL = 1e-10
 PROVEN_SLACK = 1e-10
 VIOLATION_THRESHOLD = 1.0 + 1e-10
 
@@ -65,10 +62,6 @@ class WeightedOverlapFunctional:
         if not ((c >= -1e-12) & (c <= self.c_cap + 1e-12)).all():
             raise ValueError(f"weights must lie in [0, {self.c_cap}]")
 
-    @property
-    def dim(self) -> int:
-        return self.basis_psi.shape[0]
-
     def d_matrix(self) -> np.ndarray:
         """Explicit D = sum_kj C_kj <psi_j|phi_k> |psi_j><phi_k|."""
         gram = self.basis_psi.conj().T @ self.basis_phi  # [j, k] = <psi_j|phi_k>
@@ -93,50 +86,12 @@ def _modular_weights(lam: np.ndarray, mu: np.ndarray, t):
     return weights, 1.0 / (t + mu.min(axis=-1) / lam.max(axis=-1))
 
 
-def modular_weight_matrix(pair: PairBatch, t: float) -> WeightedOverlapFunctional:
-    """The weights from the commuting-case proof: C_kj = (t + mu_k/lambda_j)^-1.
-
-    The cap (t + alpha_sigma/lambda_rho)^-1 is attained exactly at the
-    smallest-mu/largest-lambda index. Requires a batch of one with strictly
-    positive states, so the smallest ratio really is alpha_sigma/lambda_rho.
-    """
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not (_single(pair).rho_positive[0] and pair.sigma_positive[0]):
-        raise ValueError("modular weights need strictly positive states")
-    lam, psi = pair.rho_spectral.eigenvalues[0], pair.rho_spectral.eigenvectors[0]
-    mu, phi = pair.sigma_spectral.eigenvalues[0], pair.sigma_spectral.eigenvectors[0]
-    weights, cap = _modular_weights(lam, mu, t)
-    return WeightedOverlapFunctional(weights, float(cap), psi, phi)
-
-
 def _sum_formula(c_entries: np.ndarray, lam: np.ndarray, mu: np.ndarray,
                  overlaps: np.ndarray) -> np.ndarray:
     """sum_kj C_kj (lam_j - mu_k) overlaps_kj, for one pair or each of a stack."""
     gaps = lam[..., np.newaxis, :] - mu[..., :, np.newaxis]
     terms = c_entries * gaps * overlaps
     return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
-
-
-def functional_value(w: WeightedOverlapFunctional, pair: PairBatch) -> float:
-    """Tr(D(rho - sigma)) via the eigenvalue sum, cross-checked on the matrix.
-
-    The pair is a batch of one, whose eigenbases the functional's must be
-    (the sum formula assumes so); the explicit-matrix route must agree to
-    1e-10 or something is inconsistent and a ValueError surfaces it.
-    """
-    lam, psi = _single(pair).rho_spectral.eigenvalues[0], pair.rho_spectral.eigenvectors[0]
-    mu, phi = pair.sigma_spectral.eigenvalues[0], pair.sigma_spectral.eigenvectors[0]
-    if not np.allclose(w.basis_psi, psi, atol=1e-12):
-        raise ValueError("functional basis_psi does not match rho's eigenbasis")
-    if not np.allclose(w.basis_phi, phi, atol=1e-12):
-        raise ValueError("functional basis_phi does not match sigma's eigenbasis")
-    value = float(_sum_formula(w.c_entries, lam, mu, pair.overlaps[0]))
-    explicit = complex(np.trace(w.d_matrix() @ (pair.rho[0] - pair.sigma[0])))
-    if abs(explicit - value) > FUNCTIONAL_CROSS_TOL * max(1.0, abs(value)):
-        raise ValueError(
-            f"sum formula {value!r} and explicit trace {explicit!r} disagree")
-    return value
 
 
 def proven_case_check(w: WeightedOverlapFunctional, x: np.ndarray, case: str) -> bool:

@@ -256,9 +256,13 @@ def _stripe(run, chunks, sender, receivers) -> None:
         try:
             result = run(chunk)
         except Exception as exc:
-            sender.send(exc)  # the calling process re-raises it in plan order
+            result = exc  # the calling process re-raises it in plan order
+        try:
+            sender.send(result)
+        except BrokenPipeError:  # the calling process is gone: end quietly
             return
-        sender.send(result)
+        if isinstance(result, Exception):
+            return
 
 
 @contextlib.contextmanager

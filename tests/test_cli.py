@@ -195,6 +195,19 @@ def test_repr_check_quadrature_failure_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale, expected", [(0.9, 5), (1.1, 0)])
+def test_repr_check_tolerance_both_sides(monkeypatch, capsys, scale, expected):
+    # repr-check reads the tolerance make_custom reads
+    _, out, _ = _run(capsys, ["repr-check", "--f", "neg-log", "--format", "json"])
+    [row] = json.loads(out)
+    worst = max(row["max_rel_error"], row["constraint_residual"])
+    assert worst > 0.0
+    monkeypatch.setattr(functions, "REPRESENTATION_RTOL", scale * worst)
+    code, out, _ = _run(capsys, ["repr-check", "--f", "neg-log", "--format", "json"])
+    assert code == expected
+    assert json.loads(out)[0]["ok"] is (expected == 0)
+
+
 def test_repr_check_rejects_density_free_generator(capsys):
     code, _, err = _run(capsys, ["repr-check", "--f", "tsallis:q=2.0"])
     assert code == 3
@@ -416,14 +429,17 @@ def _group_alive(pgid: int) -> bool:
     return True
 
 
-def test_sweep_workers_end_when_the_calling_process_is_killed():
+def test_sweep_workers_end_when_the_calling_process_is_killed(tmp_path):
     # the calling process blocks on a stdout pipe nobody reads, and its
     # worker then blocks sending on its own full pipe; once the calling
-    # process is killed, that send must fail, so the session's group empties
+    # process is killed, that send must fail, so the session's group
+    # empties, and the worker ends without a traceback
     argv = [sys.executable, "-m", "quasirel.cli", "sweep", "--dims", "10..16",
             "--trials", "3000", "--f", "neg-log", "--jobs", "2"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                            start_new_session=True)
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "w") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err,
+                                start_new_session=True)
     try:
         time.sleep(2.0)
         proc.kill()
@@ -436,6 +452,7 @@ def test_sweep_workers_end_when_the_calling_process_is_killed():
             time.sleep(0.1)
     finally:
         proc.stdout.close()
+    assert "Traceback" not in stderr.read_text()
 
 
 def test_cli_import_loads_no_process_pool():

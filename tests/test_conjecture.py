@@ -1,6 +1,7 @@
 """Weighted overlap functionals, proven cases, counterexample search."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,19 +15,21 @@ from quasirel import (
 )
 from quasirel import conjecture
 from quasirel.conjecture import (
-    FUNCTIONAL_CROSS_TOL,
     PROVEN_SLACK,
     SPECTRUM_FLOOR,
     VIOLATION_THRESHOLD,
     WeightedOverlapFunctional,
     _Instances,
+    _instance_draw,
     _jitter,
+    _modular_weights,
+    _random_instances,
     _rotations,
-    functional_value,
-    modular_weight_matrix,
+    _sum_formula,
 )
-from quasirel.states import (_spectra_draw, _spectral_draws, example_pair, random_pairs,
-                             state_pair, trial_streams)
+from quasirel.linalg import ZERO_EIG_THRESHOLD, dagger
+from quasirel.states import (_spectra_draw, _spectral_draws, random_pairs, state_pair,
+                             trial_streams)
 from quasirel.sweeps import trial_pair
 from scripted_streams import ScriptedStream, own_stream
 from serial_search import Instance as SerialInstance
@@ -42,6 +45,27 @@ def _aligned_functional(pair, rng, cap=1.0):
         pair.rho_spectral.eigenvectors[0],
         pair.sigma_spectral.eigenvectors[0],
     )
+
+
+def _drawn_instances(dim, count, weight_mode, commuting, seed):
+    """count search instances of one dimension, drawn as conjecture_search draws them."""
+    floor = ZERO_EIG_THRESHOLD if commuting else SPECTRUM_FLOOR
+    return _random_instances(trial_streams([(seed, dim, n) for n in range(count)]),
+                             partial(_instance_draw, dim, weight_mode, commuting),
+                             floor, commuting)
+
+
+def _explicit_ratios(insts):
+    """Each instance's |Tr(D(rho - sigma))| / (cap ||rho - sigma||_1) with D
+    the explicit matrix of WeightedOverlapFunctional.d_matrix, the route
+    proven_case_check takes, and not the eigenvalue sum ratios() takes."""
+    ratios = []
+    for lam, mu, u_psi, u_phi, w in zip(*insts):
+        c, cap = (w, 1.0) if w.ndim else _modular_weights(lam, mu, w)
+        d = WeightedOverlapFunctional(c, float(cap), u_psi, u_phi).d_matrix()
+        x = (u_psi * lam) @ u_psi.conj().T - (u_phi * mu) @ u_phi.conj().T
+        ratios.append(abs(complex(np.trace(d @ x))) / (cap * trace_norm(x)))
+    return np.array(ratios)
 
 
 def test_weight_validation():
@@ -79,40 +103,41 @@ def test_random_functional_draw_order():
 
 
 def test_functional_value_dual_paths_agree():
-    # functional_value cross-checks its eigenvalue sum against the explicit
-    # trace internally and raises on disagreement; surviving 100 random
-    # instances is the assertion
-    rng = default_rng(51)
-    for trial in range(100):
-        pair = trial_pair(51, 2 + trial % 4, trial)
-        w = _aligned_functional(pair, rng)
-        functional_value(w, pair)
-
-
-def test_functional_value_rejects_foreign_bases():
-    rng = default_rng(52)
-    pair = trial_pair(52, 3, 0)
-    w = random_functional(3, rng)  # bases unrelated to the pair
-    with pytest.raises(ValueError):
-        functional_value(w, pair)
+    # the ratios the search scores, from the eigenvalue sum, against the
+    # explicit D matrix, for every weight mode and pair kind the search draws
+    for dim in range(2, 9):
+        for weight_mode in ("uniform", "modular"):
+            for commuting in (False, True):
+                insts = _drawn_instances(dim, 32, weight_mode, commuting, seed=51)
+                np.testing.assert_allclose(insts.ratios(), _explicit_ratios(insts),
+                                           rtol=0.0, atol=1e-10)
 
 
 def test_functional_vanishes_at_equal_states():
-    rng = default_rng(53)
-    rho = trial_pair(53, 4, 0).rho[0]
-    pair = state_pair(rho, rho)
-    w = _aligned_functional(pair, rng)
-    assert abs(functional_value(w, pair)) < 1e-12
+    # sigma = rho: the eigenvalue sum vanishes, and ratios reads 0 there
+    for weight_mode in ("uniform", "modular"):
+        insts = _drawn_instances(4, 8, weight_mode, False, seed=53)
+        lam, u = insts.lam, insts.u_psi
+        np.testing.assert_array_equal(insts._replace(mu=lam, u_phi=u).ratios(), 0.0)
+        c = insts.w if weight_mode == "uniform" else _modular_weights(lam, lam, insts.w)[0]
+        overlaps = np.abs(dagger(u) @ u) ** 2
+        assert np.max(np.abs(_sum_formula(c, lam, lam, overlaps))) < 1e-12
 
 
 def test_d_matrix_shape_and_trace_identity():
+    # in the pair's own eigenbases,
+    # Tr(D(rho - sigma)) = sum_kj C_kj (lam_j - mu_k) |<phi_k|psi_j>|^2
     rng = default_rng(54)
     pair = trial_pair(54, 3, 0)
     w = _aligned_functional(pair, rng)
     d = w.d_matrix()
-    diff = pair.rho[0] - pair.sigma[0]
-    direct = complex(np.trace(d @ diff)).real
-    assert functional_value(w, pair) == pytest.approx(direct, abs=1e-10)
+    assert d.shape == (3, 3)
+    lam, mu = pair.rho_spectral.eigenvalues[0], pair.sigma_spectral.eigenvalues[0]
+    total = sum(w.c_entries[k, j] * (lam[j] - mu[k])
+                * abs(np.vdot(w.basis_phi[:, k], w.basis_psi[:, j])) ** 2
+                for k in range(3) for j in range(3))
+    direct = complex(np.trace(d @ (pair.rho[0] - pair.sigma[0])))
+    assert direct == pytest.approx(total, abs=1e-12)
 
 
 def test_proven_diagonal_case_holds():
@@ -171,14 +196,10 @@ def test_proven_case_gates_both_sides(scale, accepted):
 
 def test_modular_weights_structure():
     pair = random_pairs(4, trial_streams([58]))
-    w = modular_weight_matrix(pair, t=0.7)
-    assert np.max(w.c_entries) == pytest.approx(w.c_cap, rel=1e-12)
     lam, mu = pair.rho_spectral.eigenvalues[0], pair.sigma_spectral.eigenvalues[0]
-    assert w.c_entries[3, 0] == pytest.approx(1.0 / (0.7 + mu[3] / lam[0]))
-    with pytest.raises(ValueError):
-        modular_weight_matrix(pair, t=0.0)
-    with pytest.raises(ValueError):
-        modular_weight_matrix(example_pair(3), t=1.0)  # singular sigma
+    c, cap = _modular_weights(lam, mu, 0.7)
+    assert np.max(c) == pytest.approx(cap, rel=1e-12)
+    assert c[3, 0] == pytest.approx(1.0 / (0.7 + mu[3] / lam[0]))
 
 
 def test_random_search_record_fields():
@@ -252,19 +273,21 @@ def test_record_round_trips_and_replays(tmp_path, strategy, weight_mode, commuti
     inst = doc["argmax_instance"]
     rho = np.array([[complex(re, im) for re, im in row] for row in inst["rho"]])
     sigma = np.array([[complex(re, im) for re, im in row] for row in inst["sigma"]])
+    # replayed on the explicit D matrix in the pair's own eigenbases, with
+    # the record's weights or C_kj = 1 / (t + mu_k / lam_j) and its cap
     pair = state_pair(rho, sigma)
+    lam, mu = pair.rho_spectral.eigenvalues[0], pair.sigma_spectral.eigenvalues[0]
     if weight_mode == "modular":
         assert "c_entries" not in inst
-        w = modular_weight_matrix(pair, inst["t"])
+        t = inst["t"]
+        c, cap = 1.0 / (t + mu[:, np.newaxis] / lam), 1.0 / (t + mu.min() / lam.max())
     else:
         assert inst["t"] is None
-        w = WeightedOverlapFunctional(
-            np.array(inst["c_entries"]), 1.0,
-            pair.rho_spectral.eigenvectors[0], pair.sigma_spectral.eigenvectors[0],
-        )
-    value = abs(functional_value(w, pair))
-    dist = trace_norm(rho - sigma)
-    assert value / (w.c_cap * dist) == pytest.approx(record.max_ratio, rel=1e-12)
+        c, cap = np.array(inst["c_entries"]), 1.0
+    d = WeightedOverlapFunctional(c, cap, pair.rho_spectral.eigenvectors[0],
+                                  pair.sigma_spectral.eigenvectors[0]).d_matrix()
+    value = abs(complex(np.trace(d @ (rho - sigma))))
+    assert value / (cap * trace_norm(rho - sigma)) == pytest.approx(record.max_ratio, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +375,6 @@ def test_search_argument_bounds():
     assert conjecture_search((3,), 1, "random", seed=0).argmax_instance["trial"] == 0
 
 
-@pytest.mark.parametrize("scale, agrees", [(0.9, True), (1.1, False)])
-def test_functional_cross_tolerance_both_sides(scale, agrees):
-    # a basis_psi stretched by 1 + eps still passes the basis match, but
-    # scales the explicit trace by (1 + eps)^2 and not the eigenvalue sum;
-    # eps is chosen so the routes differ by scale * FUNCTIONAL_CROSS_TOL
-    rng = default_rng(59)
-    pair = trial_pair(59, 3, 0)
-    w = _aligned_functional(pair, rng)
-    value = functional_value(w, pair)
-    gap = scale * FUNCTIONAL_CROSS_TOL * max(1.0, abs(value)) / abs(value)
-    stretched = WeightedOverlapFunctional(w.c_entries, w.c_cap,
-                                          w.basis_psi * np.sqrt(1.0 + gap), w.basis_phi)
-    explicit = complex(np.trace(stretched.d_matrix() @ (pair.rho[0] - pair.sigma[0])))
-    assert abs(explicit - value) / (FUNCTIONAL_CROSS_TOL * max(1.0, abs(value))) == \
-        pytest.approx(scale, rel=1e-3)
-    if agrees:
-        assert functional_value(stretched, pair) == value
-    else:
-        with pytest.raises(ValueError, match="disagree"):
-            functional_value(stretched, pair)
-
-
 @pytest.mark.parametrize("scale, holds", [(0.9, True), (1.1, False)])
 def test_proven_slack_both_sides(scale, holds):
     # weights may pass the cap by 1e-12, so with D = (1 + 1e-12) I the
@@ -443,20 +444,22 @@ def test_rotation_norm_floor_both_sides():
     np.testing.assert_array_equal(_rotations(tiny, 0.05, d, 2), rot[1:])
 
 
-@pytest.mark.parametrize("gap, equal", [(0.5e-14, True), (2e-14, False)])
-def test_equal_states_guard_both_sides(gap, equal):
-    # identity bases, spectra apart by gap / 2 in each entry: ||rho - sigma||_1 = gap
+# 45 ulps of 1/2 put ||rho - sigma||_1 just below 1e-14, 46 just above
+@pytest.mark.parametrize("ulps, equal", [(45, True), (46, False)])
+def test_equal_states_guard_both_sides(ulps, equal):
+    # identity bases, spectra (1/2 + eps, 1/2 - eps) against (1/2, 1/2): on
+    # the ulp grid of 1/2 both are exact, and ||rho - sigma||_1 = 2 eps
+    ulp = np.spacing(0.5)
+    assert 2 * 45 * ulp < 1e-14 < 2 * 46 * ulp
+    eps = ulps * ulp
     eye = np.eye(2)[np.newaxis]
-    lam, mu = np.array([[0.5 + gap / 2, 0.5 - gap / 2]]), np.array([[0.5, 0.5]])
-    inst = _Instances(lam, mu, eye, eye, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+    inst = _Instances(np.array([[0.5 + eps, 0.5 - eps]]), np.array([[0.5, 0.5]]), eye, eye,
+                      np.array([[[1.0, 0.0], [0.0, 0.0]]]))
     ratio = inst.ratios()[0]
     if equal:
         assert ratio == 0.0
     else:
-        numerator = lam[0, 0] - mu[0, 0]  # only C_00 weighs in
-        dist = np.sum(np.abs(lam - mu))
-        assert dist == pytest.approx(gap, rel=1e-2)
-        assert ratio == pytest.approx(numerator / dist, rel=1e-12)
+        assert ratio == pytest.approx(0.5, rel=1e-12)  # only C_00 weighs in: eps / (2 eps)
 
 
 def test_drawn_step_rotation_is_built_once(monkeypatch):

@@ -12,14 +12,12 @@ from quasirel import (
     neg_log,
     quasi_entropy_spectral,
     quasi_entropy_superoperator,
-    random_functional,
     sandwich,
     summarize,
     tsallis_direct,
     umegaki,
 )
 from quasirel import states
-from quasirel.conjecture import functional_value, modular_weight_matrix
 from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD, EigenSystem, eigh
 from quasirel.states import (
     DOUBLE_STOCHASTIC_TOL,
@@ -418,13 +416,10 @@ def test_per_pair_functions_take_only_a_batch_of_one(size):
     if size == 0:  # no pair_batch input builds an empty batch: cut one down
         batch = dataclasses.replace(batch, rho=batch.rho[:0])
     assert len(batch) == size
-    w = random_functional(3, default_rng(18))
     for call in (lambda p: quasi_entropy_spectral(p, neg_log()),
                  lambda p: quasi_entropy_superoperator(p, neg_log()),
                  umegaki, lambda p: tsallis_direct(p, 0.5),
-                 lambda p: sandwich(p, f=neg_log()), summarize,
-                 lambda p: modular_weight_matrix(p, 1.0),
-                 lambda p: functional_value(w, p), pair_to_dict):
+                 lambda p: sandwich(p, f=neg_log()), summarize, pair_to_dict):
         with pytest.raises(ValueError, match="batch of one"):
             call(batch)
 
