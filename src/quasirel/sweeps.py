@@ -306,8 +306,8 @@ def _receive(child, receiver):
     return result
 
 
-def _winner(new: float, old: float, rtol: float = 1e-9) -> str:
-    if abs(new - old) <= rtol * max(1.0, abs(new), abs(old)):
+def _winner(new: float, old: float) -> str:
+    if abs(new - old) <= 1e-9 * max(1.0, abs(new), abs(old)):
         return "tie"
     return "new" if new < old else "old"
 

@@ -79,8 +79,8 @@ def monotonicity_spot_check(f, dim: int, trials: int, seed) -> MonotonicityRepor
     violations = []
     worst = math.inf
     for trial in range(trials):
-        b = random_state(dim, rng).matrix * dim  # spectrum O(1), strictly positive
-        bump = random_state(dim, rng).matrix * float(rng.uniform(0.0, 2.0))
+        b = random_state(dim, rng) * dim  # spectrum O(1), strictly positive
+        bump = random_state(dim, rng) * float(rng.uniform(0.0, 2.0))
         a = b + bump
         gap = mat_func(b, func) - mat_func(a, func)
         min_eig = float(eigvalsh_desc(gap)[-1])

@@ -47,16 +47,21 @@ from serial_search import haar_unitary as serial_haar_unitary
 
 
 def test_density_matrix_validation():
+    good = np.diag([0.75, 0.25])
+    for bad in (np.eye(2), np.diag([1.5, -0.5])):  # trace 2, negative eigenvalue
+        with pytest.raises(ValueError):
+            density_matrix(bad)
+        with pytest.raises(ValueError):
+            density_matrix(np.stack([good, bad]))  # one bad state fails a stack
+    mat, spectral = density_matrix(good)
+    np.testing.assert_array_equal(mat, good)
+    np.testing.assert_array_equal(spectral.eigenvalues, [0.75, 0.25])
     with pytest.raises(ValueError):
-        density_matrix(np.eye(2))  # trace 2
+        mat[0, 0] = 9.0  # frozen
+    stack, _ = density_matrix(np.stack([good, np.diag([1.0, 0.0])]))
+    assert stack.shape == (2, 2, 2)
     with pytest.raises(ValueError):
-        density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    dm = density_matrix(np.diag([0.75, 0.25]))
-    assert dm.dim == 2
-    assert dm.strictly_positive
-    assert not density_matrix(np.diag([1.0, 0.0])).strictly_positive
-    with pytest.raises(ValueError):
-        dm.matrix[0, 0] = 9.0  # frozen
+        stack[1, 0, 0] = 9.0  # frozen
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -75,8 +80,10 @@ def test_non_finite_states_rejected(bad):
 
 
 def test_eigenvalues_cached_descending():
-    dm = density_matrix(np.diag([0.1, 0.6, 0.3]))
-    np.testing.assert_allclose(dm.eigenvalues, [0.6, 0.3, 0.1])
+    _, spectral = density_matrix(np.diag([0.1, 0.6, 0.3]))
+    np.testing.assert_allclose(spectral.eigenvalues, [0.6, 0.3, 0.1])
+    _, spectral = density_matrix(np.stack([np.diag([0.1, 0.6, 0.3]), np.diag([0.2, 0.3, 0.5])]))
+    np.testing.assert_allclose(spectral.eigenvalues, [[0.6, 0.3, 0.1], [0.5, 0.3, 0.2]])
 
 
 def test_haar_unitary_is_unitary():
@@ -98,9 +105,10 @@ def test_stacked_haar_unitaries_match_one_by_one():
 def test_random_state_strictly_positive():
     rng = default_rng(8)
     for _ in range(100):
-        dm = random_state(4, rng)
-        assert dm.strictly_positive
-        assert dm.eigenvalues[-1] > 0
+        mat = random_state(4, rng)
+        assert not mat.flags.writeable
+        _, spectral = density_matrix(mat)
+        assert spectral.eigenvalues[-1] > ZERO_EIG_THRESHOLD
 
 
 def test_pair_overlaps_doubly_stochastic():
@@ -230,8 +238,8 @@ def test_batch_sampler_continues_stream_after_rejection():
     normals = default_rng(14).standard_normal(64 * dim * dim)
     normals.reshape(-1, dim, dim)[:2, -1, :] = 0.0  # rho's first draw is rank-deficient
     sequential, batched = ScriptedStream(normals), ScriptedStream(normals)
-    rho = random_state(dim, sequential).matrix
-    sigma = random_state(dim, sequential).matrix
+    rho = random_state(dim, sequential)
+    sigma = random_state(dim, sequential)
     batch = random_pairs(dim, own_stream(batched))
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
@@ -250,8 +258,8 @@ def test_classical_batch_sampler_continues_stream_after_rejection():
     p = _one_spectrum(sequential, dim, ZERO_EIG_THRESHOLD)
     q = _one_spectrum(sequential, dim, ZERO_EIG_THRESHOLD)
     q = q[sequential.permutation(dim)]
-    rho = density_matrix((u * p) @ u.conj().T).matrix
-    sigma = density_matrix((u * q) @ u.conj().T).matrix
+    rho, _ = density_matrix((u * p) @ u.conj().T)
+    sigma, _ = density_matrix((u * q) @ u.conj().T)
     batch = random_classical_pairs(dim, own_stream(batched))
     np.testing.assert_array_equal(batch.rho[0], rho)
     np.testing.assert_array_equal(batch.sigma[0], sigma)
@@ -277,7 +285,7 @@ def test_keyed_batch_resumes_rejected_trial_streams(monkeypatch, kind):
     for n, key in enumerate(keys):
         rng, first = default_rng(key), default_rng(key)
         if kind == "random":
-            rho, sigma = random_state(dim, rng).matrix, random_state(dim, rng).matrix
+            rho, sigma = random_state(dim, rng), random_state(dim, rng)
             first.standard_normal((2, 2, dim, dim))
         else:
             u = haar_unitaries(rng.standard_normal((2, dim, dim)))
@@ -289,8 +297,8 @@ def test_keyed_batch_resumes_rejected_trial_streams(monkeypatch, kind):
             first.permutation(dim)
         # a trial drew past its first draws only if one of them was rejected
         rejected += rng.bit_generator.state != first.bit_generator.state
-        np.testing.assert_array_equal(batch.rho[n], density_matrix(rho).matrix)
-        np.testing.assert_array_equal(batch.sigma[n], density_matrix(sigma).matrix)
+        np.testing.assert_array_equal(batch.rho[n], density_matrix(rho)[0])
+        np.testing.assert_array_equal(batch.sigma[n], density_matrix(sigma)[0])
     assert 0 < rejected < len(keys)
 
 
@@ -408,6 +416,24 @@ def test_state_pair_validates_as_density_matrix():
             state_pair(good, bad)
     with pytest.raises(ValueError, match="dimension mismatch"):
         state_pair(good, np.eye(3) / 3)
+    # the pair counts differ: both shapes are named, before any validation
+    mixed = np.eye(3) / 3
+    with pytest.raises(ValueError, match=r"\(2, 3, 3\).*\(1, 3, 3\)"):
+        pair_batch(np.stack([mixed, mixed]), mixed[np.newaxis])
+
+
+@pytest.mark.parametrize("rho, sigma, column, value", [
+    (np.diag([1 + 2e-12, -1e-12, -1e-12]), np.eye(3) / 3, "lambda_rho", 1 + 2e-12),
+    (np.diag([1 + 1e-12, -1e-12]), np.diag([-1e-12, 1 + 1e-12]), "trace_distance_1", 2 + 4e-12),
+], ids=["lambda_rho", "trace_distance_1"])
+def test_summary_of_states_at_the_tolerances(rho, sigma, column, value):
+    # each state passes density_matrix, so its pair has a summary, even
+    # where rounding puts lambda_rho past 1 or the trace distance past 2
+    for state in (rho, sigma):
+        density_matrix(state)
+    s = summarize(state_pair(rho, sigma))
+    assert getattr(s, column) == pytest.approx(value, rel=0, abs=1e-15)
+    assert 0 < s.alpha <= s.lambda_rho
 
 
 @pytest.mark.parametrize("size", [0, 2])
