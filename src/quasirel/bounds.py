@@ -132,9 +132,9 @@ def relative_entropy_upper(summary: ScalarSummary) -> list[BoundReport]:
     Tight: ||rho-sigma||_1 lambda_rho (log a_r - log a_s)/(a_r - a_s);
     loose: ||rho-sigma||_1 lambda_rho / alpha. Tight <= loose always.
     """
-    dist, lam = summary.trace_distance_1, summary.lambda_rho
-    tight = dist * lam * guarded_log_diff_quot(summary.alpha_rho, summary.alpha_sigma)
-    loose = dist * lam / summary.alpha
+    dist_lam = summary.trace_distance_1 * summary.lambda_rho
+    tight = dist_lam * guarded_log_diff_quot(summary.alpha_rho, summary.alpha_sigma)
+    loose = dist_lam / summary.alpha
     return [
         BoundReport("relative_entropy_tight_upper", tight),
         BoundReport("relative_entropy_loose_upper", loose),
@@ -187,29 +187,29 @@ def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
         return [BoundReport("tsallis_bounds", dist * math.nan, False,
                             f"q={q:g} outside (0,2)\\{{1}}")]
     alpha, alph_s = summary.alpha, summary.alpha_sigma
-    lam_q = np.power(lam_r, q)
+    dist_lam_q = dist * np.power(lam_r, q)
     values = []
     if q > 1.0:
         lam_joint = np.maximum(summary.lambda_rho, summary.lambda_sigma)
         ceil_coeff = (math.ceil(q) - 1.0) / (q - 1.0)
         values.append(("tsallis_ceil_upper",
                        ceil_coeff * np.power(lam_joint / alph_s, q - 1.0) * dist))
-        prior = dist * lam_q / np.power(alpha, q) / (q - 1.0)
+        prior = dist_lam_q / np.power(alpha, q) / (q - 1.0)
         values.append(("tsallis_prior_upper", prior))
         values.append(("tsallis_improved_upper", prior * (q - 1.0)))
     else:
-        values.append(("tsallis_prior_upper", dist * lam_q / np.power(alph_s, q) / (1.0 - q)))
+        values.append(("tsallis_prior_upper", dist_lam_q / np.power(alph_s, q) / (1.0 - q)))
         diff_quot = guarded_power_diff_quot(summary.alpha_rho, alph_s, q)
-        values.append(("tsallis_tight_upper", dist * lam_q * diff_quot / (1.0 - q)))
-        values.append(("tsallis_loose_upper", dist * lam_q / np.power(alpha, q)))
+        values.append(("tsallis_tight_upper", dist_lam_q * diff_quot / (1.0 - q)))
+        values.append(("tsallis_loose_upper", dist_lam_q / np.power(alpha, q)))
     reports = [BoundReport(name, value) for name, value in values]
     qubit_ok = summary.dim == 2
     qubit_reason = "requires a qubit pair"
     qubit_quot = guarded_power_diff_quot(lam_r, alph_s, q)
     reports.append(BoundReport("tsallis_qubit_tight_upper",
-                               dist * lam_q * qubit_quot / (1.0 - q),
+                               dist_lam_q * qubit_quot / (1.0 - q),
                                qubit_ok, qubit_reason))
-    reports.append(BoundReport("tsallis_qubit_loose_upper", dist * lam_q / np.power(alph_s, q),
+    reports.append(BoundReport("tsallis_qubit_loose_upper", dist_lam_q / np.power(alph_s, q),
                                qubit_ok, qubit_reason))
     return reports
 

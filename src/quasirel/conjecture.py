@@ -58,8 +58,11 @@ class WeightedOverlapFunctional:
         if not (math.isfinite(self.c_cap) and self.c_cap >= 0.0):
             raise ValueError(f"cap must be a finite number >= 0, got {self.c_cap}")
         c = np.asarray(self.c_entries, dtype=float)
-        # written so that a NaN weight, for which no comparison holds, fails
-        if not ((c >= -1e-12) & (c <= self.c_cap + 1e-12)).all():
+        if not c.shape == self.basis_psi.shape == self.basis_phi.shape == c.shape[-1:] * 2:
+            raise ValueError(f"weights of shape {c.shape} beside bases of shapes "
+                             f"{self.basis_psi.shape} and {self.basis_phi.shape}")
+        # a NaN weight passes through min and max, and no comparison holds for it
+        if not (c.min() >= -1e-12 and c.max() <= self.c_cap + 1e-12):
             raise ValueError(f"weights must lie in [0, {self.c_cap}]")
 
     def d_matrix(self) -> np.ndarray:
@@ -71,7 +74,7 @@ class WeightedOverlapFunctional:
 def random_functional(dim: int, rng: np.random.Generator,
                       cap: float = 1.0) -> WeightedOverlapFunctional:
     """Independent uniform weights on [0, cap] over two Haar-random bases."""
-    c = rng.uniform(0.0, cap, size=(dim, dim))
+    c = cap * rng.random((dim, dim))  # uniform(0, cap)'s bits, without its wrapper
     u = haar_unitaries(rng.standard_normal((2, 2, dim, dim)))
     return WeightedOverlapFunctional(c, cap, u[0], u[1])
 
@@ -103,26 +106,26 @@ def proven_case_check(w: WeightedOverlapFunctional, x: np.ndarray, case: str) ->
     with 1e-10 slack.
     """
     x = hermitian_part(x)
+    if x.shape != w.c_entries.shape:
+        raise ValueError(f"X has shape {x.shape}, the functional's bases {w.c_entries.shape}")
     if case == "diagonal":
-        ok = False
-        for basis in (w.basis_phi, w.basis_psi):
-            y = basis.conj().T @ x @ basis
-            if np.max(np.abs(y - np.diag(np.diagonal(y)))) < 1e-10:
-                ok = True
-                break
-        if not ok:
+        # X in both bases at once; off the diagonal each should vanish
+        bases = np.array((w.basis_phi, w.basis_psi))
+        y = dagger(bases) @ x @ bases
+        y.reshape(2, -1)[:, ::x.shape[0] + 1] = 0.0
+        if not np.abs(y).max(axis=(1, 2)).min() < 1e-10:
             raise ValueError("X is not diagonal in either basis")
     elif case == "qubit_traceless":
         if x.shape != (2, 2):
             raise ValueError(f"qubit case needs a 2x2 matrix, got {x.shape}")
-        if abs(complex(np.trace(x))) > 1e-12:
+        if abs(complex(x.trace())) > 1e-12:
             raise ValueError("X is not traceless")
     else:
         raise ValueError(f"unknown case {case!r}")
     # Tr(DX) = sum_ij D_ij X_ji, without forming the product; x is already
     # exactly Hermitian, so its trace norm needs no second validation.
-    value = abs(complex(np.sum(w.d_matrix() * x.T)))
-    return value <= w.c_cap * float(np.sum(np.abs(np.linalg.eigvalsh(x)))) + PROVEN_SLACK
+    value = abs(complex((w.d_matrix() * x.T).sum()))
+    return value <= w.c_cap * float(np.abs(np.linalg.eigvalsh(x)).sum()) + PROVEN_SLACK
 
 
 # ---------------------------------------------------------------------------

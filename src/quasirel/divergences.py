@@ -56,7 +56,7 @@ def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     row-major order as one contiguous run, so its value does not depend on
     the batch it sits in.
     """
-    if not np.all(batch.rho_positive):
+    if not batch.rho_positive.all():
         raise ValueError("spectral route requires a strictly positive rho")
     lam = batch.rho_spectral.eigenvalues  # descending, all > threshold
     mu = batch.sigma_spectral.eigenvalues
@@ -68,7 +68,7 @@ def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
         terms = np.where(live, np.where(positive_mu, fvals, f.value_at_zero), 0.0) * weights
         # 0.0 + keeps a sum of negative zeros (rho = sigma under neg-log) at +0
         sums = 0.0 + terms.reshape(len(batch), batch.dim ** 2).sum(axis=1)
-    return np.where(np.all(np.isfinite(terms), axis=(1, 2)), sums, math.inf)
+    return np.where(np.isfinite(terms).all(axis=(1, 2)), sums, math.inf)
 
 
 def quasi_entropy_spectral(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
@@ -81,7 +81,7 @@ def _support_violated(batch: PairBatch) -> np.ndarray:
     zero_rows = batch.sigma_spectral.eigenvalues <= ZERO_EIG_THRESHOLD
     # <phi_k| rho |phi_k> via the overlap matrix.
     rho_mass = (batch.overlaps @ batch.rho_spectral.eigenvalues[:, :, np.newaxis])[:, :, 0]
-    return np.any(zero_rows & (rho_mass > ZERO_EIG_THRESHOLD), axis=1)
+    return (zero_rows & (rho_mass > ZERO_EIG_THRESHOLD)).any(axis=1)
 
 
 def _on_support(spectral, func) -> np.ndarray:
@@ -98,7 +98,7 @@ def umegaki_values(batch: PairBatch) -> np.ndarray:
     logs on the supports, +inf where ker(sigma) carries rho-mass."""
     log_rho, log_sigma = (_on_support(sp, np.log)
                           for sp in (batch.rho_spectral, batch.sigma_spectral))
-    values = np.trace(batch.rho @ (log_rho - log_sigma), axis1=-2, axis2=-1).real
+    values = (batch.rho @ (log_rho - log_sigma)).trace(axis1=-2, axis2=-1).real
     values[_support_violated(batch)] = math.inf
     return values
 
@@ -114,7 +114,7 @@ def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
         raise ValueError(f"q must lie in (0, 2] excluding 1, got {q}")
     rho_q = _on_support(batch.rho_spectral, lambda v: np.power(v, q))
     sigma_1q = _on_support(batch.sigma_spectral, lambda v: np.power(v, 1.0 - q))
-    overlap_trace = np.trace(rho_q @ sigma_1q, axis1=-2, axis2=-1).real
+    overlap_trace = (rho_q @ sigma_1q).trace(axis1=-2, axis2=-1).real
     values = (1.0 - overlap_trace) / (1.0 - q)
     if q > 1.0:
         values[_support_violated(batch)] = math.inf
@@ -137,13 +137,13 @@ def superoperator_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     """
     if batch.dim > SUPEROP_DIM_CAP:
         raise ValueError(f"superoperator route capped at dim {SUPEROP_DIM_CAP}, got {batch.dim}")
-    if not np.all(batch.rho_positive & batch.sigma_positive):
+    if not (batch.rho_positive & batch.sigma_positive).all():
         raise ValueError("superoperator route requires strictly positive states")
     vals, weights = batch.modular_spectrum
     with np.errstate(all="ignore"):
         fvals = np.asarray(f.eval(vals), dtype=float)
-        values = np.sum(fvals * weights, axis=-1)
-    values[~np.all(np.isfinite(fvals), axis=-1)] = math.inf
+        values = (fvals * weights).sum(axis=-1)
+    values[~np.isfinite(fvals).all(axis=-1)] = math.inf
     return values
 
 

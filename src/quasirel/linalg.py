@@ -32,7 +32,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry (NaN or infinity)")
     adjoint = dagger(a)
-    deviation = np.max(np.abs(a - adjoint)) if a.size else 0.0
+    deviation = np.abs(a - adjoint).max() if a.size else 0.0
     if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {deviation:.3e} "
                          f"exceeds {HERMITICITY_TOL:.1e}")

@@ -18,7 +18,6 @@ round descends SPINE_DEPTH levels of that spine at once.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,8 @@ LOCAL_TOL = 1e-9
 # Panels narrower than this are accepted as-is; with singularities mapped to
 # the origin this floor is never the accuracy limiter.
 MIN_PANEL_WIDTH = 1e-120
-SPINE_DEPTH = 16  # levels a round requests below a pending [0, b]; others get 2
+SPINE_DEPTH = 16  # levels a round requests below a pending [0, b]
+OFF_SPINE_DEPTH = 2  # levels a round requests below any other pending panel
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -38,30 +38,30 @@ class QuadratureError(RuntimeError):
 
 
 def _requests(a: float, b: float, levels: int) -> list:
-    """The panels a round evaluates for the pending panel (a, b): its halves,
-    then, `levels` levels down its left-child chain, the halves of each right
-    child and of its left sibling, so the halves of the k-th left child sit
-    at index 4k and those of its right sibling at 4k - 2. It stops above
-    children narrower than MIN_PANEL_WIDTH, never deeper than depth-first
-    bisection goes."""
+    """The ends a0, b0, a1, b1, ... of the panels a round evaluates for the
+    pending panel (a, b): its halves, then, `levels` levels down its
+    left-child chain, the halves of each right child and of its left sibling,
+    so the halves of the k-th left child are panels 4k, 4k + 1 and those of
+    its right sibling 4k - 2, 4k - 1. It stops above children narrower than
+    MIN_PANEL_WIDTH, never deeper than depth-first bisection goes."""
     mid = 0.5 * (a + b)
-    out = [(a, mid), (mid, b)]
+    out = [a, mid, mid, b]
     for _ in range(levels - 1):
         if mid - a < MIN_PANEL_WIDTH or b - mid < MIN_PANEL_WIDTH:
             break
         centre = 0.5 * (mid + b)
-        out += [(mid, centre), (centre, b)]
+        out += [mid, centre, centre, b]
         b, mid = mid, 0.5 * (a + mid)
-        out += [(a, mid), (mid, b)]
+        out += [a, mid, mid, b]
     return out
 
 
-def _panel_sums(integrand: Callable, panels: list, n_inner: int) -> list:
-    """Gauss-Legendre estimates of the panels (a, b) from one integrand call:
-    the first n_inner of h itself, the rest of the mapped tail h(1/s)/s^2."""
-    a, b = np.fromiter(chain.from_iterable(panels), float, 2 * len(panels)).reshape(-1, 2).T
+def _panel_sums(integrand: Callable, ends: list, n_inner: int) -> list:
+    """Gauss-Legendre estimates of the panels with ends a0, b0, a1, b1, ... from
+    one integrand call: the first n_inner of h, the rest of h(1/s)/s^2."""
+    a, b = np.array(ends).reshape(-1, 2).T
     half = 0.5 * (b - a)
-    x = np.multiply.outer(half, _NODES)
+    x = half[:, np.newaxis] * _NODES
     x += (0.5 * (a + b))[:, np.newaxis]
     t = x.copy()
     np.divide(1.0, x[n_inner:], out=t[n_inner:])
@@ -87,9 +87,9 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
     the Gauss nodes of both pieces, and must evaluate it elementwise,
     returning real values of the same shape.
 
-    Each round evaluates, in one integrand call, the halves and quarters of
-    every pending panel of both pieces, or for a pending panel [0, b], where
-    the mapped singularities sit, SPINE_DEPTH levels below it (_requests).
+    Each round evaluates, in one integrand call, OFF_SPINE_DEPTH levels below
+    each pending panel of both pieces (its halves and quarters), or SPINE_DEPTH
+    below a pending [0, b], where the mapped singularities sit (_requests).
     It settles each pending panel, then each child whose halves it has: a
     panel is accepted once its halves change its estimate by less than
     LOCAL_TOL, or it is narrower than MIN_PANEL_WIDTH; the children of the
@@ -111,18 +111,18 @@ def integrate_halfline(integrand: Callable[[np.ndarray], np.ndarray],
 
     accepted = ([], [])  # per piece, (0, 1) then the tail: (a, sum) per panel
     charge(2)
-    root = _panel_sums(integrand, [(0.0, 1.0)] * 2, 1)
+    root = _panel_sums(integrand, [0.0, 1.0] * 2, 1)
     pending = ([(0.0, 1.0, root[0])], [(0.0, 1.0, root[1])])  # (a, b, estimate)
     while pending[0] or pending[1]:
         charge(2 * (len(pending[0]) + len(pending[1])))
-        panels, stack = [], []  # (piece, a, b, estimate, index of its halves, end)
+        ends, stack = [], []  # (piece, a, b, estimate, index of its halves, end)
         for piece, queue in enumerate(pending):
-            n_inner = len(panels)  # piece 0's panel count, once past piece 0
+            n_inner = len(ends) // 2  # piece 0's panel count, once past piece 0
             for a, b, estimate in queue:
-                start = len(panels)
-                panels += _requests(a, b, SPINE_DEPTH if a == 0.0 else 2)
-                stack.append((piece, a, b, estimate, start, len(panels)))
-        sums = _panel_sums(integrand, panels, n_inner)
+                start = len(ends) // 2
+                ends += _requests(a, b, SPINE_DEPTH if a == 0.0 else OFF_SPINE_DEPTH)
+                stack.append((piece, a, b, estimate, start, len(ends) // 2))
+        sums = _panel_sums(integrand, ends, n_inner)
         grown, ahead = ([], []), 0
         while stack:
             piece, a, b, estimate, i, end = stack.pop()

@@ -39,14 +39,14 @@ def density_matrix(mats: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
     descending spectral data.
     """
     h = hermitian_part(mats)
-    tr = np.trace(h, axis1=-2, axis2=-1).real
+    tr = h.trace(axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TRACE_TOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"trace is {float(tr[off].flat[0])!r}, not 1 within {TRACE_TOL:.1e}")
     spectral = eigh(h, symmetrized=True)
     min_eig = spectral.eigenvalues[..., -1]
-    if np.any(min_eig < EIGENVALUE_FLOOR):
-        raise ValueError(f"negative eigenvalue {float(np.min(min_eig))!r} "
+    if (min_eig < EIGENVALUE_FLOOR).any():
+        raise ValueError(f"negative eigenvalue {float(min_eig.min())!r} "
                          f"below floor {EIGENVALUE_FLOOR:.1e}")
     h.setflags(write=False)
     return h, spectral
@@ -80,25 +80,26 @@ _COLUMNS = ("lambda_rho", "lambda_sigma", "alpha_rho", "alpha_sigma", "alpha",
             "trace_distance_1", "T", "commutator_norm")
 
 
-def _summary_columns(rho: np.ndarray, sigma: np.ndarray, lam: np.ndarray,
-                     mu: np.ndarray) -> ScalarSummary:
-    """The summary of validated states. A trace within 1e-12 of one puts each
-    largest eigenvalue above the rank threshold, so every alpha is finite."""
+def _summary_columns(rho: np.ndarray, sigma: np.ndarray, vals: np.ndarray) -> ScalarSummary:
+    """The summary of validated states; vals holds rho's spectra, then sigma's.
+    A trace within 1e-12 of one puts each largest eigenvalue above the rank
+    threshold, so every alpha is finite."""
+    n = len(rho)
     # Differences of exactly Hermitian matrices are exactly Hermitian.
-    dist = np.sum(np.abs(np.linalg.eigvalsh(rho - sigma)), axis=-1)
-    product = rho @ sigma
-    alpha_rho, alpha_sigma = (np.where(e > ZERO_EIG_THRESHOLD, e, np.inf).min(axis=-1)
-                              for e in (lam, mu))
+    dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
+    c = rho @ sigma
+    c -= dagger(c)  # the Frobenius norm below sums as np.linalg.norm does
+    alphas = np.where(vals > ZERO_EIG_THRESHOLD, vals, np.inf).min(axis=-1)
     return ScalarSummary(
-        dim=np.full(len(rho), rho.shape[-1]),
-        lambda_rho=lam[:, 0],
-        lambda_sigma=mu[:, 0],
-        alpha_rho=alpha_rho,
-        alpha_sigma=alpha_sigma,
-        alpha=np.minimum(alpha_rho, alpha_sigma),
+        dim=np.full(n, rho.shape[-1]),
+        lambda_rho=vals[:n, 0],
+        lambda_sigma=vals[n:, 0],
+        alpha_rho=alphas[:n],
+        alpha_sigma=alphas[n:],
+        alpha=np.minimum(alphas[:n], alphas[n:]),
         trace_distance_1=dist,
         T=dist / 2.0,
-        commutator_norm=np.linalg.norm(product - dagger(product), axis=(-2, -1)),
+        commutator_norm=np.sqrt(np.add.reduce((c.conj() * c).real, axis=(-2, -1))),
     )
 
 
@@ -177,23 +178,28 @@ def pair_batch(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
 
     Every pair is checked for Hermiticity, unit trace, the eigenvalue floor
     and doubly stochastic overlaps; the first failure raises ValueError.
+    Both are validated as one (2N, d, d) stack, and each keeps its half.
     """
     rho, sigma = np.asarray(rho), np.asarray(sigma)
     if rho.ndim != 3:
         raise ValueError(f"expected a (N, d, d) stack, got shape {rho.shape}")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: rho has shape {rho.shape}, sigma {sigma.shape}")
-    (rho, rho_spectral), (sigma, sigma_spectral) = map(density_matrix, (rho, sigma))
-    amp = dagger(sigma_spectral.eigenvectors) @ rho_spectral.eigenvectors
+    n = len(rho)
+    if n == 0:
+        raise ValueError(f"expected at least one pair, got stacks of shape {rho.shape}")
+    mats, (vals, vecs) = density_matrix(np.concatenate((rho, sigma)))
+    amp = dagger(vecs[n:]) @ vecs[:n]
     overlaps = np.abs(amp) ** 2
     for axis, label in ((-2, "column"), (-1, "row")):
-        worst = float(np.max(np.abs(overlaps.sum(axis=axis) - 1.0)))
+        worst = float(np.abs(overlaps.sum(axis=axis) - 1.0).max())
         if worst > DOUBLE_STOCHASTIC_TOL:
             raise ValueError(f"overlap {label} sums off by {worst:.3e}; eigenbasis not unitary?")
     overlaps.setflags(write=False)
-    summary = _summary_columns(rho, sigma, rho_spectral.eigenvalues,
-                               sigma_spectral.eigenvalues)
-    return PairBatch(rho, sigma, rho_spectral, sigma_spectral, overlaps, summary)
+    rho, sigma = mats[:n], mats[n:]
+    return PairBatch(rho, sigma, EigenSystem(vals[:n], vecs[:n]),
+                     EigenSystem(vals[n:], vecs[n:]), overlaps,
+                     _summary_columns(rho, sigma, vals))
 
 
 def state_pair(rho: np.ndarray, sigma: np.ndarray) -> PairBatch:
@@ -330,10 +336,11 @@ class TrialStreams:
 
 
 def trial_streams(keys: Sequence) -> TrialStreams:
-    """Trial n's stream is default_rng(keys[n])'s, bit for bit: all keys are
-    seeded by one pcg64_states call, and every trial draws through one
-    generator."""
-    return TrialStreams(pcg64_states(keys), np.random.Generator(np.random.PCG64(0)))
+    """Trial n's stream is default_rng(keys[n])'s, bit for bit: every trial
+    draws through the generator of the first key's PCG64, and the other keys
+    are seeded by one pcg64_states call."""
+    first = np.random.PCG64(keys[0])
+    return TrialStreams([first.state, *pcg64_states(keys[1:])], np.random.Generator(first))
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -346,16 +353,15 @@ def haar_unitaries(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     # Making R's diagonal positive removes the QR phase ambiguity; without it
     # the distribution is not Haar.
-    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    phases /= np.abs(phases)
-    return q * phases[..., np.newaxis, :]
+    phases = r.diagonal(0, -2, -1)
+    return q * (phases / np.abs(phases))[..., np.newaxis, :]
 
 
 def _gaussian_states(z: np.ndarray) -> np.ndarray:
     """G G†/Tr(G G†) for G = z[..., 0, :, :] + i z[..., 1, :, :]."""
     g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     m = g @ dagger(g)
-    m /= np.trace(m, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+    m /= m.trace(axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
     return m
 
 
@@ -383,14 +389,14 @@ def random_pairs(dim: int, streams: TrialStreams) -> PairBatch:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    z = np.stack([rng.standard_normal((2, 2, dim, dim)) for rng in streams])
+    z = np.array([rng.standard_normal((2, 2, dim, dim)) for rng in streams])
     m = _gaussian_states(z)
     batch = pair_batch(m[:, 0], m[:, 1])
-    rejected = np.flatnonzero(~(batch.rho_positive & batch.sigma_positive))
-    if rejected.size == 0:
+    positive = batch.rho_positive & batch.sigma_positive
+    if positive.all():
         return batch
     rho, sigma = batch.rho.copy(), batch.sigma.copy()
-    for n in rejected:
+    for n in np.flatnonzero(~positive):
         rng = streams.restart(n)
         rng.standard_normal((2, 2, dim, dim))  # the draws just validated
         accepted = [state[n] for state, ok in ((rho, batch.rho_positive[n]),
@@ -435,7 +441,7 @@ def _spectral_draws(streams: TrialStreams, draw, floor: float) -> tuple:
     """
     draws = [np.array(column) for column in zip(*[draw(rng) for rng in streams])]
     p = _dirichlet(draws[0])
-    for n in np.flatnonzero(np.any(p <= floor, axis=(-2, -1))):
+    for n in np.flatnonzero((p <= floor).any(axis=(-2, -1))):
         for column, value in zip(draws, draw(streams.restart(n), floor)):
             column[n] = value
         p[n] = _dirichlet(draws[0][n])

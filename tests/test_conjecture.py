@@ -102,6 +102,37 @@ def test_random_functional_draw_order():
     np.testing.assert_array_equal(w.basis_phi, serial_haar_unitary(4, serial))
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+@pytest.mark.parametrize("cap", [0.0, 0.2, 1.0, 3.0, "drawn"])
+def test_random_functional_weights_are_uniform_draws(dim, cap):
+    # cap * rng.random draws rng.uniform(0, cap)'s bits and leaves the stream
+    # where uniform does; "drawn" is criterion 5's cap, drawn from the stream
+    rng, serial = default_rng((49, dim)), default_rng((49, dim))
+    if cap == "drawn":
+        cap = float(rng.uniform(0.2, 3.0))
+        assert float(serial.uniform(0.2, 3.0)) == cap
+    w = random_functional(dim, rng, cap=cap)
+    assert w.c_entries.tobytes() == serial.uniform(0.0, cap, size=(dim, dim)).tobytes()
+    serial.standard_normal((2, 2, dim, dim))
+    assert rng.bit_generator.state == serial.bit_generator.state
+
+
+def test_weight_shape_must_match_the_bases():
+    eye = np.eye(3, dtype=complex)
+    for c in (np.full((2, 3), 0.5), np.full((3, 3, 1), 0.5)):
+        with pytest.raises(ValueError, match=r"weights of shape .* beside bases"):
+            WeightedOverlapFunctional(c, 1.0, eye, eye)
+    with pytest.raises(ValueError, match=r"weights of shape .* beside bases"):
+        WeightedOverlapFunctional(np.full((3, 3), 0.5), 1.0, eye, np.eye(2))
+
+
+def test_proven_case_check_names_a_shape_mismatch():
+    w = random_functional(3, default_rng(59))
+    for case in ("diagonal", "qubit_traceless"):
+        with pytest.raises(ValueError, match=r"X has shape \(2, 2\).*\(3, 3\)"):
+            proven_case_check(w, np.eye(2), case)
+
+
 def test_functional_value_dual_paths_agree():
     # the ratios the search scores, from the eigenvalue sum, against the
     # explicit D matrix, for every weight mode and pair kind the search draws

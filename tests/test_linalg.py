@@ -1,5 +1,7 @@
 """Spectral helpers: ordering, matrix functions, norms, vectorization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,16 +31,25 @@ def test_hermitian_part_symmetrizes_and_rejects():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
-                                 complex(0.0, np.inf)])
+                                 complex(0.0, np.inf), complex(0.0, -np.inf),
+                                 complex(0.5, np.inf)])
 def test_hermitian_part_rejects_non_finite_entries(bad):
-    # a NaN fails no < or > comparison, so the Hermiticity check alone passes it
-    for cells in (((0, 0),), ((0, 1), (1, 0))):
-        a = np.diag([0.5, 0.5]).astype(complex)
+    # a NaN fails no < or > comparison, so the Hermiticity check alone passes
+    # it; and A - A^dag is inf - inf wherever an infinity meets itself or
+    # its mirror, which must raise no floating-point warning either
+    good = np.diag([0.5, 0.5]).astype(complex)
+    # a diagonal cell, a mirrored pair, and one off-diagonal cell whose
+    # mirror stays finite
+    for cells in (((0, 0),), ((0, 1), (1, 0)), ((1, 0),)):
+        a = good.copy()
         for cell in cells:
             a[cell] = bad
-        for given in (a, a[np.newaxis]):  # one matrix and a stack
-            with pytest.raises(ValueError, match="non-finite entry"):
-                hermitian_part(given)
+        # one matrix, a stack, and a stack with the bad matrix after a good one
+        for given in (a, a[np.newaxis], np.stack([good, a])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite entry"):
+                    hermitian_part(given)
 
 
 def test_hermitian_part_is_idempotent_bit_for_bit():
@@ -55,7 +66,8 @@ def test_hermitian_part_is_idempotent_bit_for_bit():
 
 
 def test_state_stack_symmetrized_once(monkeypatch):
-    # one hermitian_part per validated stack: two per batch of pairs
+    # one hermitian_part per batch of pairs: rho's and sigma's stacks are
+    # validated joined, rho's first
     calls = []
 
     def counted(a, *args, **kwargs):
@@ -66,8 +78,11 @@ def test_state_stack_symmetrized_once(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_part", counted)
     monkeypatch.setattr(states, "hermitian_part", counted)
     again = states.pair_batch(batch.rho, batch.sigma)
-    assert calls == [(4, 3, 3), (4, 3, 3)]
-    assert again.rho_spectral.eigenvalues.tobytes() == batch.rho_spectral.eigenvalues.tobytes()
+    assert calls == [(8, 3, 3)]
+    for half in ("rho_spectral", "sigma_spectral"):
+        for field in ("eigenvalues", "eigenvectors"):
+            assert (getattr(getattr(again, half), field).tobytes()
+                    == getattr(getattr(batch, half), field).tobytes())
 
 
 def test_eigh_descending_and_reconstructs():

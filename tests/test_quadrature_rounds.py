@@ -103,6 +103,41 @@ def test_repr_check_integrals_take_few_integrand_calls():
     assert sum(points) <= 5802 * len(points)
 
 
+@pytest.mark.parametrize("spec", _DEFAULT_REPR_SPECS)
+@pytest.mark.parametrize("depth", sorted({quadrature.OFF_SPINE_DEPTH, 3}))
+def test_off_spine_depth_keeps_the_oracle_value_and_calls(spec, depth, monkeypatch):
+    # each repr-check integral, at the module's depth below off-spine panels
+    # and one level deeper: the depth-first value bit for bit, in no more
+    # integrand calls than halves and quarters (depth 2) take
+    f = parse_f_spec(spec)
+    calls = [0]
+
+    def counting(t):
+        calls[0] += 1
+        return f.measure_density(t)
+
+    counted = dataclasses.replace(f, measure_density=counting)
+
+    def integrals():
+        out = []
+        for x in (1e-3, 0.5, 30.0, 900.0, None):
+            calls[0] = 0
+            value = (normalization_residual(counted) if x is None
+                     else eval_via_representation(counted, x))
+            out.append((value, calls[0]))
+        return out
+
+    monkeypatch.setattr(quadrature, "OFF_SPINE_DEPTH", 2)
+    halves_and_quarters = integrals()
+    monkeypatch.setattr(quadrature, "OFF_SPINE_DEPTH", depth)
+    rounds = integrals()
+    monkeypatch.setattr(functions, "integrate_halfline", serial_quadrature.integrate_halfline)
+    oracle = integrals()
+    for (value, used), (_, baseline), (expected, _) in zip(rounds, halves_and_quarters, oracle):
+        assert value == expected
+        assert used <= baseline
+
+
 def _inverse_sqrt_generator():
     # w(t) = c t^(-1/2) integrates to f(x) = c pi (x^(-1/2) - 1).
     c = 0.3

@@ -354,6 +354,34 @@ def test_trial_streams_draw_as_default_rng():
                                       default_rng(key).standard_normal(3))
 
 
+@pytest.mark.parametrize("count", range(1, states._ARRAY_SEEDING_MIN))
+def test_trial_streams_of_few_keys_draw_as_default_rng(count):
+    # fewer keys than the array pass takes: the first key's own PCG64
+    # drives the streams, and each stream ends where default_rng's does
+    keys = _keys(count, 6)
+    streams = trial_streams(keys)
+    for n, rng in enumerate(streams):
+        expected = default_rng(keys[n])
+        assert rng.standard_normal(7).tobytes() == expected.standard_normal(7).tobytes()
+        assert rng.bit_generator.state == expected.bit_generator.state
+    assert streams.restart(0).random(3).tobytes() == default_rng(keys[0]).random(3).tobytes()
+
+
+def test_pair_batch_rejects_empty_stacks():
+    empty = np.empty((0, 3, 3))
+    with pytest.raises(ValueError, match=r"expected at least one pair.*\(0, 3, 3\)"):
+        pair_batch(empty, empty)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_commutator_norm_is_the_frobenius_norm_bit_for_bit(dim):
+    # the summary sums |[rho, sigma]|^2 as np.linalg.norm does over the last two axes
+    batch = random_pairs(dim, trial_streams([(dim, trial) for trial in range(9)]))
+    product = batch.rho @ batch.sigma
+    expected = np.linalg.norm(product - product.conj().swapaxes(-1, -2), axis=(-2, -1))
+    assert batch.summary.commutator_norm.tobytes() == expected.tobytes()
+
+
 def test_pair_batch_matches_pairs_built_one_by_one():
     pairs = [trial_pair(16, 3, trial) for trial in range(5)]
     batch = pair_batch(np.concatenate([p.rho for p in pairs]),
@@ -454,13 +482,14 @@ def test_per_pair_functions_take_only_a_batch_of_one(size):
 def test_double_stochastic_tolerance_both_sides(monkeypatch, scale, accepted):
     # eigh of a Hermitian matrix gives unitary eigenvectors to rounding, so
     # rho's first eigenvector is lengthened by hand: overlap column 0 then
-    # sums to 1 + scale * DOUBLE_STOCHASTIC_TOL
+    # sums to 1 + scale * DOUBLE_STOCHASTIC_TOL. pair_batch diagonalizes
+    # rho and sigma as one joined stack, rho's state first.
     def stretched(a, **kwargs):
         vals, vecs = eigh(a, **kwargs)
-        if a.shape[0] == 1 and not stretched.done:
+        if a.shape[0] == 2 and not stretched.done:
             stretched.done = True
             vecs = vecs.copy()
-            vecs[..., 0] *= np.sqrt(1.0 + scale * DOUBLE_STOCHASTIC_TOL)
+            vecs[0, :, 0] *= np.sqrt(1.0 + scale * DOUBLE_STOCHASTIC_TOL)
         return EigenSystem(vals, vecs)
 
     stretched.done = False
