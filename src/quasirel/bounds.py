@@ -7,8 +7,9 @@ are one body of numpy code: on a PairBatch's summary columns every value is
 a column with one entry per pair, and on summarize's numbers it is a number.
 Both run the same numpy ufuncs, so a number has the bits of its column entry.
 The dimension is a column like the rest, so one pass covers pairs of
-several dimensions. bound_reports lays a route's reports out as columns and
-sets their slacks; sandwich reads index 0 of them for a batch of one.
+several dimensions. bound_reports lays a route's reports out as one
+BoundTable, a row per bound and a column per pair, and sets every slack in
+it at once; sandwich reads the table's column 0 for a batch of one.
 
 All the tight forms contain divided differences that degenerate to 0/0 when
 the two eigenvalues coincide; those are guarded: below a gap of 1e-8 the
@@ -45,13 +46,9 @@ class BoundReport(NamedTuple):
     formula's gate, True for a bound that always applies, and ``reason``
     says why the pairs with applicable False are excluded. It has no slack.
 
-    bound_reports gives value, applicable and slack one entry per pair.
-    ``slack`` is the signed margin by which the bound holds against the
-    divergence: bound - divergence for upper bounds, divergence - bound for
-    lower bounds, so a sound report always has slack >= -1e-10 regardless
-    of orientation. It is NaN where either side is infinite. sandwich's
-    reports are one pair's numbers, with slack None where it is NaN and
-    reason empty where the bound applies.
+    sandwich's reports are one pair's numbers with the slack BoundTable
+    gives it, None where that is NaN, and reason empty where the bound
+    applies.
     """
 
     bound_name: str
@@ -60,6 +57,24 @@ class BoundReport(NamedTuple):
     reason: str = ""
     is_lower: bool = False
     slack: Optional[float] = None
+
+
+class BoundTable(NamedTuple):
+    """Every bound of one route, a row each: names, reasons and orientations
+    as tuples, value, applicable and slack as arrays of (bounds x pairs).
+
+    ``slack`` is the signed margin by which the bound holds against the
+    divergence: bound - divergence for upper bounds, divergence - bound for
+    lower bounds, so a sound bound always has slack >= -1e-10 regardless of
+    orientation. It is NaN where either side is infinite.
+    """
+
+    bound_names: tuple
+    reasons: tuple
+    is_lower: tuple
+    value: np.ndarray
+    applicable: np.ndarray
+    slack: np.ndarray
 
 
 def _guarded(gap, limit, numerator, denominator):
@@ -215,14 +230,14 @@ def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
 
 
 def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
-                  q: Optional[float] = None, ae11_base: str = "e") -> list[BoundReport]:
-    """Every bound that attaches to generator ``gen``, with its slack against
-    ``divergence``: columns over a batch's summary, numbers over summarize's.
+                  q: Optional[float] = None, ae11_base: str = "e") -> BoundTable:
+    """The table of every bound that attaches to generator ``gen``, with its
+    slack against ``divergence``: a column per pair over a batch's summary,
+    one-dimensional rows over summarize's numbers.
 
     The relative-entropy-specific bounds attach only to neg-log; a Tsallis
-    order ``q`` additionally attaches the Tsallis-specific bounds. The
-    reports' values, gates and slacks are laid out as one array each, a row
-    per report, and every slack is set in one operation over it.
+    order ``q`` additionally attaches the Tsallis-specific bounds. Every
+    slack is set in one operation over the table.
     """
     reports = [pinsker_lower(summary, gen), *_bracket_uppers(summary, gen)]
     if gen.name == "neg-log":
@@ -231,39 +246,30 @@ def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
         reports.extend(qubit_relative_upper(summary))
     if q is not None:
         reports.extend(tsallis_bounds(summary, q))
-    values = np.array([rep.value for rep in reports])
+    names, values, gates, reasons, lower, _ = zip(*reports)
+    values = np.array(values)
     applicable = np.empty(values.shape, bool)
-    for row, rep in enumerate(reports):
-        applicable[row] = rep.applicable
-    lower = np.array([rep.is_lower for rep in reports])
+    for row, ok in enumerate(gates):
+        applicable[row] = ok
     with np.errstate(invalid="ignore"):  # inf - inf, masked below
         # transposed, so that the row's orientation broadcasts over its pairs
         margin = np.where(lower, (divergence - values).T, (values - divergence).T).T
     slack = np.where(np.isfinite(divergence) & np.isfinite(values), margin, np.nan)
-    return [BoundReport(rep.bound_name, value, ok, rep.reason, rep.is_lower, row_slack)
-            for rep, value, ok, row_slack in zip(reports, values, applicable, slack)]
+    return BoundTable(names, reasons, lower, values, applicable, slack)
 
 
 def violated(applicable, slack):
     """Where a bound fails: applicable, with slack below SLACK_FLOOR.
 
-    Takes a report's applicable and slack, as numbers or as columns.
+    Takes a bound's applicable and slack as numbers, or a table's arrays.
     """
     return applicable & (slack < SLACK_FLOOR)
 
 
-def sandwich_batch(*batches: PairBatch, f: Optional[OMDFunction] = None,
-                   q: Optional[float] = None, ae11_base: str = "e"):
-    """Divergence column and every bound report over the pairs of one or more
-    batches, of any dimensions, end to end in batch order.
-
-    Exactly one of ``f`` and ``q`` must be given; q selects the Tsallis
-    generator of that order (divergence by the direct route) and
-    additionally attaches the Tsallis-specific bounds. The
-    relative-entropy-specific bounds attach only to neg-log. The divergence
-    runs batch by batch; the bounds run once, over the joined summary
-    columns. Returns (generator, divergences, reports), the reports as
-    bound_reports gives them.
+def route_divergence(batches, f: Optional[OMDFunction] = None, q: Optional[float] = None):
+    """(generator, divergence column) of one route over the pairs of
+    ``batches``, batch by batch: exactly one of ``f``, by the spectral
+    route, and ``q``, the Tsallis generator of that order by the direct one.
     """
     if (f is None) == (q is None):
         raise ValueError("pass exactly one of f or q")
@@ -271,8 +277,21 @@ def sandwich_batch(*batches: PairBatch, f: Optional[OMDFunction] = None,
         f, divergence = tsallis_f(q), [tsallis_values(batch, q) for batch in batches]
     else:
         divergence = [spectral_values(batch, f) for batch in batches]
-    divergence = np.concatenate(divergence)
-    return f, divergence, bound_reports(joined_summary(batches), f, divergence, q, ae11_base)
+    return f, np.concatenate(divergence)
+
+
+def sandwich_batch(*batches: PairBatch, f: Optional[OMDFunction] = None,
+                   q: Optional[float] = None, ae11_base: str = "e"):
+    """Divergence column and bound table over the pairs of one or more
+    batches, of any dimensions, end to end in batch order.
+
+    See route_divergence for f and q. A Tsallis order q additionally
+    attaches the Tsallis-specific bounds; the relative-entropy-specific
+    bounds attach only to neg-log. The bounds run once, over the joined
+    summary columns. Returns (generator, divergences, bound table).
+    """
+    gen, divergence = route_divergence(batches, f, q)
+    return gen, divergence, bound_reports(joined_summary(batches), gen, divergence, q, ae11_base)
 
 
 @dataclass(frozen=True)
@@ -287,18 +306,17 @@ def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
              q: Optional[float] = None, ae11_base: str = "e") -> SandwichReport:
     """Divergence plus every applicable bound, with signed slacks.
 
-    The view of sandwich_batch at index 0 for a batch of one, its columns
-    read as numbers; see sandwich_batch for f, q and the bounds that attach.
+    The view of sandwich_batch at column 0 for a batch of one, read as
+    numbers; see sandwich_batch for f, q and the bounds that attach.
     """
-    gen, divergence, columns = sandwich_batch(_single(pair), f=f, q=q, ae11_base=ae11_base)
+    gen, divergence, table = sandwich_batch(_single(pair), f=f, q=q, ae11_base=ae11_base)
     result = DivergenceResult(float(divergence[0]), "spectral" if q is None else "direct",
                               gen.name)
-    reports, violations = [], []
-    for rep in columns:
-        ok, slack = rep.applicable.item(0), rep.slack.item(0)
-        reports.append(BoundReport(rep.bound_name, rep.value.item(0), ok,
-                                   "" if ok else rep.reason, rep.is_lower,
-                                   None if math.isnan(slack) else slack))
-        if violated(ok, slack):
-            violations.append(rep.bound_name)
+    values, gates, slacks, bad = (column[:, 0].tolist() for column in (
+        table.value, table.applicable, table.slack, violated(table.applicable, table.slack)))
+    reports = [BoundReport(name, value, ok, "" if ok else reason, lower,
+                           None if math.isnan(slack) else slack)
+               for name, value, ok, reason, lower, slack
+               in zip(table.bound_names, values, gates, table.reasons, table.is_lower, slacks)]
+    violations = [name for name, flagged in zip(table.bound_names, bad) if flagged]
     return SandwichReport(result, reports, not result.finite, violations)

@@ -248,15 +248,23 @@ def _strict(convert, check):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every command's sub-parser, with the options of ``command`` alone
+    (its -h included), or of every command when it is None.
+
+    The top-level help, usage and errors name the commands and their
+    summaries only, so they do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="quasirel",
         description="Quasi-relative entropies, trace-distance bounds, and "
                     "a counterexample search harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, names, defaults) in _COMMAND_SETTINGS.items():
-        p = sub.add_parser(command, help=summary)
+    for cmd, (summary, names, defaults) in _COMMAND_SETTINGS.items():
+        p = sub.add_parser(cmd, help=summary, add_help=command in (None, cmd))
+        if not p.add_help:
+            continue
         p.add_argument("--config", help="JSON object of settings by config key")
         for name in names.split():
             s = SETTINGS[name]
@@ -515,7 +523,12 @@ _EXIT_CODES = {ConfigError: EXIT_PARSE, OSError: EXIT_IO, ValueError: EXIT_VALID
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so the command
+    # argparse runs is the first argument without a leading '-' (an earlier
+    # positional, '-' or a negative number, names none and fails alike).
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return run(make_config(args, read_config(args.config) if args.config else {}))
     except tuple(_EXIT_CODES) as exc:

@@ -149,14 +149,16 @@ class PairBatch:
         eigenvalues, which generators singular at 0+ amplify past the 1e-9
         cross-route contract. The half powers are built as one broadcast
         product and diagonalized by one stacked eigh, which gives each pair
-        the bits of its own 2-D kron and eigh.
+        the bits of its own 2-D kron and eigh. Both factors come exactly
+        Hermitian from spectral_matrix, so their kron is too, and eigh takes
+        it as hermitian_part would return it.
         """
         n, d = len(self), self.dim
         (lam, psi), (mu, phi) = self.rho_spectral, self.sigma_spectral
         a = spectral_matrix(phi, np.sqrt(mu))
         b = np.swapaxes(spectral_matrix(psi, 1.0 / np.sqrt(lam)), -1, -2)
         half = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, d * d, d * d)
-        half_vals, vecs = eigh(half)
+        half_vals, vecs = eigh(half, symmetrized=True)
         s = spectral_matrix(psi, np.sqrt(lam)).reshape(n, d * d)
         # A stacked matmul, not einsum: einsum regroups the sums.
         coeffs = (dagger(vecs) @ s[..., None])[..., 0]

@@ -8,13 +8,13 @@ neighbouring blocks, of one dimension or several, share a chunk while it
 holds at most _CHUNK_TRIALS pairs and _CHUNK_SQUARES in the sum of d^2 over
 its pairs. Each block is one PairBatch, sampled, validated, diagonalized and
 summarized once, and its divergences run as array operations over it; the
-bounds then run once over the chunk's joined summary columns, and the chunk
-is rendered to text straight from the resulting columns. The chunks run
-inline, or at N jobs the calling process runs chunks 0, N, 2N, ... and child
-process k the chunks k, k + N, ..., sending their text down its own pipe.
-Each chunk's text is written in plan order as soon as it is in hand, and a
-child that runs ahead blocks on its full pipe, so a sweep holds about one
-chunk per process.
+chunk's summary columns are joined once, each route's bounds run once over
+them as one table, and the chunk is rendered to text straight from the
+tables. The chunks run inline, or at N jobs the calling process runs chunks
+0, N, 2N, ... and child process k the chunks k, k + N, ..., sending their
+text down its own pipe. Each chunk's text is written in plan order as soon
+as it is in hand, and a child that runs ahead blocks on its full pipe, so a
+sweep holds about one chunk per process.
 
 Every trial owns the random stream of default_rng((tag, seed, dim, trial)),
 so a pair's rows do not depend on the chunk it sits in or on the number of
@@ -28,12 +28,13 @@ import functools
 import json
 from collections import Counter
 
-from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
+from .bounds import ae11_upper, bound_reports, relative_entropy_upper, route_divergence, violated
 from .functions import parse_f_spec
 from .states import (
     PairBatch,
     TrialStreams,
     example_pair,
+    joined_summary,
     random_classical_pairs,
     random_pairs,
     summarize,
@@ -84,12 +85,14 @@ def batch_rows(batches: list, seed, tags: list, routes: list, ae11_base: str) ->
     pair its pair_tag; ``routes`` lists (f, q) choices as sandwich takes
     them. Returns (dims, seed, tags, columns): dims gives each pair its
     dimension, and columns hold per route its f_name, q cell, divergence
-    column and bound reports in column form.
+    column and bound table, as sandwich_batch gives them. The batches'
+    summary columns are joined once for all the routes.
     """
-    columns = []
+    summary, columns = joined_summary(batches), []
     for f, q in routes:
-        gen, divergence, reports = sandwich_batch(*batches, f=f, q=q, ae11_base=ae11_base)
-        columns.append((gen.name, "" if q is None else float(q), divergence, reports))
+        gen, divergence = route_divergence(batches, f, q)
+        columns.append((gen.name, "" if q is None else float(q), divergence,
+                        bound_reports(summary, gen, divergence, q, ae11_base)))
     return [batch.dim for batch in batches for _ in range(len(batch))], seed, tags, columns
 
 
@@ -121,28 +124,34 @@ def render_columns(columns: tuple, order: list, fmt: str) -> tuple:
     (a pair listed twice gets its rows twice), then route by route, then
     bound by bound. ``violations`` holds the (bound_name, slack) of each applicable
     row with slack below -1e-10. The cells a pair's rows share are
-    formatted once per pair and route, the rest one column at a time, and
-    each pair's rows are then one %-format of those cells.
+    formatted once per pair and route, the rest one bound at a time from
+    the table's arrays, and each pair's rows are then one %-format of those
+    cells.
     """
     cell, floats, b, end, sep, _, _ = _FORMATS[fmt]
     dims, seed, tags, columns = columns
     empty, flags, seed = cell(""), ("false", "true"), cell(seed)
     pairs = [f"{b[0]}{dim}{b[1]}{seed}{b[2]}{cell(tag)}{b[3]}" for dim, tag in zip(dims, tags)]
     forms, cells, flagged = [], [], []  # per (route, bound): a row's %-form and its cells
-    for f_name, q, divergence, reports in columns:
+    width = len(pairs)
+    for f_name, q, divergence, table in columns:
         route = f"{cell(f_name)}{b[4]}{cell(q)}{b[5]}"
         divergence = floats(divergence.tolist())
-        for rep in reports:
+        # the table's cells, bound after bound, each bound's pairs in a run
+        values = floats(table.value.ravel().tolist())
+        slacks = table.slack.ravel().tolist()
+        slack_cells = [empty if s != s else t for s, t in zip(slacks, floats(slacks))]  # NaN: none
+        oks = [flags[a] for a in table.applicable.ravel().tolist()]
+        for row, name in enumerate(table.bound_names):
             # %s: the pair's first cells, then bound_value, divergence, slack, applicable
-            glue = (f"{route}{cell(rep.bound_name)}{b[6]}", b[7], b[8], b[9], end)
+            glue = (f"{route}{cell(name)}{b[6]}", b[7], b[8], b[9], end)
             forms.append("%s" + "%s".join(glue))  # no name or glue holds a %
-            slack = rep.slack.tolist()
-            cells += [pairs, floats(rep.value.tolist()), divergence,
-                      [empty if s != s else t for s, t in zip(slack, floats(slack))],  # NaN: none
-                      [flags[a] for a in rep.applicable.tolist()]]
-            bad = violated(rep.applicable, rep.slack)
-            if bad.any():
-                flagged.append((rep.bound_name, slack, bad))
+            run = slice(row * width, (row + 1) * width)
+            cells += [pairs, values[run], divergence, slack_cells[run], oks[run]]
+        bad = violated(table.applicable, table.slack)
+        if bad.any():
+            flagged += [(name, slacks[row * width:(row + 1) * width], bad[row].tolist())
+                        for row, name in enumerate(table.bound_names) if bad[row].any()]
     form = sep.join(forms)  # all the rows of one pair
     pair_text = [form % pair_cells for pair_cells in zip(*cells)]
     violations = [(name, slack[n]) for n in order for name, slack, bad in flagged if bad[n]]

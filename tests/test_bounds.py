@@ -28,7 +28,7 @@ from quasirel.bounds import (
     COMMUTING_TOL,
     DIVIDED_DIFF_GAP,
     SLACK_FLOOR,
-    BoundReport,
+    BoundTable,
     _bracket_core,
     bound_reports,
     sandwich_batch,
@@ -66,13 +66,13 @@ def test_qubit_classical_gated_off_in_higher_dim():
 
 
 def test_pinsker_lower_orientation():
-    rep = bound_reports(S, neg_log(), divergence=umegaki(PAIR).value)[0]
-    assert rep.bound_name == "pinsker_lower"
-    assert rep.is_lower
-    assert rep.value == pytest.approx(0.125, rel=1e-12)  # 0.5 * 1 * 0.5^2
+    table = bound_reports(S, neg_log(), divergence=umegaki(PAIR).value)
+    assert table.bound_names[0] == "pinsker_lower"
+    assert table.is_lower[0]
+    assert table.value[0] == pytest.approx(0.125, rel=1e-12)  # 0.5 * 1 * 0.5^2
     # slack = divergence - bound for lower bounds
-    assert rep.slack == pytest.approx(0.5 * math.log(4.0 / 3.0) - 0.125, rel=1e-9)
-    assert rep.slack > 0
+    assert table.slack[0] == pytest.approx(0.5 * math.log(4.0 / 3.0) - 0.125, rel=1e-9)
+    assert table.slack[0] > 0
 
 
 def test_sqrt_d_upper_worked_value():
@@ -195,8 +195,8 @@ def test_bracket_core_guard_continuity():
 
 
 def test_with_divergence_skips_infinities():
-    for rep in bound_reports(S, neg_log(), divergence=math.inf):
-        assert math.isnan(rep.slack)  # no slack against an infinity
+    for slack in bound_reports(S, neg_log(), divergence=math.inf).slack:
+        assert math.isnan(slack)  # no slack against an infinity
 
 
 def test_sandwich_requires_exactly_one_generator():
@@ -263,24 +263,25 @@ def test_sandwich_is_index_n_of_sandwich_batch():
         batch = pair_batch(np.concatenate([p.rho for p in pairs]),
                            np.concatenate([p.sigma for p in pairs]))
         for kwargs in calls:
-            gen, divergence, columns = sandwich_batch(batch, **kwargs)
+            gen, divergence, table = sandwich_batch(batch, **kwargs)
             for n, pair in enumerate(pairs):
                 swr = sandwich(pair, **kwargs)
                 assert swr.divergence.value == divergence[n]
                 assert swr.divergence.f_name == gen.name
                 assert swr.vacuous == (not math.isfinite(divergence[n]))
-                assert [r.bound_name for r in swr.reports] == [c.bound_name for c in columns]
-                for rep, col in zip(swr.reports, columns):
-                    assert rep.value == col.value[n]
-                    assert rep.applicable == col.applicable[n]
-                    assert rep.reason == ("" if rep.applicable else col.reason)
-                    assert rep.is_lower == col.is_lower
+                assert tuple(r.bound_name for r in swr.reports) == table.bound_names
+                for row, rep in enumerate(swr.reports):
+                    assert rep.value == table.value[row, n]
+                    assert rep.applicable == table.applicable[row, n]
+                    assert rep.reason == ("" if rep.applicable else table.reasons[row])
+                    assert rep.is_lower == table.is_lower[row]
                     if rep.slack is None:
-                        assert math.isnan(col.slack[n])
+                        assert math.isnan(table.slack[row, n])
                     else:
-                        assert rep.slack == col.slack[n]
-                assert swr.violations == [c.bound_name for c in columns
-                                          if violated(c.applicable, c.slack)[n]]
+                        assert rep.slack == table.slack[row, n]
+                bad = violated(table.applicable, table.slack)[:, n]
+                assert swr.violations == [name for name, flagged
+                                          in zip(table.bound_names, bad) if flagged]
                 seen["infinite"] += swr.vacuous
                 seen["inapplicable"] += sum(not r.applicable for r in swr.reports)
     assert seen["infinite"] and seen["inapplicable"]
@@ -301,8 +302,9 @@ def test_slack_floor_both_sides(scale, flagged):
     # alone and for the rows a sweep renders
     slack = scale * SLACK_FLOOR
     assert violated(True, slack) is flagged
-    report = BoundReport("b", np.array([1.0]), np.array([True]), "", False, np.array([slack]))
-    columns = ([3], 5, ["t"], [("neg-log", "", np.array([1.0]), [report])])
+    table = BoundTable(("b",), ("",), (False,), np.array([[1.0]]), np.array([[True]]),
+                       np.array([[slack]]))
+    columns = ([3], 5, ["t"], [("neg-log", "", np.array([1.0]), table)])
     text, rows, violations = render_columns(columns, [0], "csv")
     assert rows == 1 and ("%.17g" % slack) in text
     assert violations == ([("b", slack)] if flagged else [])
@@ -328,12 +330,12 @@ def test_bracket_core_once_per_route(monkeypatch):
     routes = [{"f": f} for f in builtin_suite()] + [{"q": 0.3}, {"q": 1.5}]
     for kwargs in routes:
         calls.clear()
-        gen, _, columns = sandwich_batch(batch, **kwargs)
+        gen, _, table = sandwich_batch(batch, **kwargs)
         assert calls == [gen.name]
-        by_name = _by_name(columns)
+        by_name = dict(zip(table.bound_names, table.value))
         for formula, name in ((qubit_classical_upper, "qubit_classical_upper"),
                               (general_sqrt_d_upper, "sqrt_d_upper")):
-            assert list(formula(batch.summary, gen).value) == list(by_name[name].value)
+            assert list(formula(batch.summary, gen).value) == list(by_name[name])
 
 
 def test_sandwich_batch_reuses_the_tsallis_descriptor():
@@ -356,21 +358,23 @@ def test_sandwich_batch_over_mixed_dimensions_is_exact(kwargs):
     parts = [trial_batch(dim, trial_streams([trial_key(17, dim, t) for t in range(n)]))
              for dim, n in ((2, 4), (3, 5), (5, 3))]
     dims = np.repeat([2, 3, 5], [4, 5, 3])
-    gen, divergence, columns = sandwich_batch(*parts, **kwargs)
+    gen, divergence, table = sandwich_batch(*parts, **kwargs)
     assert joined_summary(parts).dim.tolist() == dims.tolist()
     alone = [sandwich_batch(part, **kwargs) for part in parts]
     assert all(g is gen for g, _, _ in alone)
     assert divergence.tolist() == np.concatenate([d for _, d, _ in alone]).tolist()
-    for row, rep in enumerate(columns):
-        own = [cols[row] for _, _, cols in alone]
-        assert [c.bound_name for c in own] == [rep.bound_name] * 3
-        assert rep.value.tolist() == np.concatenate([c.value for c in own]).tolist()
-        assert rep.applicable.tolist() == np.concatenate([c.applicable for c in own]).tolist()
-        np.testing.assert_array_equal(rep.slack, np.concatenate([c.slack for c in own]))
-        if rep.bound_name in _QUBIT_GATED:  # none of these random pairs commutes
-            assert rep.applicable.tolist() == (dims == 2).tolist()
-    by_name = _by_name(columns)
-    ratio = by_name["sqrt_d_upper"].value / by_name["qubit_classical_upper"].value
+    for row, name in enumerate(table.bound_names):
+        own = [t for _, _, t in alone]
+        assert [t.bound_names[row] for t in own] == [name] * 3
+        assert table.value[row].tolist() == np.concatenate([t.value[row] for t in own]).tolist()
+        assert table.applicable[row].tolist() == np.concatenate(
+            [t.applicable[row] for t in own]).tolist()
+        np.testing.assert_array_equal(table.slack[row],
+                                      np.concatenate([t.slack[row] for t in own]))
+        if name in _QUBIT_GATED:  # none of these random pairs commutes
+            assert table.applicable[row].tolist() == (dims == 2).tolist()
+    by_name = dict(zip(table.bound_names, table.value))
+    ratio = by_name["sqrt_d_upper"] / by_name["qubit_classical_upper"]
     np.testing.assert_allclose(ratio, np.sqrt(dims), rtol=1e-15)
     assert {name for name in _QUBIT_GATED if name in by_name} == (
         {"qubit_classical_upper", "qubit_relative_tight_upper", "qubit_relative_loose_upper"}

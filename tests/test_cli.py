@@ -584,6 +584,58 @@ def test_each_command_takes_the_flags_of_the_settings_it_reads(capsys):
     capsys.readouterr()
 
 
+def _options(parser) -> dict:
+    """Each command's option strings in a parser, help and --config included."""
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    return {command: [a.option_strings for a in sub._actions]
+            for command, sub in subparsers.choices.items()}
+
+
+def test_a_parser_for_one_command_holds_that_commands_options_alone():
+    full = _options(cli.build_parser())
+    assert sum(len(opts) for opts in full.values()) == 43 + 2 * len(cli._COMMANDS)
+    for command in cli._COMMANDS:
+        own = _options(cli.build_parser(command))
+        assert own == {name: opts if name == command else [] for name, opts in full.items()}
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main, a parse error or help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["--help"], [], ["no-such-command"], ["no-such-command", "--help"], ["bounds", "-h"],
+    ["sweep", "--no-such-flag"],
+    ["sweep", "--steps", "3"], ["sweep", "--tri", "1", "--f", "neg-log"], ["sweep", "--he"],
+    ["--", "sweep", "--trials", "1"], ["-5", "sweep"], ["-", "sweep"], ["-h", "sweep"],
+    ["--trials", "1", "sweep"], ["--no-such-flag", "sweep", "--trials", "1"],
+    ["bounds", "--f", "neg-log", "sweep"],
+], ids=repr)
+def test_parsing_with_one_commands_options_moves_no_byte(monkeypatch, capsys, argv):
+    # main builds the options of the command it runs alone; every command's
+    # options built give the same help, usage, errors and output
+    ran = _outcome(capsys, argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert _outcome(capsys, argv) == ran
+
+
+def test_main_builds_the_options_of_the_command_it_runs(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    assert _run(capsys, ["paper-example", "--dims", "3"])[0] == 0
+    assert built == ["paper-example"]
+
+
 @pytest.mark.parametrize("doc", [
     {"rho": [[[1, 0]]]},
     [[[1, 0]]],

@@ -202,7 +202,8 @@ def test_modular_spectrum_diagonalized_once_per_pair(monkeypatch):
     for dim in (2, 5, 8):
         pair = trial_pair(40, dim, 0)
         calls = []
-        monkeypatch.setattr(states, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        monkeypatch.setattr(states, "eigh",
+                            lambda a, **kwargs: calls.append(a.shape) or eigh(a, **kwargs))
         values = [quasi_entropy_superoperator(pair, f).value for f in builtin_suite()]
         monkeypatch.undo()
         assert calls == [(1, dim * dim, dim * dim)]

@@ -18,7 +18,7 @@ from quasirel import (
     umegaki,
 )
 from quasirel import states
-from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD, EigenSystem, eigh
+from quasirel.linalg import HERMITICITY_TOL, ZERO_EIG_THRESHOLD, EigenSystem, eigh, hermitian_part
 from quasirel.states import (
     DOUBLE_STOCHASTIC_TOL,
     EIGENVALUE_FLOOR,
@@ -502,3 +502,22 @@ def test_double_stochastic_tolerance_both_sides(monkeypatch, scale, accepted):
     else:
         with pytest.raises(ValueError, match="overlap column sums off"):
             state_pair(rho, sigma)
+
+
+@pytest.mark.parametrize("kind", ["random", "classical"])
+def test_modular_half_power_is_exactly_hermitian(monkeypatch, kind):
+    # modular_spectrum decomposes its half power as it is: hermitian_part
+    # would return the same bytes, so skipping it moves no bit
+    halves = []
+
+    def recording(a, *, symmetrized=False):
+        halves.append((a, symmetrized))
+        return eigh(a, symmetrized=symmetrized)
+
+    monkeypatch.setattr(states, "eigh", recording)
+    for dim in range(2, 9):
+        halves.clear()
+        trial_pair(5, dim, 0, kind).modular_spectrum
+        ((half, symmetrized),) = [(a, sym) for a, sym in halves if a.shape[-1] == dim * dim]
+        assert symmetrized
+        assert hermitian_part(half).tobytes() == half.tobytes()

@@ -148,8 +148,8 @@ def test_merged_chunks_move_no_byte(monkeypatch, fmt, dims):
 
 
 def test_sweep_chunk_runs_one_bound_pass_and_one_render(monkeypatch):
-    # a chunk of four dimensions: one bound pass per route and one render,
-    # one sampled batch per dimension
+    # a chunk of four dimensions: one joined summary, one bound pass per
+    # route and one render, one sampled batch per dimension
     counts = Counter()
 
     def counting(module, name):
@@ -157,12 +157,13 @@ def test_sweep_chunk_runs_one_bound_pass_and_one_render(monkeypatch):
         monkeypatch.setattr(module, name, lambda *args, **kwargs:
                             counts.update([name]) or original(*args, **kwargs))
 
-    for module, name in ((bounds, "bound_reports"), (sweeps, "render_columns"),
-                         (sweeps, "trial_batch")):
+    for module, name in ((sweeps, "bound_reports"), (sweeps, "joined_summary"),
+                         (sweeps, "render_columns"), (sweeps, "trial_batch")):
         counting(module, name)
     (chunk,) = chunk_plan(range(2, 6), 25)
     text, count, _ = sweep_chunk(0, chunk, "random", ALL_F, [0.3, 1.5], "e", "csv")
-    assert counts == {"bound_reports": 6, "render_columns": 1, "trial_batch": 4}
+    assert counts == {"bound_reports": 6, "joined_summary": 1, "render_columns": 1,
+                      "trial_batch": 4}
     assert [line.split(",")[0] for line in text.split("\n")[::count // 4]] == list("2345")
 
 
