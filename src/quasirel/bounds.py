@@ -9,7 +9,9 @@ Both run the same numpy ufuncs, so a number has the bits of its column entry.
 The dimension is a column like the rest, so one pass covers pairs of
 several dimensions. bound_reports lays a route's reports out as one
 BoundTable, a row per bound and a column per pair, and sets every slack in
-it at once; sandwich reads the table's column 0 for a batch of one.
+it at once. sandwich_batch, the one driver of sandwich, the bounds command
+and the sweep, runs every (f, q) route of one or more batches over their
+summary columns joined once; sandwich reads column 0 for a batch of one.
 
 All the tight forms contain divided differences that degenerate to 0/0 when
 the two eigenvalues coincide; those are guarded: below a gap of 1e-8 the
@@ -266,32 +268,29 @@ def violated(applicable, slack):
     return applicable & (slack < SLACK_FLOOR)
 
 
-def route_divergence(batches, f: Optional[OMDFunction] = None, q: Optional[float] = None):
-    """(generator, divergence column) of one route over the pairs of
-    ``batches``, batch by batch: exactly one of ``f``, by the spectral
-    route, and ``q``, the Tsallis generator of that order by the direct one.
+def sandwich_batch(batches: list, routes: list, ae11_base: str = "e") -> list:
+    """Each route's divergence column and bound table over the pairs of
+    ``batches``, of any dimensions, end to end in batch order.
+
+    ``routes`` lists (f, q) choices, each with exactly one of ``f``, by the
+    spectral route, and ``q``, the Tsallis generator of that order by the
+    direct one. A Tsallis order q additionally attaches the Tsallis-specific
+    bounds; the relative-entropy-specific bounds attach only to neg-log.
+    The batches' summary columns are joined once, and each route's bounds
+    run once over them. Returns (generator, q, divergences, bound table)
+    per route.
     """
-    if (f is None) == (q is None):
-        raise ValueError("pass exactly one of f or q")
-    if f is None:
-        f, divergence = tsallis_f(q), [tsallis_values(batch, q) for batch in batches]
-    else:
-        divergence = [spectral_values(batch, f) for batch in batches]
-    return f, np.concatenate(divergence)
-
-
-def sandwich_batch(*batches: PairBatch, f: Optional[OMDFunction] = None,
-                   q: Optional[float] = None, ae11_base: str = "e"):
-    """Divergence column and bound table over the pairs of one or more
-    batches, of any dimensions, end to end in batch order.
-
-    See route_divergence for f and q. A Tsallis order q additionally
-    attaches the Tsallis-specific bounds; the relative-entropy-specific
-    bounds attach only to neg-log. The bounds run once, over the joined
-    summary columns. Returns (generator, divergences, bound table).
-    """
-    gen, divergence = route_divergence(batches, f, q)
-    return gen, divergence, bound_reports(joined_summary(batches), gen, divergence, q, ae11_base)
+    summary, results = joined_summary(batches), []
+    for f, q in routes:
+        if (f is None) == (q is None):
+            raise ValueError("pass exactly one of f or q")
+        if f is None:
+            f, divergence = tsallis_f(q), [tsallis_values(batch, q) for batch in batches]
+        else:
+            divergence = [spectral_values(batch, f) for batch in batches]
+        divergence = np.concatenate(divergence)
+        results.append((f, q, divergence, bound_reports(summary, f, divergence, q, ae11_base)))
+    return results
 
 
 @dataclass(frozen=True)
@@ -306,10 +305,10 @@ def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
              q: Optional[float] = None, ae11_base: str = "e") -> SandwichReport:
     """Divergence plus every applicable bound, with signed slacks.
 
-    The view of sandwich_batch at column 0 for a batch of one, read as
-    numbers; see sandwich_batch for f, q and the bounds that attach.
+    The view of sandwich_batch's one route (f, q) at column 0 for a batch
+    of one, read as numbers; see sandwich_batch for the bounds that attach.
     """
-    gen, divergence, table = sandwich_batch(_single(pair), f=f, q=q, ae11_base=ae11_base)
+    ((gen, _, divergence, table),) = sandwich_batch([_single(pair)], [(f, q)], ae11_base)
     result = DivergenceResult(float(divergence[0]), "spectral" if q is None else "direct",
                               gen.name)
     values, gates, slacks, bad = (column[:, 0].tolist() for column in (

@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .bounds import sandwich_batch
 from .conjecture import conjecture_search
 from .divergences import (
     quasi_entropy_spectral,
@@ -58,7 +59,6 @@ from .quadrature import QuadratureError
 from .states import load_pair
 from .sweeps import (
     PAPER_EXAMPLE_COLUMNS,
-    batch_rows,
     format_cell,
     paper_example_rows,
     render_columns,
@@ -421,8 +421,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
     if (len(specs) + len(cfg.qs)) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
     route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
-    chunk = render_columns(batch_rows([pair], seed, [tag], [route], cfg.log_base), [0],
-                           cfg.format)
+    chunk = render_columns([pair.dim], seed, [tag], sandwich_batch([pair], [route], cfg.log_base),
+                           [0], cfg.format)
     with _output(cfg.output_path) as out:
         _, violations = write_chunks(out, [chunk], cfg.format)
     if violations:

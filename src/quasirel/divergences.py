@@ -29,7 +29,6 @@ from .functions import OMDFunction, is_tsallis_order
 from .linalg import ZERO_EIG_THRESHOLD, spectral_matrix
 from .states import PairBatch, _single
 
-OVERLAP_SKIP = 1e-16
 SUPEROP_DIM_CAP = 12
 
 
@@ -58,13 +57,9 @@ def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
     """
     if not batch.rho_positive.all():
         raise ValueError("spectral route requires a strictly positive rho")
-    lam = batch.rho_spectral.eigenvalues  # descending, all > threshold
-    mu = batch.sigma_spectral.eigenvalues
-    weights = batch.overlaps * lam[:, np.newaxis, :]  # [n, k, j] = overlap * lambda_j
-    live = batch.overlaps >= OVERLAP_SKIP
-    positive_mu = (mu > ZERO_EIG_THRESHOLD)[:, :, np.newaxis]
+    weights, live, positive_mu, ratios = batch.spectral_operands
     with np.errstate(all="ignore"):
-        fvals = f.eval(mu[:, :, np.newaxis] / lam[:, np.newaxis, :])
+        fvals = f.eval(ratios)
         terms = np.where(live, np.where(positive_mu, fvals, f.value_at_zero), 0.0) * weights
         # 0.0 + keeps a sum of negative zeros (rho = sigma under neg-log) at +0
         sums = 0.0 + terms.reshape(len(batch), batch.dim ** 2).sum(axis=1)

@@ -29,6 +29,7 @@ from .linalg import (
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
 DOUBLE_STOCHASTIC_TOL = 1e-10
+OVERLAP_SKIP = 1e-16
 
 
 def density_matrix(mats: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
@@ -136,6 +137,22 @@ class PairBatch:
     @property
     def sigma_positive(self) -> np.ndarray:
         return self.sigma_spectral.eigenvalues[:, -1] > ZERO_EIG_THRESHOLD
+
+    @cached_property
+    def spectral_operands(self) -> tuple:
+        """The generator-free operands of the spectral double sum, indexed
+        [n, k, j] like the overlaps; computed on first use, and rho must be
+        strictly positive. They are the weights overlap * lambda_j, where
+        the overlap is at least OVERLAP_SKIP, where mu_k is above the rank
+        threshold (shape (N, d, 1)), and the ratios mu_k/lambda_j.
+        """
+        lam, mu = self.rho_spectral.eigenvalues, self.sigma_spectral.eigenvalues
+        operands = (self.overlaps * lam[:, np.newaxis, :], self.overlaps >= OVERLAP_SKIP,
+                    (mu > ZERO_EIG_THRESHOLD)[:, :, np.newaxis],
+                    mu[:, :, np.newaxis] / lam[:, np.newaxis, :])
+        for array in operands:
+            array.setflags(write=False)
+        return operands
 
     @cached_property
     def modular_spectrum(self) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,12 @@ Each dimension is cut into blocks of at most _CHUNK_TRIALS trials, and
 neighbouring blocks, of one dimension or several, share a chunk while it
 holds at most _CHUNK_TRIALS pairs and _CHUNK_SQUARES in the sum of d^2 over
 its pairs. Each block is one PairBatch, sampled, validated, diagonalized and
-summarized once, and its divergences run as array operations over it; the
-chunk's summary columns are joined once, each route's bounds run once over
-them as one table, and the chunk is rendered to text straight from the
-tables. The chunks run inline, or at N jobs the calling process runs chunks
-0, N, 2N, ... and child process k the chunks k, k + N, ..., sending their
-text down its own pipe. Each chunk's text is written in plan order as soon
+summarized once. bounds.sandwich_batch runs each route's divergences as
+array operations over the blocks and its bounds once over the chunk's
+joined summary columns as one table, and the chunk is rendered to text
+straight from the tables. The chunks run inline, or at N jobs the calling
+process runs chunks 0, N, 2N, ... and child process k the chunks k, k + N,
+..., sending their text down its own pipe. Each chunk's text is written in plan order as soon
 as it is in hand, and a child that runs ahead blocks on its full pipe, so a
 sweep holds about one chunk per process.
 
@@ -28,13 +28,12 @@ import functools
 import json
 from collections import Counter
 
-from .bounds import ae11_upper, bound_reports, relative_entropy_upper, route_divergence, violated
+from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
 from .functions import parse_f_spec
 from .states import (
     PairBatch,
     TrialStreams,
     example_pair,
-    joined_summary,
     random_classical_pairs,
     random_pairs,
     summarize,
@@ -77,25 +76,6 @@ def trial_pair(seed: int, dim: int, trial: int, pair_kind: str = "random") -> Pa
     return trial_batch(dim, trial_streams([trial_key(seed, dim, trial)]), pair_kind)
 
 
-def batch_rows(batches: list, seed, tags: list, routes: list, ae11_base: str) -> tuple:
-    """BOUNDS_COLUMNS rows for the pairs of one or more batches, end to end,
-    as columns.
-
-    ``seed`` is an int, or "" for a pair from a file; ``tags`` gives each
-    pair its pair_tag; ``routes`` lists (f, q) choices as sandwich takes
-    them. Returns (dims, seed, tags, columns): dims gives each pair its
-    dimension, and columns hold per route its f_name, q cell, divergence
-    column and bound table, as sandwich_batch gives them. The batches'
-    summary columns are joined once for all the routes.
-    """
-    summary, columns = joined_summary(batches), []
-    for f, q in routes:
-        gen, divergence = route_divergence(batches, f, q)
-        columns.append((gen.name, "" if q is None else float(q), divergence,
-                        bound_reports(summary, gen, divergence, q, ae11_base)))
-    return [batch.dim for batch in batches for _ in range(len(batch))], seed, tags, columns
-
-
 def format_cell(value) -> str:
     """One CSV cell: true or false, 17 significant digits, or the value's text."""
     if isinstance(value, bool):
@@ -117,25 +97,27 @@ _FORMATS = {
 }
 
 
-def render_columns(columns: tuple, order: list, fmt: str) -> tuple:
-    """batch_rows' columns as ``fmt`` rows: (text, rows, violations).
+def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt: str) -> tuple:
+    """BOUNDS_COLUMNS rows of sandwich_batch's ``routes`` as ``fmt`` rows:
+    (text, rows, violations).
 
-    Rows come pair by pair in ``order``, a list of indices into the pairs
-    (a pair listed twice gets its rows twice), then route by route, then
-    bound by bound. ``violations`` holds the (bound_name, slack) of each applicable
-    row with slack below -1e-10. The cells a pair's rows share are
-    formatted once per pair and route, the rest one bound at a time from
-    the table's arrays, and each pair's rows are then one %-format of those
-    cells.
+    ``dims`` and ``tags`` give each pair its dimension and pair_tag, and
+    ``seed`` is an int, or "" for a pair from a file. Rows come pair by pair
+    in ``order``, a list of indices into the pairs (a pair listed twice gets
+    its rows twice), then route by route, then bound by bound.
+    ``violations`` holds the (bound_name, slack) of each applicable row with
+    slack below -1e-10. The cells a pair's rows share are formatted once per
+    pair and route, the rest one bound at a time from the table's arrays,
+    and each pair's rows are then one %-format of those cells.
     """
     cell, floats, b, end, sep, _, _ = _FORMATS[fmt]
-    dims, seed, tags, columns = columns
     empty, flags, seed = cell(""), ("false", "true"), cell(seed)
     pairs = [f"{b[0]}{dim}{b[1]}{seed}{b[2]}{cell(tag)}{b[3]}" for dim, tag in zip(dims, tags)]
     forms, cells, flagged = [], [], []  # per (route, bound): a row's %-form and its cells
     width = len(pairs)
-    for f_name, q, divergence, table in columns:
-        route = f"{cell(f_name)}{b[4]}{cell(q)}{b[5]}"
+    for gen, q, divergence, table in routes:
+        # a float, as an int q would print as 2, not 2.0, in JSON
+        route = f"{cell(gen.name)}{b[4]}{cell('' if q is None else float(q))}{b[5]}"
         divergence = floats(divergence.tolist())
         # the table's cells, bound after bound, each bound's pairs in a run
         values = floats(table.value.ravel().tolist())
@@ -182,16 +164,18 @@ def sweep_chunk(seed: int, blocks: list, pair_kind: str,
     given once per listing.
     """
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
-    spans, keys, tags, order = [], [], [], []
+    spans, keys, dims, tags, order = [], [], [], [], []
     for dim, trials in blocks:
         index = {trial: n for n, trial in enumerate(dict.fromkeys(trials), len(keys))}
         spans.append((dim, range(len(keys), len(keys) + len(index))))
         keys += [trial_key(seed, dim, trial) for trial in index]
+        dims += [dim] * len(index)
         tags += [f"{pair_kind}:{trial:06d}" for trial in index]
         order += [index[trial] for trial in trials]
     streams = trial_streams(keys)  # the whole chunk seeded in one pass
     batches = [trial_batch(dim, streams.take(span), pair_kind) for dim, span in spans]
-    return render_columns(batch_rows(batches, int(seed), tags, routes, ae11_base), order, fmt)
+    return render_columns(dims, int(seed), tags, sandwich_batch(batches, routes, ae11_base),
+                          order, fmt)
 
 
 def chunk_plan(dims: list, trials: int) -> list:

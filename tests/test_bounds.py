@@ -254,7 +254,7 @@ def test_sandwich_random_pairs_no_violations():
 def test_sandwich_is_index_n_of_sandwich_batch():
     # one batch per dimension mixes random and classical pairs, plus the
     # qubit PAIR at d = 2 and example_pair(4), whose divergence is infinite
-    calls = [{"f": f} for f in builtin_suite()] + [{"q": q} for q in (0.3, 1.5, 2.0)]
+    routes = [(f, None) for f in builtin_suite()] + [(None, q) for q in (0.3, 1.5, 2.0)]
     seen = {"infinite": 0, "inapplicable": 0}
     for dim in range(2, 9):
         pairs = [trial_pair(44, dim, trial, kind)
@@ -262,10 +262,11 @@ def test_sandwich_is_index_n_of_sandwich_batch():
         pairs += {2: [PAIR], 4: [example_pair(4)]}.get(dim, [])
         batch = pair_batch(np.concatenate([p.rho for p in pairs]),
                            np.concatenate([p.sigma for p in pairs]))
-        for kwargs in calls:
-            gen, divergence, table = sandwich_batch(batch, **kwargs)
+        for route in routes:
+            ((gen, q, divergence, table),) = sandwich_batch([batch], [route])
+            assert q == route[1]
             for n, pair in enumerate(pairs):
-                swr = sandwich(pair, **kwargs)
+                swr = sandwich(pair, *route)
                 assert swr.divergence.value == divergence[n]
                 assert swr.divergence.f_name == gen.name
                 assert swr.vacuous == (not math.isfinite(divergence[n]))
@@ -304,8 +305,8 @@ def test_slack_floor_both_sides(scale, flagged):
     assert violated(True, slack) is flagged
     table = BoundTable(("b",), ("",), (False,), np.array([[1.0]]), np.array([[True]]),
                        np.array([[slack]]))
-    columns = ([3], 5, ["t"], [("neg-log", "", np.array([1.0]), table)])
-    text, rows, violations = render_columns(columns, [0], "csv")
+    routes = [(neg_log(), None, np.array([1.0]), table)]
+    text, rows, violations = render_columns([3], 5, ["t"], routes, [0], "csv")
     assert rows == 1 and ("%.17g" % slack) in text
     assert violations == ([("b", slack)] if flagged else [])
 
@@ -327,10 +328,10 @@ def test_bracket_core_once_per_route(monkeypatch):
     calls = []
     monkeypatch.setattr(bounds, "_bracket_core",
                         lambda summary, f: calls.append(f.name) or _bracket_core(summary, f))
-    routes = [{"f": f} for f in builtin_suite()] + [{"q": 0.3}, {"q": 1.5}]
-    for kwargs in routes:
+    routes = [(f, None) for f in builtin_suite()] + [(None, 0.3), (None, 1.5)]
+    for route in routes:
         calls.clear()
-        gen, _, table = sandwich_batch(batch, **kwargs)
+        ((gen, _, _, table),) = sandwich_batch([batch], [route])
         assert calls == [gen.name]
         by_name = dict(zip(table.bound_names, table.value))
         for formula, name in ((qubit_classical_upper, "qubit_classical_upper"),
@@ -341,8 +342,17 @@ def test_bracket_core_once_per_route(monkeypatch):
 def test_sandwich_batch_reuses_the_tsallis_descriptor():
     batch = random_pairs(3, trial_streams([46]))
     for q in (0.3, 1.5):
-        gens = [sandwich_batch(batch, q=q)[0] for _ in range(3)]
+        gens = [sandwich_batch([batch], [(None, q)])[0][0] for _ in range(3)]
         assert gens[0] is gens[1] is gens[2] is tsallis_f(q)
+
+
+@pytest.mark.parametrize("route", [(neg_log(), 0.3), (None, None)], ids=["both", "neither"])
+def test_a_route_names_exactly_one_of_f_or_q(route):
+    batch = random_pairs(3, trial_streams([47]))
+    with pytest.raises(ValueError, match="pass exactly one of f or q"):
+        sandwich(batch, *route)
+    with pytest.raises(ValueError, match="pass exactly one of f or q"):
+        sandwich_batch([batch], [(neg_log(), None), route])
 
 
 _QUBIT_GATED = ("qubit_classical_upper", "qubit_relative_tight_upper",
@@ -350,21 +360,21 @@ _QUBIT_GATED = ("qubit_classical_upper", "qubit_relative_tight_upper",
                 "tsallis_qubit_loose_upper")
 
 
-@pytest.mark.parametrize("kwargs", [{"f": neg_log()}, {"q": 0.3}, {"q": 1.5}],
+@pytest.mark.parametrize("route", [(neg_log(), None), (None, 0.3), (None, 1.5)],
                          ids=["neg-log", "q0.3", "q1.5"])
-def test_sandwich_batch_over_mixed_dimensions_is_exact(kwargs):
+def test_sandwich_batch_over_mixed_dimensions_is_exact(route):
     # one call over batches of d = 2, 3 and 5 gives every pair the bits it
     # gets in a call over its own batch
     parts = [trial_batch(dim, trial_streams([trial_key(17, dim, t) for t in range(n)]))
              for dim, n in ((2, 4), (3, 5), (5, 3))]
     dims = np.repeat([2, 3, 5], [4, 5, 3])
-    gen, divergence, table = sandwich_batch(*parts, **kwargs)
+    ((gen, _, divergence, table),) = sandwich_batch(parts, [route])
     assert joined_summary(parts).dim.tolist() == dims.tolist()
-    alone = [sandwich_batch(part, **kwargs) for part in parts]
-    assert all(g is gen for g, _, _ in alone)
-    assert divergence.tolist() == np.concatenate([d for _, d, _ in alone]).tolist()
+    alone = [sandwich_batch([part], [route])[0] for part in parts]
+    assert all(g is gen for g, _, _, _ in alone)
+    assert divergence.tolist() == np.concatenate([d for _, _, d, _ in alone]).tolist()
     for row, name in enumerate(table.bound_names):
-        own = [t for _, _, t in alone]
+        own = [t for _, _, _, t in alone]
         assert [t.bound_names[row] for t in own] == [name] * 3
         assert table.value[row].tolist() == np.concatenate([t.value[row] for t in own]).tolist()
         assert table.applicable[row].tolist() == np.concatenate(
@@ -378,7 +388,7 @@ def test_sandwich_batch_over_mixed_dimensions_is_exact(kwargs):
     np.testing.assert_allclose(ratio, np.sqrt(dims), rtol=1e-15)
     assert {name for name in _QUBIT_GATED if name in by_name} == (
         {"qubit_classical_upper", "qubit_relative_tight_upper", "qubit_relative_loose_upper"}
-        if "f" in kwargs else
+        if route[0] is not None else
         {"qubit_classical_upper", "tsallis_qubit_tight_upper", "tsallis_qubit_loose_upper"})
 
 

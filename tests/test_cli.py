@@ -549,6 +549,28 @@ def test_bounds_pair_kind_flag_matches_config(tmp_path, capsys):
     assert _run(capsys, argv)[1] != flagged
 
 
+def test_log_base_2_bounds_and_sweep_agree(tmp_path, capsys):
+    # --log-base 2 renames the logarithmic bound and divides the base-e value
+    # by log 2; bounds and a one-trial sweep give the same bytes for it, and
+    # the config key gives the bytes of the flag
+    def ae11(out):
+        (row,) = [r for r in json.loads(out) if r["bound_name"].startswith("ae11")]
+        return row
+
+    pair = ["--dims", "3", "--seed", "5", "--f", "neg-log"]
+    for fmt in ("csv", "json"):
+        bounds_argv = ["bounds", *pair, "--format", fmt]
+        sweep_argv = ["sweep", *pair, "--trials", "1", "--jobs", "1", "--format", fmt]
+        code, out, _ = _run(capsys, [*bounds_argv, "--log-base", "2"])
+        assert code == 0
+        assert _run(capsys, [*sweep_argv, "--log-base", "2"])[:2] == (0, out)
+        for argv in (bounds_argv, sweep_argv):
+            assert _config_run(tmp_path, capsys, argv, {"log_base": "2"})[:2] == (0, out)
+    base2, natural = ae11(out), ae11(_run(capsys, bounds_argv)[1])
+    assert (base2["bound_name"], natural["bound_name"]) == ("ae11_upper_base2", "ae11_upper")
+    assert base2["bound_value"] == natural["bound_value"] / math.log(2.0)
+
+
 # Each command run on small inputs: every branch that reads a setting is taken.
 _SMALL_RUNS = {
     "divergence": ["--q", "0.5"],

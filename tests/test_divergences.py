@@ -21,7 +21,6 @@ from quasirel import (
 )
 from quasirel import states
 from quasirel.divergences import (
-    OVERLAP_SKIP,
     SUPEROP_DIM_CAP,
     spectral_values,
     superoperator_values,
@@ -29,8 +28,8 @@ from quasirel.divergences import (
     umegaki_values,
 )
 from quasirel.linalg import ZERO_EIG_THRESHOLD, eigh, spectral_matrix
-from quasirel.states import (example_pair, pair_batch, random_classical_pairs, random_pairs,
-                             state_pair, trial_streams)
+from quasirel.states import (OVERLAP_SKIP, example_pair, pair_batch, random_classical_pairs,
+                             random_pairs, state_pair, trial_streams)
 from quasirel.sweeps import trial_batch, trial_key, trial_pair
 from serial_search import haar_unitary
 from spectral_oracle import dual_function
@@ -256,6 +255,21 @@ def test_batch_values_match_each_pair_alone():
 
     pairs[-1] = state_pair(pairs[-1].sigma[0], pairs[-1].rho[0])
     assert [umegaki(p).value for p in pairs] == umegaki_values(batch_of(pairs)).tolist()
+
+
+def test_spectral_operands_built_once_per_batch(monkeypatch):
+    # the generator-free operands of the spectral sum belong to the batch:
+    # one build serves every builtin, and no route can write to them
+    batch = trial_batch(4, trial_streams([trial_key(48, 4, t) for t in range(3)]))
+    operands = states.PairBatch.__dict__["spectral_operands"]
+    build, calls = operands.func, []
+    monkeypatch.setattr(operands, "func", lambda b: calls.append(len(b)) or build(b))
+    values = [spectral_values(batch, f).tolist() for f in builtin_suite()]
+    assert len(values) == 4 and calls == [3]
+    assert values == [[quasi_entropy_spectral(trial_pair(48, 4, t), f).value for t in range(3)]
+                      for f in builtin_suite()]
+    for array in batch.spectral_operands:
+        assert not array.flags.writeable
 
 
 def test_superoperator_dimension_cap_both_sides():

@@ -157,7 +157,7 @@ def test_sweep_chunk_runs_one_bound_pass_and_one_render(monkeypatch):
         monkeypatch.setattr(module, name, lambda *args, **kwargs:
                             counts.update([name]) or original(*args, **kwargs))
 
-    for module, name in ((sweeps, "bound_reports"), (sweeps, "joined_summary"),
+    for module, name in ((bounds, "bound_reports"), (bounds, "joined_summary"),
                          (sweeps, "render_columns"), (sweeps, "trial_batch")):
         counting(module, name)
     (chunk,) = chunk_plan(range(2, 6), 25)
@@ -289,3 +289,13 @@ def test_paper_example_first_row_frozen():
     assert row["ae11_natural"] == pytest.approx(math.log(2.0) / 3.0, rel=1e-12)
     assert row["ae11_base2"] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert row["winner_per_base"] == "e=old;2=old"
+
+
+@pytest.mark.parametrize("base", [0.5, 1e3], ids=["absolute", "relative"])
+@pytest.mark.parametrize("scale, tie", [(0.9, True), (1.1, False)])
+def test_winner_tie_threshold_both_sides(base, scale, tie):
+    # a tie is a gap within 1e-9 * max(1, |new|, |old|): the floor 1 sets it
+    # below 1, the larger value near 1e3
+    lower, upper = base - scale * 1e-9 * max(1.0, base), base
+    assert sweeps._winner(lower, upper) == ("tie" if tie else "new")
+    assert sweeps._winner(upper, lower) == ("tie" if tie else "old")
