@@ -351,9 +351,11 @@ def _output(output_path: Optional[str]):
         with open(partial, "w") as fh:
             yield fh
         os.replace(partial, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(partial)
+        if isinstance(exc, OSError) and exc.filename == partial:  # name the file given
+            raise OSError(exc.errno, exc.strerror, output_path) from None
         raise
 
 

@@ -28,6 +28,8 @@ import functools
 import json
 from collections import Counter
 
+import numpy as np
+
 from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
 from .functions import parse_f_spec
 from .states import (
@@ -83,14 +85,104 @@ def format_cell(value) -> str:
     return "%.17g" % value if isinstance(value, float) else str(value)
 
 
-# Per format: one scalar cell's text, a list of floats' cells, the text
+_G17_BLOCK = 2048  # cells _g17_block formats at once: bounds its arrays
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """Built on first use: 10^(16 - k), k = -252 .. 252, as hi + lo from exact
+    integers, hi also in halves; the 4-digit groups, then with trailing zeros NUL."""
+    hi, lo = [], []
+    for p in range(-236, 269):
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        hi.append(num / den)  # int / int rounds correctly
+        n, d = hi[-1].as_integer_ratio()
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    head = hi * 134217729.0 - (hi * 134217729.0 - hi)  # Veltkamp's split, 2^27 + 1
+    g = np.arange(10000, dtype=np.int16)[:, None]
+    digits = (g // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
+    bare = digits * (g % np.array([10000, 1000, 100, 10], np.int16) != 0)
+    return hi, head, hi - head, np.array(lo), np.concatenate([digits, bare]).view(np.uint32)[:, 0]
+
+
+def _bytes(rows, offset, width: int):  # width bytes from offset of each row, or of every byte
+    if offset is None:
+        return np.ndarray((rows.size - width + 1,), f"V{width}", rows, 0, (1,))
+    return np.ndarray((len(rows),), f"V{width}", rows, offset, (rows.shape[1],))
+
+
+def _g17_cells(xs) -> list:
+    """_g17_block's cells of a float array, in even blocks of at most _G17_BLOCK."""
+    cells = []
+    for block in np.array_split(xs, -(-len(xs) // _G17_BLOCK)):
+        cells += _g17_block(block)
+    return cells
+
+
+def _g17_block(xs) -> list:
+    """['%.17g' % x for x in xs] by array arithmetic where a cell is certified:
+    1e-250 <= |x| <= 1e250, and y = |x| 10^(16-k), k = floor(log10|x|), in
+    [10^16, 10^17) and over 1e-6 from a half once rounded to the integer D of
+    its 17 digits (y errs by under 1e-14). The rest go to format_cell."""
+    hi, head, tail, lo, groups = _g17_tables()
+    a = np.abs(xs)
+    ok = (a >= 1e-250) & (a <= 1e250)  # False at NaN, so nothing below warns
+    a[~ok] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p = 252 - k  # the tables' index of 10^(16-k)
+    # y = y1 + y2: Dekker's exact product of a and hi, plus a * lo
+    y1, head, tail = a * hi[p], head[p], tail[p]
+    a_head = a * 134217729.0 - (a * 134217729.0 - a)
+    a_tail = a - a_head
+    y2 = a_head * head - y1 + a_head * tail + a_tail * head + a_tail * tail + a * lo[p]
+    rounded = np.rint(y2)  # y1 >= 2^53 is an integer
+    D = y1.astype(np.int64) + rounded.astype(np.int64)
+    y2 -= rounded
+    ok &= (np.abs(y2) < 0.5 - 1e-6) & (D < 10 ** 17) & ((y1 - 1e16) + rounded + y2 >= 0)
+    D[~ok] = 10 ** 16
+    # D's first digit, then 4 groups of 4, each group also bare if only zeros follow
+    g, bare = np.empty((len(xs), 5), np.int64), np.full((len(xs), 5), 10000)
+    for j, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        g[:, j] = D // unit
+        D -= g[:, j] * unit
+        bare[:, j] *= D == 0
+    # R: 23 '0's, the digits; 7 '0's, the digits with trailing zeros NUL; 20 NULs
+    R = np.full((len(xs), 84), 48, np.uint8)
+    R[:, 23] = R[:, 47] = g[:, 0] + 48
+    _bytes(R, 24, 16)[:] = groups[g[:, 1:]].view("V16").ravel()
+    _bytes(R, 48, 16)[:] = groups[g[:, 1:] + bare[:, 1:]].view("V16").ravel()
+    R[:, 64:] = 0
+    # Y: the sign, 17 integer places, the point, 20 decimals, the exponent
+    point = np.where((k >= -4) & (k < 17), k, 0)  # the digit before the point
+    at = np.arange(0, R.size, 84) + point
+    Y = np.zeros((len(xs), 44), np.uint8)
+    _bytes(Y, 1, 17)[:] = _bytes(R, None, 17)[at + 7]
+    _bytes(Y, 19, 20)[:] = _bytes(R, None, 20)[at + 48]
+    Y[:, 18] = (Y[:, 19] != 0) * 46
+    negative = xs < 0
+    start = np.arange(17, Y.size, 44) - np.maximum(point, 0) - negative
+    Y.ravel()[start[negative]] = 45
+    sci = np.flatnonzero(ok & (point != k))  # d.ddd...e±XX
+    if len(sci):
+        end = sci * 44 + 18 + np.count_nonzero(Y[sci, 18:39], axis=1)
+        exponents = np.array([b"e%+03d" % e for e in k[sci].tolist()], "S5")
+        _bytes(Y, None, 5)[end] = exponents.view("V5")
+    # each cell's 24 bytes from its start; the NULs after its text drop
+    cells = _bytes(Y, None, 24)[start].view(np.uint8).astype(np.uint32).view("U24").tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        cells[i] = format_cell(float(xs[i]))
+    return cells
+
+
+# Per format: one scalar cell's text, a float array's cells, the text
 # before each BOUNDS_COLUMNS cell of a row, after its last, between two rows,
 # and the table's head and tail. No cell of a bound row needs CSV quoting.
 # JSON gives the bytes of json.dumps(rows, indent=1).
 _FORMATS = {
-    "csv": (format_cell, lambda xs: (",".join(["%.17g"] * len(xs)) % tuple(xs)).split(","),
+    "csv": (format_cell, _g17_cells,
             ("",) + (",",) * 9, "", "\n", ",".join(BOUNDS_COLUMNS) + "\n", "\n"),
-    "json": (json.dumps, lambda xs: json.dumps(xs)[1:-1].split(", "),
+    "json": (json.dumps, lambda xs: json.dumps(xs.tolist())[1:-1].split(", "),
              tuple((",\n  " if i else " {\n  ") + json.dumps(name) + ": "
                    for i, name in enumerate(BOUNDS_COLUMNS)),
              "\n }", ",\n", "[\n", "\n]\n"),
@@ -107,32 +199,38 @@ def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt:
     its rows twice), then route by route, then bound by bound.
     ``violations`` holds the (bound_name, slack) of each applicable row with
     slack below -1e-10. The cells a pair's rows share are formatted once per
-    pair and route, the rest one bound at a time from the table's arrays,
-    and each pair's rows are then one %-format of those cells.
+    pair and route, and every float cell of the chunk (each route's
+    divergences, bound values and slacks) in one call; each pair's rows are
+    then one %-format of those cells.
     """
     cell, floats, b, end, sep, _, _ = _FORMATS[fmt]
     empty, flags, seed = cell(""), ("false", "true"), cell(seed)
     pairs = [f"{b[0]}{dim}{b[1]}{seed}{b[2]}{cell(tag)}{b[3]}" for dim, tag in zip(dims, tags)]
     forms, cells, flagged = [], [], []  # per (route, bound): a row's %-form and its cells
     width = len(pairs)
-    for gen, q, divergence, table in routes:
+    # the chunk's float cells: divergences and bound values route by route, then slacks
+    columns = [c for *_, divergence, table in routes for c in (divergence, table.value.ravel())]
+    at, at_slack = 0, sum(map(len, columns))
+    numbers = np.concatenate(columns + [table.slack.ravel() for *_, table in routes])
+    texts = floats(numbers)
+    for i in np.flatnonzero(np.isnan(numbers[at_slack:])).tolist():
+        texts[at_slack + i] = empty  # a NaN slack: no cell
+    for gen, q, _, table in routes:
         # a float, as an int q would print as 2, not 2.0, in JSON
         route = f"{cell(gen.name)}{b[4]}{cell('' if q is None else float(q))}{b[5]}"
-        divergence = floats(divergence.tolist())
-        # the table's cells, bound after bound, each bound's pairs in a run
-        values = floats(table.value.ravel().tolist())
-        slacks = table.slack.ravel().tolist()
-        slack_cells = [empty if s != s else t for s, t in zip(slacks, floats(slacks))]  # NaN: none
+        divergence, at = texts[at:at + width], at + width
         oks = [flags[a] for a in table.applicable.ravel().tolist()]
+        # the table's cells, bound after bound, each bound's pairs in a run
         for row, name in enumerate(table.bound_names):
             # %s: the pair's first cells, then bound_value, divergence, slack, applicable
             glue = (f"{route}{cell(name)}{b[6]}", b[7], b[8], b[9], end)
             forms.append("%s" + "%s".join(glue))  # no name or glue holds a %
-            run = slice(row * width, (row + 1) * width)
-            cells += [pairs, values[run], divergence, slack_cells[run], oks[run]]
+            cells += [pairs, texts[at:at + width], divergence,
+                      texts[at_slack:at_slack + width], oks[row * width:(row + 1) * width]]
+            at, at_slack = at + width, at_slack + width
         bad = violated(table.applicable, table.slack)
         if bad.any():
-            flagged += [(name, slacks[row * width:(row + 1) * width], bad[row].tolist())
+            flagged += [(name, table.slack[row].tolist(), bad[row].tolist())
                         for row, name in enumerate(table.bound_names) if bad[row].any()]
     form = sep.join(forms)  # all the rows of one pair
     pair_text = [form % pair_cells for pair_cells in zip(*cells)]

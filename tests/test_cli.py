@@ -275,9 +275,14 @@ def test_conjecture_climb_flags_are_checked(tmp_path, capsys):
 def test_exit_code_io_errors(tmp_path, capsys):
     missing_cfg = tmp_path / "nope.json"
     assert main(["sweep", "--config", str(missing_cfg)]) == 4
-    target = tmp_path / "no-dir" / "out.csv"
-    assert main(["paper-example", "--out", str(target)]) == 4
     capsys.readouterr()
+    # an --out in a missing directory names the file given, not the partial one
+    target = tmp_path / "no-dir" / "out.csv"
+    for argv in (["paper-example"], ["sweep", "--dims", "2", "--trials", "3", "--f", "neg-log"]):
+        code, out, err = _run(capsys, argv + ["--out", str(target)])
+        assert code == 4 and out == ""
+        assert str(target) in err and ".tmp" not in err
+    assert not (tmp_path / "no-dir").exists()
 
 
 def test_exit_code_verification_failure(monkeypatch, capsys):
@@ -323,6 +328,43 @@ def test_bound_tables_are_the_bytes_of_the_dict_rendering(tmp_path, capsys):
         assert out == json.dumps(rows, indent=1) + "\n"
         assert _run(capsys, argv)[1] == render_rows(rows, sweeps.BOUNDS_COLUMNS, "csv")
     assert rows[0]["divergence"] == math.inf and rows[0]["slack"] == ""
+
+
+_GENERATORS = ["--f", "all", "--q", "0.3,1.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dims", "2..5", "--trials", "25", *_GENERATORS],  # sweep_suite's grid
+    ["--dims", "2..16", "--trials", "3", *_GENERATORS],
+    ["--dims", "2..16", "--trials", "3", *_GENERATORS, "--pair-kind", "classical"],
+    ["--dims", "2..6", "--trials", "20", *_GENERATORS, "--log-base", "2"],
+    ["--dims", "3", "--trials", "256", "--f", "neg-log", "--q", "1.5"],  # one 256-pair chunk
+    ["--pair-file", "singular"],
+], ids=["suite", "wide", "classical", "base2", "chunk256", "singular"])
+def test_large_chunks_csv_cells_are_format_cell_bytes(tmp_path, monkeypatch, capsys, argv):
+    # the array pass writes each float cell as format_cell's '%.17g' would,
+    # cell by cell, the singular pair's inf and empty cells included
+    if argv == ["--pair-file", "singular"]:
+        rho = random_pairs(3, trial_streams([5])).rho[0]
+        save_pair(tmp_path / "singular.json", state_pair(rho, np.diag([1.0, 0.0, 0.0])))
+        argv = ["bounds", "--pair-file", str(tmp_path / "singular.json"), "--f", "neg-log"]
+    else:
+        argv = ["sweep", "--jobs", "1", *argv]
+    blocks, block = [], sweeps._g17_block
+
+    def counted(xs):
+        blocks.append(len(xs))
+        return block(xs)
+
+    monkeypatch.setattr(sweeps, "_g17_block", counted)
+    rows = json.loads(_run(capsys, argv + ["--format", "json"])[1])
+    assert not blocks  # JSON cells are json.dumps'
+    got = _run(capsys, argv)[1].splitlines()
+    want = render_rows(rows, sweeps.BOUNDS_COLUMNS, "csv").splitlines()
+    assert len(got) == len(want) and blocks
+    assert [row for row in zip(got, want) if row[0] != row[1]] == []
+    if "bounds" in argv:
+        assert {"inf", ""} <= {cell for line in got for cell in line.split(",")}
 
 
 def test_sweep_out_is_all_or_nothing(tmp_path, monkeypatch, capsys):

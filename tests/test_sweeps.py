@@ -5,8 +5,12 @@ import io
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirel import bounds, builtin_suite, paper_example_rows, sweep_bounds, sweeps
 from quasirel.sweeps import chunk_plan, sweep_chunk, trial_pair
@@ -299,3 +303,109 @@ def test_winner_tie_threshold_both_sides(base, scale, tie):
     lower, upper = base - scale * 1e-9 * max(1.0, base), base
     assert sweeps._winner(lower, upper) == ("tie" if tie else "new")
     assert sweeps._winner(upper, lower) == ("tie" if tie else "old")
+
+
+# The CSV float cells: the array pass must give '%.17g' % x for every float,
+# whether it certifies the cell or leaves it to format_cell.
+
+
+def _assert_g17(values):
+    xs = np.array(values, dtype=float)
+    assert sweeps._g17_block(xs) == ["%.17g" % x for x in xs.tolist()]
+
+
+def _left_to_format_cell(monkeypatch, values) -> list:
+    """The values _g17_block does not certify, which format_cell writes."""
+    left = []
+
+    def format_cell(x):
+        left.append(x)
+        return "%.17g" % x
+
+    monkeypatch.setattr(sweeps, "format_cell", format_cell)
+    _assert_g17(values)
+    return left
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_block_equals_percent_format(values):
+    # NaN, both infinities, both zeros and subnormals all drawn
+    _assert_g17(values)
+
+
+def test_g17_block_at_powers_of_ten_and_their_neighbours():
+    # a power of ten is where log10 gives a k off by one; 1e-300 .. 1e300
+    # also crosses both ends of the certified range and 3-digit exponents
+    tens = np.array([10.0 ** e for e in range(-300, 301)])
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    _assert_g17(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("x, cell", [
+    (1000000000000000.25, "1000000000000000.2"),  # an exact tie: half to even
+    (1000000000000001.25, "1000000000000001.2"),
+    (1000000000000000.75, "1000000000000000.8"),
+    (2.0 ** -25, "2.9802322387695312e-08"),
+])
+def test_g17_block_leaves_exact_ties_to_format_cell(monkeypatch, x, cell):
+    assert _left_to_format_cell(monkeypatch, [x, -x]) == [x, -x]
+    assert sweeps._g17_block(np.array([x]))[0] == cell
+
+
+@pytest.mark.parametrize("x, certified", [
+    (1e-250, True), (np.nextafter(1e-250, 0), False),  # the range's lower end
+    (9.9999e249, True), (np.nextafter(1e250, np.inf), False),  # its upper end
+])
+def test_g17_certified_range_both_ends(monkeypatch, x, certified):
+    assert _left_to_format_cell(monkeypatch, [x, -x]) == ([] if certified else [x, -x])
+
+
+@pytest.mark.parametrize("m, certified", [(125457, False), (368614, True)])
+def test_g17_tie_margin_both_sides(monkeypatch, m, certified):
+    # x = 1 + m 2^-52 gives y = x 10^16 a fraction 7.97e-7 and 1.65e-6 from
+    # a half: inside the 1e-6 margin the cell is left to format_cell
+    x = 1 + m * 2.0 ** -52
+    distance = abs(Fraction(x) * 10 ** 16 % 1 - Fraction(1, 2))
+    assert (distance > Fraction(1, 10 ** 6)) == certified
+    assert _left_to_format_cell(monkeypatch, [x, -x]) == ([] if certified else [x, -x])
+
+
+def test_g17_leaves_y_past_10_to_the_17_to_format_cell(monkeypatch):
+    # a log10 a decade low puts every y at or past 10^17, where D would have
+    # 18 digits (1.0 would lay out as ':'): no cell is certified
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) - 1)
+    xs = [1.0, 10.0, 0.5, 123.456, 3e-7, 9.87e20]
+    assert _left_to_format_cell(monkeypatch, xs) == xs
+
+
+@pytest.mark.parametrize("x, cell", [
+    (1.2345678901234567e-5, "1.2345678901234568e-05"),  # k = -5: exponent
+    (1.2345678901234567e-4, "0.00012345678901234567"),  # k = -4: fixed
+    (1.2345678901234567e16, "12345678901234568"),  # k = 16: fixed
+    (1.2345678901234567e17, "1.2345678901234566e+17"),  # k = 17: exponent
+    (1.5e-100, "1.5e-100"), (2.5e200, "2.5000000000000001e+200"),  # 3-digit exponents
+    (0.5, "0.5"), (100.0, "100"), (1e16, "10000000000000000"), (3e-5, "3.0000000000000001e-05"),
+])
+def test_g17_block_where_the_notation_switches(monkeypatch, x, cell):
+    assert _left_to_format_cell(monkeypatch, [x, -x]) == []
+    assert sweeps._g17_block(np.array([x, -x])) == [cell, "-" + cell]
+
+
+@pytest.mark.parametrize("cells, blocks", [
+    (1, [1]),
+    (sweeps._G17_BLOCK, [sweeps._G17_BLOCK]),
+    (sweeps._G17_BLOCK + 1, [sweeps._G17_BLOCK // 2 + 1, sweeps._G17_BLOCK // 2]),
+])
+def test_g17_cells_format_even_blocks_of_at_most_g17_block(monkeypatch, cells, blocks):
+    calls = []
+
+    def block(xs):
+        calls.append(len(xs))
+        return ["%.17g" % x for x in xs.tolist()]
+
+    monkeypatch.setattr(sweeps, "_g17_block", block)
+    xs = np.linspace(0.1, 2.0, cells)
+    assert sweeps._g17_cells(xs) == ["%.17g" % x for x in xs.tolist()]
+    assert calls == blocks
