@@ -13,10 +13,12 @@ it at once. sandwich_batch, the one driver of sandwich, the bounds command
 and the sweep, runs every (f, q) route of one or more batches over their
 summary columns joined once; sandwich reads column 0 for a batch of one.
 
-All the tight forms contain divided differences that degenerate to 0/0 when
-the two eigenvalues coincide; those are guarded: below a gap of 1e-8 the
-mean-value limit is substituted (continuous extension), evaluated at the
-arithmetic midpoint.
+qubit_relative_tight_upper and tsallis_qubit_tight_upper are the bracket
+bound (a = 0) under a qubit gate and take qubit_classical_upper's value.
+The bracket and the quotients of relative_entropy_tight_upper and the q < 1
+tsallis_tight_upper are 0/0 where their eigenvalues meet; below a gap of
+1e-8 each takes its limit: the bracket -f'(1), exact at lambda_rho =
+alpha_sigma, and the two quotients the derivative at the arithmetic midpoint.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .divergences import (
     spectral_values,
     tsallis_values,
 )
-from .functions import OMDFunction, is_tsallis_order, tsallis_f
+from .functions import OMDFunction, is_tsallis_order, neg_log, tsallis_f
 from .states import PairBatch, ScalarSummary, _single, joined_summary
 
 COMMUTING_TOL = 1e-10
@@ -178,16 +180,16 @@ def ae11_upper(summary: ScalarSummary, base: str = "e") -> BoundReport:
 
 
 def qubit_relative_upper(summary: ScalarSummary) -> list[BoundReport]:
-    """Qubit-only tight/loose upper bounds on the relative entropy."""
-    applicable = summary.dim == 2
-    reason = "requires a qubit pair"
-    dist, lam, alph = summary.trace_distance_1, summary.lambda_rho, summary.alpha_sigma
-    tight = dist * lam * guarded_log_diff_quot(lam, alph)
-    loose = dist * lam / alph
-    return [
-        BoundReport("qubit_relative_tight_upper", tight, applicable, reason),
-        BoundReport("qubit_relative_loose_upper", loose, applicable, reason),
-    ]
+    """Qubit-only tight/loose upper bounds on the relative entropy; the tight
+    one is neg-log's bracket bound, with qubit_classical_upper's value."""
+    return _qubit_relative_rows(summary, qubit_classical_upper(summary, neg_log()).value)
+
+
+def _qubit_relative_rows(summary: ScalarSummary, bracket_bound) -> list[BoundReport]:
+    applicable, reason = summary.dim == 2, "requires a qubit pair"
+    loose = summary.trace_distance_1 * summary.lambda_rho / summary.alpha_sigma
+    return [BoundReport("qubit_relative_tight_upper", bracket_bound, applicable, reason),
+            BoundReport("qubit_relative_loose_upper", loose, applicable, reason)]
 
 
 def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
@@ -197,38 +199,35 @@ def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
     spectra), the prior 1/(q-1) bound, and its improved form, smaller by
     exactly the factor q-1. q in (0, 1): the prior 1/(1-q) bound, the
     divided-difference tight bound, and its loose companion. Qubit pairs
-    additionally get a dedicated tight/loose pair at any valid q.
+    additionally get a dedicated tight/loose pair at any valid q; the tight
+    one is tsallis_f(q)'s bracket bound, with qubit_classical_upper's value.
     """
-    dist, lam_r = summary.trace_distance_1, summary.lambda_rho
     if not is_tsallis_order(q):
-        return [BoundReport("tsallis_bounds", dist * math.nan, False,
-                            f"q={q:g} outside (0,2)\\{{1}}")]
-    alpha, alph_s = summary.alpha, summary.alpha_sigma
-    dist_lam_q = dist * np.power(lam_r, q)
-    values = []
+        return [BoundReport("tsallis_bounds", summary.trace_distance_1 * math.nan, False,
+                            f"q={q:g} outside (0, 2] excluding 1")]
+    return _tsallis_rows(summary, q, qubit_classical_upper(summary, tsallis_f(q)).value)
+
+
+def _tsallis_rows(summary: ScalarSummary, q: float, bracket_bound) -> list[BoundReport]:
+    dist, alpha, alph_s = summary.trace_distance_1, summary.alpha, summary.alpha_sigma
+    dist_lam_q = dist * np.power(summary.lambda_rho, q)
+    qubit_loose = dist_lam_q / np.power(alph_s, q)  # for q < 1, (1-q) times the prior
     if q > 1.0:
         lam_joint = np.maximum(summary.lambda_rho, summary.lambda_sigma)
-        ceil_coeff = (math.ceil(q) - 1.0) / (q - 1.0)
-        values.append(("tsallis_ceil_upper",
-                       ceil_coeff * np.power(lam_joint / alph_s, q - 1.0) * dist))
+        ceil = (math.ceil(q) - 1.0) / (q - 1.0) * np.power(lam_joint / alph_s, q - 1.0) * dist
         prior = dist_lam_q / np.power(alpha, q) / (q - 1.0)
-        values.append(("tsallis_prior_upper", prior))
-        values.append(("tsallis_improved_upper", prior * (q - 1.0)))
+        values = [("tsallis_ceil_upper", ceil),
+                  ("tsallis_prior_upper", prior),
+                  ("tsallis_improved_upper", prior * (q - 1.0))]
     else:
-        values.append(("tsallis_prior_upper", dist_lam_q / np.power(alph_s, q) / (1.0 - q)))
         diff_quot = guarded_power_diff_quot(summary.alpha_rho, alph_s, q)
-        values.append(("tsallis_tight_upper", dist_lam_q * diff_quot / (1.0 - q)))
-        values.append(("tsallis_loose_upper", dist_lam_q / np.power(alpha, q)))
-    reports = [BoundReport(name, value) for name, value in values]
-    qubit_ok = summary.dim == 2
-    qubit_reason = "requires a qubit pair"
-    qubit_quot = guarded_power_diff_quot(lam_r, alph_s, q)
-    reports.append(BoundReport("tsallis_qubit_tight_upper",
-                               dist_lam_q * qubit_quot / (1.0 - q),
-                               qubit_ok, qubit_reason))
-    reports.append(BoundReport("tsallis_qubit_loose_upper", dist_lam_q / np.power(alph_s, q),
-                               qubit_ok, qubit_reason))
-    return reports
+        values = [("tsallis_prior_upper", qubit_loose / (1.0 - q)),
+                  ("tsallis_tight_upper", dist_lam_q * diff_quot / (1.0 - q)),
+                  ("tsallis_loose_upper", dist_lam_q / np.power(alpha, q))]
+    applicable, reason = summary.dim == 2, "requires a qubit pair"
+    return [*(BoundReport(name, value) for name, value in values),
+            BoundReport("tsallis_qubit_tight_upper", bracket_bound, applicable, reason),
+            BoundReport("tsallis_qubit_loose_upper", qubit_loose, applicable, reason)]
 
 
 def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
@@ -238,16 +237,17 @@ def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
     one-dimensional rows over summarize's numbers.
 
     The relative-entropy-specific bounds attach only to neg-log; a Tsallis
-    order ``q`` additionally attaches the Tsallis-specific bounds. Every
-    slack is set in one operation over the table.
+    order ``q``, with ``gen`` its generator tsallis_f(q), additionally attaches
+    the Tsallis-specific bounds. Every slack is set in one operation over the table.
     """
     reports = [pinsker_lower(summary, gen), *_bracket_uppers(summary, gen)]
+    bracket_bound = reports[1].value  # qubit_classical_upper's
     if gen.name == "neg-log":
         reports.extend(relative_entropy_upper(summary))
         reports.append(ae11_upper(summary, ae11_base))
-        reports.extend(qubit_relative_upper(summary))
+        reports.extend(_qubit_relative_rows(summary, bracket_bound))
     if q is not None:
-        reports.extend(tsallis_bounds(summary, q))
+        reports.extend(_tsallis_rows(summary, q, bracket_bound))
     names, values, gates, reasons, lower, _ = zip(*reports)
     values = np.array(values)
     applicable = np.empty(values.shape, bool)

@@ -143,11 +143,13 @@ def test_tsallis_q2_boundary_positive():
 
 
 def test_tsallis_invalid_q_single_inapplicable_report():
-    for bad in (0.0, 1.0, 2.5):
+    # q = 2 is a valid order, so the reason states the range as (0, 2]
+    for bad, shown in ((0.0, "0"), (1.0, "1"), (2.5, "2.5")):
         reps = tsallis_bounds(S, bad)
         assert len(reps) == 1
         assert reps[0].bound_name == "tsallis_bounds"
         assert not reps[0].applicable
+        assert reps[0].reason == f"q={shown} outside (0, 2] excluding 1"
         assert math.isnan(reps[0].value)
 
 
@@ -320,19 +322,26 @@ def test_slack_floor_never_flags_inapplicable_or_missing_slack():
 
 
 def test_bracket_core_once_per_route(monkeypatch):
-    # the qubit-classical and sqrt(d) bounds share one bracket per route,
-    # and keep the values the standalone formulas give
+    # the qubit-classical and sqrt(d) bounds, and the qubit tight rows, share
+    # one bracket per route, and keep the values the standalone formulas give;
+    # the only other quotients are relative_entropy_tight_upper's (neg-log)
+    # and tsallis_tight_upper's (q < 1)
     pairs = [trial_pair(45, 3, 0), trial_pair(45, 3, 1, "classical")]
     batch = pair_batch(np.concatenate([p.rho for p in pairs]),
                        np.concatenate([p.sigma for p in pairs]))
     calls = []
     monkeypatch.setattr(bounds, "_bracket_core",
                         lambda summary, f: calls.append(f.name) or _bracket_core(summary, f))
-    routes = [(f, None) for f in builtin_suite()] + [(None, 0.3), (None, 1.5)]
+    for name in ("guarded_log_diff_quot", "guarded_power_diff_quot"):
+        monkeypatch.setattr(bounds, name, lambda *args, _name=name, _real=getattr(bounds, name):
+                            calls.append(_name) or _real(*args))
+    routes = [(f, None) for f in builtin_suite()] + [(None, q) for q in (0.3, 0.7, 1.5, 2.0)]
     for route in routes:
         calls.clear()
-        ((gen, _, _, table),) = sandwich_batch([batch], [route])
-        assert calls == [gen.name]
+        ((gen, q, _, table),) = sandwich_batch([batch], [route])
+        assert sorted(calls) == sorted(
+            [gen.name] + ["guarded_log_diff_quot"] * (gen.name == "neg-log")
+            + ["guarded_power_diff_quot"] * (q is not None and q < 1.0)), route
         by_name = dict(zip(table.bound_names, table.value))
         for formula, name in ((qubit_classical_upper, "qubit_classical_upper"),
                               (general_sqrt_d_upper, "sqrt_d_upper")):
@@ -452,3 +461,28 @@ def test_formulas_give_summarize_numbers_the_bits_of_their_column():
                 assert rep.applicable == np.broadcast_to(col.applicable, len(pairs))[n]
                 checked += 1
     assert checked == 64 * 53
+
+
+@pytest.mark.parametrize("kind", ["random", "classical"])
+def test_each_duplicate_row_has_its_source_bits(kind):
+    # one quantity, one rounding: the qubit tight rows are the bracket bound
+    # (a = 0 for every builtin) and carry qubit_classical_upper's value and
+    # slack bits; for q < 1 the prior bound is the qubit loose row over 1 - q
+    pairs = [trial_pair(49, dim, trial, kind) for dim in range(2, 7) for trial in range(6)]
+    routes = [(neg_log(), None)] + [(None, q) for q in _FORMULA_ORDERS]
+    for _, q, _, table in sandwich_batch(pairs, routes):
+        row = {name: i for i, name in enumerate(table.bound_names)}
+        tight = row["qubit_relative_tight_upper" if q is None else "tsallis_qubit_tight_upper"]
+        source = row["qubit_classical_upper"]
+        for column in (table.value, table.slack):
+            assert column[tight].view(np.uint64).tolist() == column[source].view(np.uint64).tolist()
+        if q is not None and q < 1.0:
+            prior = table.value[row["tsallis_qubit_loose_upper"]] / (1.0 - q)
+            assert (table.value[row["tsallis_prior_upper"]].view(np.uint64).tolist()
+                    == prior.view(np.uint64).tolist())
+        for n, pair in enumerate(pairs):
+            alone = qubit_relative_upper(summarize(pair)) if q is None else tsallis_bounds(
+                summarize(pair), q)
+            for rep in alone:
+                assert _same_bits(rep.value, table.value[row[rep.bound_name], n]), (
+                    q, n, rep.bound_name)
