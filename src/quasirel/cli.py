@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import os
@@ -59,10 +57,10 @@ from .quadrature import QuadratureError
 from .states import load_pair
 from .sweeps import (
     PAPER_EXAMPLE_COLUMNS,
-    format_cell,
     paper_example_rows,
     render_columns,
     sweep_bounds,
+    table_layout,
     trial_pair,
     write_chunks,
 )
@@ -73,12 +71,12 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_VERIFICATION = 5
 
-REPR_CHECK_COLUMNS = [
+REPR_CHECK_COLUMNS = (
     "f_name", "max_rel_error", "constraint_residual", "a", "b", "shift", "ok",
-]
-DIVERGENCE_COLUMNS = [
+)
+DIVERGENCE_COLUMNS = (
     "dim", "seed", "pair_tag", "f_name", "q", "method", "value",
-]
+)
 _REPR_GRID = np.geomspace(1e-3, 1e3, 60)
 _DEFAULT_REPR_SPECS = [
     "neg-log", "neg-power:p=0.25", "neg-power:p=0.5", "neg-power:p=0.75",
@@ -320,18 +318,16 @@ def make_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Emission. CSV: '.' decimal, 17 significant digits, header row. JSON keeps
-# the same field names. Identical configs produce identical bytes. The bound
-# tables (bounds, sweep) are rendered from columns by render_columns.
+# the same field names. Identical configs produce identical bytes. Every table
+# has sweeps.table_layout: render_columns lays out the bound tables (bounds,
+# sweep) from columns, render_rows the others from dict rows.
 
 
-def render_rows(rows: list, columns: list, fmt: str) -> str:
-    """Dict rows as JSON, or as CSV with the cells formatted by format_cell."""
-    if fmt == "json":
-        return json.dumps(rows, indent=1) + "\n"
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [columns, *([format_cell(row[c]) for c in columns] for row in rows)])
-    return buf.getvalue()
+def render_rows(rows: list, columns, fmt: str) -> str:
+    """Dict rows as a table_layout table: head, each row's cells, tail."""
+    cell, _, prefixes, end, sep, head, tail = table_layout(tuple(columns), fmt)
+    return head + sep.join("".join(p + cell(row[c]) for p, c in zip(prefixes, columns)) + end
+                           for row in rows) + tail
 
 
 @contextlib.contextmanager

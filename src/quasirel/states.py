@@ -163,12 +163,12 @@ class PairBatch:
         Both states must be strictly positive. The eigenvalues are squares of
         those of the half power kron(sqrt sigma, rho^{-1/2 T}): eigh of the
         modular matrix itself is only accurate to eps*||M|| on the small
-        eigenvalues, which generators singular at 0+ amplify past the 1e-9
-        cross-route contract. The half powers are built as one broadcast
-        product and diagonalized by one stacked eigh, which gives each pair
-        the bits of its own 2-D kron and eigh. Both factors come exactly
-        Hermitian from spectral_matrix, so their kron is too, and eigh takes
-        it as hermitian_part would return it.
+        eigenvalues, which generators singular at 0+ amplify past the cross-route
+        contract (1e-9 relative, 1e-12 absolute). The half powers are built as one
+        broadcast product and diagonalized by one stacked eigh, which gives each
+        pair the bits of its own 2-D kron and eigh. Both factors come exactly
+        Hermitian from spectral_matrix, so their kron is too, and eigh takes it as
+        hermitian_part would return it.
         """
         n, d = len(self), self.dim
         (lam, psi), (mu, phi) = self.rho_spectral, self.sigma_spectral

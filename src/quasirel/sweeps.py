@@ -1,20 +1,21 @@
 """Batch drivers shared by the command-line tool and the acceptance suite.
 
-A sweep evaluates every bound over a grid of (dimension, trial, generator)
-and streams the rows out as CSV or JSON. chunk_plan alone decides how the
-grid is cut and the order of its rows: dimensions ascending, then trials.
-Each dimension is cut into blocks of at most _CHUNK_TRIALS trials, and
-neighbouring blocks, of one dimension or several, share a chunk while it
-holds at most _CHUNK_TRIALS pairs and _CHUNK_SQUARES in the sum of d^2 over
-its pairs. Each block is one PairBatch, sampled, validated, diagonalized and
-summarized once. bounds.sandwich_batch runs each route's divergences as
-array operations over the blocks and its bounds once over the chunk's
-joined summary columns as one table, and the chunk is rendered to text
-straight from the tables. The chunks run inline, or at N jobs the calling
+A sweep evaluates every bound over a grid of (dimension, trial, generator) and
+streams the rows out as CSV or JSON; sweep_bounds checks every setting first.
+chunk_plan alone decides how the grid is cut and the order of its rows:
+dimensions ascending, then trials. Each dimension is cut into blocks of at
+most _CHUNK_TRIALS trials, and neighbouring blocks, of one dimension or
+several, share a chunk while it holds at most _CHUNK_TRIALS pairs and
+_CHUNK_SQUARES in the sum of d^2 over its pairs. Each block is one PairBatch,
+sampled, validated, diagonalized and summarized once. bounds.sandwich_batch
+runs each route's divergences as array operations over the blocks and its
+bounds once over the chunk's joined summary columns as one table, and
+render_columns lays the tables out as text in table_layout, the layout of
+every table the CLI prints. The chunks run inline, or at N jobs the calling
 process runs chunks 0, N, 2N, ... and child process k the chunks k, k + N,
-..., sending their text down its own pipe. Each chunk's text is written in plan order as soon
-as it is in hand, and a child that runs ahead blocks on its full pipe, so a
-sweep holds about one chunk per process.
+..., sending their text down its own pipe. Each chunk's text is written in
+plan order as soon as it is in hand, and a child that runs ahead blocks on its
+full pipe, so a sweep holds about one chunk per process.
 
 Every trial owns the random stream of default_rng((tag, seed, dim, trial)),
 so a pair's rows do not depend on the chunk it sits in or on the number of
@@ -31,7 +32,7 @@ from collections import Counter
 import numpy as np
 
 from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
-from .functions import parse_f_spec
+from .functions import parse_f_spec, tsallis_f
 from .states import (
     PairBatch,
     TrialStreams,
@@ -49,14 +50,14 @@ _TAG_SWEEP = 7001
 _CHUNK_TRIALS = 256
 _CHUNK_SQUARES = _CHUNK_TRIALS * 3 ** 2
 
-BOUNDS_COLUMNS = [
+BOUNDS_COLUMNS = (
     "dim", "seed", "pair_tag", "f_name", "q", "bound_name",
     "bound_value", "divergence", "slack", "applicable",
-]
-PAPER_EXAMPLE_COLUMNS = [
+)
+PAPER_EXAMPLE_COLUMNS = (
     "d", "trace_dist", "new_bound", "ae11_natural", "ae11_base2",
     "winner_per_base",
-]
+)
 
 
 def trial_key(seed: int, dim: int, trial: int) -> tuple:
@@ -175,18 +176,19 @@ def _g17_block(xs) -> list:
     return cells
 
 
-# Per format: one scalar cell's text, a float array's cells, the text
-# before each BOUNDS_COLUMNS cell of a row, after its last, between two rows,
-# and the table's head and tail. No cell of a bound row needs CSV quoting.
-# JSON gives the bytes of json.dumps(rows, indent=1).
-_FORMATS = {
-    "csv": (format_cell, _g17_cells,
-            ("",) + (",",) * 9, "", "\n", ",".join(BOUNDS_COLUMNS) + "\n", "\n"),
-    "json": (json.dumps, lambda xs: json.dumps(xs.tolist())[1:-1].split(", "),
-             tuple((",\n  " if i else " {\n  ") + json.dumps(name) + ": "
-                   for i, name in enumerate(BOUNDS_COLUMNS)),
-             "\n }", ",\n", "[\n", "\n]\n"),
-}
+@functools.cache
+def table_layout(columns: tuple, fmt: str) -> tuple:
+    """A ``fmt`` table of ``columns``: a scalar cell's text, a float array's cells,
+    the text before each cell of a row, after its last and between two rows, and
+    its head and tail. No CLI cell needs CSV quoting; JSON is json.dumps(rows, indent=1)."""
+    if fmt == "csv":
+        return (format_cell, _g17_cells, ("",) + (",",) * (len(columns) - 1),
+                "", "\n", ",".join(columns) + "\n", "\n")
+    if fmt == "json":
+        return (json.dumps, lambda xs: json.dumps(xs.tolist())[1:-1].split(", "),
+                tuple((",\n  " if i else " {\n  ") + json.dumps(name) + ": "
+                      for i, name in enumerate(columns)), "\n }", ",\n", "[\n", "\n]\n")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt: str) -> tuple:
@@ -203,7 +205,7 @@ def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt:
     divergences, bound values and slacks) in one call; each pair's rows are
     then one %-format of those cells.
     """
-    cell, floats, b, end, sep, _, _ = _FORMATS[fmt]
+    cell, floats, b, end, sep, _, _ = table_layout(BOUNDS_COLUMNS, fmt)
     empty, flags, seed = cell(""), ("false", "true"), cell(seed)
     pairs = [f"{b[0]}{dim}{b[1]}{seed}{b[2]}{cell(tag)}{b[3]}" for dim, tag in zip(dims, tags)]
     forms, cells, flagged = [], [], []  # per (route, bound): a row's %-form and its cells
@@ -241,7 +243,7 @@ def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt:
 def write_chunks(out, chunks, fmt: str) -> tuple:
     """Write render_columns' chunks to the text stream ``out`` as one table,
     each as soon as it comes. Returns (rows, violations) over all of them."""
-    _, _, _, _, sep, head, tail = _FORMATS[fmt]
+    _, _, _, _, sep, head, tail = table_layout(BOUNDS_COLUMNS, fmt)
     out.write(head)
     rows, violations = 0, []
     for text, n, flagged in chunks:
@@ -318,8 +320,9 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
     qs = [float(q) for q in qs]
     if not f_specs and not qs:
         raise ValueError("need at least one generator (f_specs or qs)")
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+    for resolve, value in [(parse_f_spec, s) for s in f_specs] + [(tsallis_f, q) for q in qs]:
+        resolve(value)  # as each chunk will; it gets the text, which a child unpickles
+    table_layout(BOUNDS_COLUMNS, fmt)  # raises on an unknown format
 
     plan = chunk_plan(dims, trials)
     run = functools.partial(sweep_chunk, seed, pair_kind=pair_kind, f_specs=f_specs,

@@ -32,6 +32,19 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _stdlib_table(rows, columns, fmt):
+    """Dict rows as the json and csv modules write them, format_cell's text
+    in each CSV cell: the reference for every table the CLI prints."""
+    if fmt == "json":
+        return json.dumps(rows, indent=1) + "\n"
+    cells = [[sweeps.format_cell(row[c]) for c in columns] for row in rows]
+    assert not [cell for line in [columns, *cells] for cell in line
+                if set(cell) & set(',"\r\n')]  # no cell needs quoting
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
+    return buf.getvalue()
+
+
 def test_parse_dims():
     assert parse_dims("2,4..6,9") == [2, 4, 5, 6, 9]
     assert parse_dims("3") == [3]
@@ -39,15 +52,39 @@ def test_parse_dims():
         parse_dims("4..2")
     with pytest.raises(ValueError):
         parse_dims("two")
+    assert parse_dims("2,,3") == parse_dims(" 2, ,3,") == [2, 3]  # empty tokens skipped
 
 
 def test_render_rows_formats():
-    rows = [{"x": 0.1, "flag": True, "name": "a"}]
-    text = render_rows(rows, ["x", "flag", "name"], "csv")
+    rows, columns = [{"x": 0.1, "flag": True, "name": "a"}], ["x", "flag", "name"]
+    text = render_rows(rows, columns, "csv")
     assert text.splitlines()[0] == "x,flag,name"
     assert text.splitlines()[1] == "0.10000000000000001,true,a"
-    doc = json.loads(render_rows(rows, ["x", "flag", "name"], "json"))
+    doc = json.loads(render_rows(rows, columns, "json"))
     assert doc[0]["flag"] is True
+    for fmt in ("csv", "json"):
+        assert render_rows(rows, columns, fmt) == _stdlib_table(rows, columns, fmt)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_rows(rows, columns, "xml")
+
+
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--dims", "3", "--seed", "5", "--f", "tsallis:q=1.5"],
+    ["divergence", "--dims", "3", "--seed", "5", "--q", "1.5"],
+    ["divergence", "--pair-file", "PAIR", "--f", "neg-log"],
+    ["divergence", "--dims", "13", "--f", "neg-log"],  # the superoperator route skipped
+    ["repr-check"],
+    ["paper-example", "--dims", "3..16"],
+], ids=["tsallis-f", "tsallis-q", "pair-file", "d13", "repr-check", "paper-example"])
+def test_dict_tables_are_the_stdlib_bytes(tmp_path, capsys, argv):
+    # each table is the csv and json modules' rendering of its own JSON rows
+    if "PAIR" in argv:
+        argv[argv.index("PAIR")] = str(_saved_pair(tmp_path))
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    rows = json.loads(out)
+    assert code == 0 and rows and "Traceback" not in err
+    assert out == _stdlib_table(rows, list(rows[0]), "json")
+    assert _run(capsys, argv)[:2] == (0, _stdlib_table(rows, list(rows[0]), "csv"))
 
 
 def test_paper_example_frozen_rows(capsys):
@@ -315,7 +352,7 @@ def test_negative_slack_notes_read_the_columns(monkeypatch, capsys):
 
 
 def test_bound_tables_are_the_bytes_of_the_dict_rendering(tmp_path, capsys):
-    # the column renderer gives the bytes json.dumps and render_rows give for
+    # the column renderer gives the bytes the json and csv modules give for
     # the same rows, infinite divergences and empty slacks included
     rho = random_pairs(3, trial_streams([5])).rho[0]
     path = tmp_path / "singular.json"
@@ -325,8 +362,8 @@ def test_bound_tables_are_the_bytes_of_the_dict_rendering(tmp_path, capsys):
                  ["bounds", "--pair-file", str(path), "--f", "neg-log"]):
         _, out, _ = _run(capsys, argv + ["--format", "json"])
         rows = json.loads(out)
-        assert out == json.dumps(rows, indent=1) + "\n"
-        assert _run(capsys, argv)[1] == render_rows(rows, sweeps.BOUNDS_COLUMNS, "csv")
+        assert out == _stdlib_table(rows, sweeps.BOUNDS_COLUMNS, "json")
+        assert _run(capsys, argv)[1] == _stdlib_table(rows, sweeps.BOUNDS_COLUMNS, "csv")
     assert rows[0]["divergence"] == math.inf and rows[0]["slack"] == ""
 
 
@@ -360,7 +397,7 @@ def test_large_chunks_csv_cells_are_format_cell_bytes(tmp_path, monkeypatch, cap
     rows = json.loads(_run(capsys, argv + ["--format", "json"])[1])
     assert not blocks  # JSON cells are json.dumps'
     got = _run(capsys, argv)[1].splitlines()
-    want = render_rows(rows, sweeps.BOUNDS_COLUMNS, "csv").splitlines()
+    want = _stdlib_table(rows, sweeps.BOUNDS_COLUMNS, "csv").splitlines()
     assert len(got) == len(want) and blocks
     assert [row for row in zip(got, want) if row[0] != row[1]] == []
     if "bounds" in argv:
@@ -713,6 +750,40 @@ def test_malformed_pair_file_exits_3(tmp_path, capsys, doc):
     code, out, err = _run(capsys, ["divergence", "--pair-file", str(path)])
     assert code == 3 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_pair_file_matrices_of_another_dim_exit_3(tmp_path, capsys):
+    doc = pair_to_dict(random_pairs(2, trial_streams([64])))
+    doc["dim"] = 3
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["divergence", "--pair-file", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "error: matrix shapes (2, 2)/(2, 2) disagree with dim 3\n"
+
+
+@pytest.mark.parametrize("argv", [["divergence"], ["bounds", "--f", "neg-log"]])
+def test_pure_rho_pair_file_exits_3(tmp_path, capsys, argv):
+    # the spectral route needs rho > 0; a pure rho against I/2 is an error,
+    # not a value or a traceback
+    path = tmp_path / "pure.json"
+    save_pair(path, state_pair(np.diag([1.0, 0.0]), np.eye(2) / 2))
+    code, out, err = _run(capsys, argv + ["--pair-file", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "error: spectral route requires a strictly positive rho\n"
+
+
+@pytest.mark.parametrize("generators", [[], ["--f", "neg-log", "--q", "0.3"]],
+                         ids=["neither", "both"])
+def test_bounds_takes_exactly_one_generator(capsys, generators):
+    code, out, err = _run(capsys, ["bounds", "--dims", "3", *generators])
+    assert (code, out) == (3, "")
+    assert err == "error: bounds takes exactly one generator: --f spec or --q value\n"
+
+
+def test_sweep_without_generators_is_f_all(capsys):
+    argv = ["sweep", "--dims", "2,3", "--trials", "2", "--jobs", "1"]
+    assert _run(capsys, argv) == _run(capsys, argv + ["--f", "all"])
 
 
 @pytest.mark.parametrize("state", ["rho", "sigma"])

@@ -28,6 +28,9 @@ def test_hermitian_part_symmetrizes_and_rejects():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         hermitian_part(skew)
+    for shape in ((2, 3), (4,), (3, 2, 3)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            hermitian_part(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),

@@ -111,6 +111,17 @@ def test_random_state_strictly_positive():
         assert spectral.eigenvalues[-1] > ZERO_EIG_THRESHOLD
 
 
+@pytest.mark.parametrize("sample", [
+    lambda dim: random_state(dim, default_rng(8)),
+    lambda dim: random_pairs(dim, trial_streams([8])).rho[0],
+    lambda dim: random_classical_pairs(dim, trial_streams([8])).sigma[0],
+], ids=["random_state", "random_pairs", "random_classical_pairs"])
+def test_samplers_take_dimensions_from_1(sample):
+    np.testing.assert_allclose(sample(1), [[1.0]], rtol=0.0, atol=TRACE_TOL)  # the one state
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        sample(0)
+
+
 def test_pair_overlaps_doubly_stochastic():
     for trial in range(50):
         pair = trial_pair(9, 2 + trial % 5, trial)

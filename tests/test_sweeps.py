@@ -249,6 +249,21 @@ def test_single_chunk_sweep_starts_no_pool(pools_started):
     assert len(rows) == 8 * sweeps._CHUNK_TRIALS and pools_started == []
 
 
+@pytest.mark.parametrize("bad", [
+    {"dims": []}, {"trials": 0}, {"f_specs": []}, {"fmt": "xml"},
+    {"f_specs": ["bogus"]}, {"qs": [5.0]}, {"qs": [1.0]},
+], ids=["no-dims", "no-trials", "no-generator", "xml", "bad-spec", "q-above-2", "q-is-1"])
+@pytest.mark.parametrize("dims, trials, jobs", [([2, 3], 3, 1), (range(2, 9), 300, 2)])
+def test_sweep_bounds_raises_before_it_writes(pools_started, bad, dims, trials, jobs):
+    # every setting is checked before the table's head is written or a
+    # child starts, so a bad one leaves no partial table
+    out = io.StringIO()
+    settings = dict({"dims": dims, "trials": trials, "f_specs": ["neg-log"]}, **bad)
+    with pytest.raises(ValueError):
+        sweep_bounds(seed=0, out=out, jobs=jobs, **settings)
+    assert out.getvalue() == "" and pools_started == []
+
+
 _BOUNDARY = (99_999, 100_000, 100_001, 999_999, 1_000_000, 1_000_001)
 
 
