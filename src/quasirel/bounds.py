@@ -13,6 +13,8 @@ it at once. sandwich_batch, the one driver of sandwich, the bounds command
 and the sweep, runs every (f, q) route of one or more batches over their
 summary columns joined once; sandwich reads column 0 for a batch of one.
 
+sqrt_d_upper and the two qubit_relative rows have no function of their
+own: they reach a caller as rows of bound_reports' table.
 qubit_relative_tight_upper and tsallis_qubit_tight_upper are the bracket
 bound (a = 0) under a qubit gate and take qubit_classical_upper's value.
 The bracket and the quotients of relative_entropy_tight_upper and the q < 1
@@ -34,7 +36,7 @@ from .divergences import (
     spectral_values,
     tsallis_values,
 )
-from .functions import OMDFunction, is_tsallis_order, neg_log, tsallis_f
+from .functions import OMDFunction, tsallis_f
 from .states import PairBatch, ScalarSummary, _single, joined_summary
 
 COMMUTING_TOL = 1e-10
@@ -122,7 +124,8 @@ def pinsker_lower(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
 
 
 def _bracket_uppers(summary: ScalarSummary, f: OMDFunction) -> list[BoundReport]:
-    """qubit_classical_upper and general_sqrt_d_upper from one bracket."""
+    """qubit_classical_upper and the dimension-penalized sqrt_d_upper, sqrt(d)
+    times the bracket form, from one bracket."""
     bracket = _bracket_core(summary, f) - f.a
     applicable = (summary.dim == 2) | (summary.commutator_norm < COMMUTING_TOL)
     dist = summary.trace_distance_1
@@ -138,11 +141,6 @@ def qubit_classical_upper(summary: ScalarSummary, f: OMDFunction) -> BoundReport
     f(alpha_sigma/lambda_rho) - a].
     """
     return _bracket_uppers(summary, f)[0]
-
-
-def general_sqrt_d_upper(summary: ScalarSummary, f: OMDFunction) -> BoundReport:
-    """The dimension-penalized upper bound: sqrt(d) times the bracket form."""
-    return _bracket_uppers(summary, f)[1]
 
 
 def relative_entropy_upper(summary: ScalarSummary) -> list[BoundReport]:
@@ -179,19 +177,6 @@ def ae11_upper(summary: ScalarSummary, base: str = "e") -> BoundReport:
     return BoundReport(name, value)
 
 
-def qubit_relative_upper(summary: ScalarSummary) -> list[BoundReport]:
-    """Qubit-only tight/loose upper bounds on the relative entropy; the tight
-    one is neg-log's bracket bound, with qubit_classical_upper's value."""
-    return _qubit_relative_rows(summary, qubit_classical_upper(summary, neg_log()).value)
-
-
-def _qubit_relative_rows(summary: ScalarSummary, bracket_bound) -> list[BoundReport]:
-    applicable, reason = summary.dim == 2, "requires a qubit pair"
-    loose = summary.trace_distance_1 * summary.lambda_rho / summary.alpha_sigma
-    return [BoundReport("qubit_relative_tight_upper", bracket_bound, applicable, reason),
-            BoundReport("qubit_relative_loose_upper", loose, applicable, reason)]
-
-
 def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
     """Every Tsallis-order bound applicable at this q, one report each.
 
@@ -201,10 +186,8 @@ def tsallis_bounds(summary: ScalarSummary, q: float) -> list[BoundReport]:
     divided-difference tight bound, and its loose companion. Qubit pairs
     additionally get a dedicated tight/loose pair at any valid q; the tight
     one is tsallis_f(q)'s bracket bound, with qubit_classical_upper's value.
+    tsallis_f(q) raises ValueError for an order outside (0, 2] excluding 1.
     """
-    if not is_tsallis_order(q):
-        return [BoundReport("tsallis_bounds", summary.trace_distance_1 * math.nan, False,
-                            f"q={q:g} outside (0, 2] excluding 1")]
     return _tsallis_rows(summary, q, qubit_classical_upper(summary, tsallis_f(q)).value)
 
 
@@ -243,9 +226,13 @@ def bound_reports(summary: ScalarSummary, gen: OMDFunction, divergence,
     reports = [pinsker_lower(summary, gen), *_bracket_uppers(summary, gen)]
     bracket_bound = reports[1].value  # qubit_classical_upper's
     if gen.name == "neg-log":
+        applicable, reason = summary.dim == 2, "requires a qubit pair"
+        loose = summary.trace_distance_1 * summary.lambda_rho / summary.alpha_sigma
         reports.extend(relative_entropy_upper(summary))
-        reports.append(ae11_upper(summary, ae11_base))
-        reports.extend(_qubit_relative_rows(summary, bracket_bound))
+        reports.extend([ae11_upper(summary, ae11_base),
+                        BoundReport("qubit_relative_tight_upper", bracket_bound, applicable,
+                                    reason),
+                        BoundReport("qubit_relative_loose_upper", loose, applicable, reason)])
     if q is not None:
         reports.extend(_tsallis_rows(summary, q, bracket_bound))
     names, values, gates, reasons, lower, _ = zip(*reports)
@@ -295,22 +282,21 @@ def sandwich_batch(batches: list, routes: list, ae11_base: str = "e") -> list:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    divergence: DivergenceResult
+    divergence: DivergenceResult  # +inf leaves every slack None
     reports: list
-    vacuous: bool  # divergence infinite: uppers evaluated but uncheckable
     violations: list
 
 
 def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
-             q: Optional[float] = None, ae11_base: str = "e") -> SandwichReport:
+             q: Optional[float] = None) -> SandwichReport:
     """Divergence plus every applicable bound, with signed slacks.
 
     The view of sandwich_batch's one route (f, q) at column 0 for a batch
     of one, read as numbers; see sandwich_batch for the bounds that attach.
+    Its AE11 row takes the natural log; sandwich_batch takes the base.
     """
-    ((gen, _, divergence, table),) = sandwich_batch([_single(pair)], [(f, q)], ae11_base)
-    result = DivergenceResult(float(divergence[0]), "spectral" if q is None else "direct",
-                              gen.name)
+    ((_, _, divergence, table),) = sandwich_batch([_single(pair)], [(f, q)])
+    result = DivergenceResult(float(divergence[0]))
     values, gates, slacks, bad = (column[:, 0].tolist() for column in (
         table.value, table.applicable, table.slack, violated(table.applicable, table.slack)))
     reports = [BoundReport(name, value, ok, "" if ok else reason, lower,
@@ -318,4 +304,4 @@ def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
                for name, value, ok, reason, lower, slack
                in zip(table.bound_names, values, gates, table.reasons, table.is_lower, slacks)]
     violations = [name for name, flagged in zip(table.bound_names, bad) if flagged]
-    return SandwichReport(result, reports, not result.finite, violations)
+    return SandwichReport(result, reports, violations)

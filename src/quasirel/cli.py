@@ -200,7 +200,8 @@ SETTINGS = {
     "output_path": Setting("--out", (str,), str, "output file path"),
     "format": _choice("--format", ("csv", "json"), "output format"),
     "jobs": Setting("--jobs", (int,), _AT_LEAST_1, "processes, this one included",
-                    os.cpu_count() or 1),
+                    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1),
     "pair_kind": _choice("--pair-kind", ("random", "classical"), "pair ensemble"),
     "pair_file": Setting("--pair-file", (str,), str, "serialized state pair (JSON)"),
     "strategy": _choice("--strategy", ("random", "hill_climb"), "search strategy"),

@@ -9,7 +9,7 @@ and pairs f of each with vec(sqrt(rho)); it never touches the overlap sum, so
 the two routes check one another. Each route takes a PairBatch of any length
 and gives one value per pair; its per-pair entry point reads index 0 of a
 batch of one. A generator is an OMDFunction descriptor; the routes read its
-eval, name and value_at_zero.
+eval and value_at_zero.
 
 Rank deficiency follows one support rule. The direct routes take functions of
 a state on its support, eigenvalues at or below ZERO_EIG_THRESHOLD mapping to
@@ -35,12 +35,6 @@ SUPEROP_DIM_CAP = 12
 @dataclass(frozen=True)
 class DivergenceResult:
     value: float  # finite or +inf
-    method: str  # "spectral" | "direct" | "superoperator"
-    f_name: str
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
@@ -68,7 +62,7 @@ def spectral_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
 
 def quasi_entropy_spectral(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
     """S_f(rho||sigma) of a batch of one by the spectral double sum; see spectral_values."""
-    return DivergenceResult(float(spectral_values(_single(pair), f)[0]), "spectral", f.name)
+    return DivergenceResult(float(spectral_values(_single(pair), f)[0]))
 
 
 def _support_violated(batch: PairBatch) -> np.ndarray:
@@ -100,7 +94,7 @@ def umegaki_values(batch: PairBatch) -> np.ndarray:
 
 def umegaki(pair: PairBatch) -> DivergenceResult:
     """Relative entropy Tr(rho (log rho - log sigma)) of a batch of one, natural log."""
-    return DivergenceResult(float(umegaki_values(_single(pair))[0]), "direct", "neg-log")
+    return DivergenceResult(float(umegaki_values(_single(pair))[0]))
 
 
 def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
@@ -118,8 +112,7 @@ def tsallis_values(batch: PairBatch, q: float) -> np.ndarray:
 
 def tsallis_direct(pair: PairBatch, q: float) -> DivergenceResult:
     """Tsallis relative entropy (1 - Tr(rho^q sigma^(1-q)))/(1-q) of a batch of one."""
-    return DivergenceResult(float(tsallis_values(_single(pair), q)[0]), "direct",
-                            f"tsallis:q={q:g}")
+    return DivergenceResult(float(tsallis_values(_single(pair), q)[0]))
 
 
 def superoperator_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
@@ -144,5 +137,4 @@ def superoperator_values(batch: PairBatch, f: OMDFunction) -> np.ndarray:
 
 def quasi_entropy_superoperator(pair: PairBatch, f: OMDFunction) -> DivergenceResult:
     """S_f(rho||sigma) of a batch of one by the superoperator route; see superoperator_values."""
-    return DivergenceResult(float(superoperator_values(_single(pair), f)[0]), "superoperator",
-                            f.name)
+    return DivergenceResult(float(superoperator_values(_single(pair), f)[0]))

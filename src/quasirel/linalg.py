@@ -49,14 +49,13 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray  # unitary; column k pairs with eigenvalues[k]
 
 
-def eigh(a: np.ndarray, *, symmetrized: bool = False) -> EigenSystem:
-    """Spectral decomposition of a Hermitian matrix with descending eigenvalues.
+def eigh(a: np.ndarray) -> EigenSystem:
+    """Spectral decomposition, eigenvalues descending, of an exactly Hermitian
+    matrix as given: hermitian_part and spectral_matrix return one.
 
     Stacks (shape (..., d, d)) are decomposed matrix by matrix in one call.
-    ``symmetrized`` says ``a`` already came from hermitian_part, which would
-    return it unchanged, so it is decomposed as it is.
     """
-    vals, vecs = np.linalg.eigh(a if symmetrized else hermitian_part(a))
+    vals, vecs = np.linalg.eigh(a)
     return EigenSystem(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 

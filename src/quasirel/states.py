@@ -44,7 +44,7 @@ def density_matrix(mats: np.ndarray) -> tuple[np.ndarray, EigenSystem]:
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"trace is {float(tr[off].flat[0])!r}, not 1 within {TRACE_TOL:.1e}")
-    spectral = eigh(h, symmetrized=True)
+    spectral = eigh(h)
     min_eig = spectral.eigenvalues[..., -1]
     if (min_eig < EIGENVALUE_FLOOR).any():
         raise ValueError(f"negative eigenvalue {float(min_eig.min())!r} "
@@ -167,15 +167,14 @@ class PairBatch:
         contract (1e-9 relative, 1e-12 absolute). The half powers are built as one
         broadcast product and diagonalized by one stacked eigh, which gives each
         pair the bits of its own 2-D kron and eigh. Both factors come exactly
-        Hermitian from spectral_matrix, so their kron is too, and eigh takes it as
-        hermitian_part would return it.
+        Hermitian from spectral_matrix, so their kron is too, as eigh requires.
         """
         n, d = len(self), self.dim
         (lam, psi), (mu, phi) = self.rho_spectral, self.sigma_spectral
         a = spectral_matrix(phi, np.sqrt(mu))
         b = np.swapaxes(spectral_matrix(psi, 1.0 / np.sqrt(lam)), -1, -2)
         half = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, d * d, d * d)
-        half_vals, vecs = eigh(half, symmetrized=True)
+        half_vals, vecs = eigh(half)
         s = spectral_matrix(psi, np.sqrt(lam)).reshape(n, d * d)
         # A stacked matmul, not einsum: einsum regroups the sums.
         coeffs = (dagger(vecs) @ s[..., None])[..., 0]

@@ -37,7 +37,7 @@ def mat_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray
     eigenvalue falls outside f's domain (detected as a non-finite or
     non-real value in f's output).
     """
-    vals, vecs = eigh(a)
+    vals, vecs = eigh(hermitian_part(a))
     with np.errstate(all="ignore"):
         fv = np.asarray(f(vals))
     if np.iscomplexobj(fv):

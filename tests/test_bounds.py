@@ -9,13 +9,11 @@ import pytest
 from quasirel import (
     ae11_upper,
     builtin_suite,
-    general_sqrt_d_upper,
     guarded_log_diff_quot,
     guarded_power_diff_quot,
     neg_log,
     neg_power,
     qubit_classical_upper,
-    qubit_relative_upper,
     relative_entropy_upper,
     sandwich,
     summarize,
@@ -44,6 +42,18 @@ S = summarize(PAIR)
 
 def _by_name(reports):
     return {r.bound_name: r for r in reports}
+
+
+def _rows(summary, gen=None):
+    """bound_reports' rows for ``gen`` (default neg-log) by name, as reports
+    without slack: numbers over summarize's numbers, columns over a batch's."""
+    table = bound_reports(summary, gen or neg_log(), 0.0)
+    return {name: bounds.BoundReport(name, value, ok)
+            for name, value, ok in zip(table.bound_names, table.value, table.applicable)}
+
+
+def _qubit_relative_rows(summary):
+    return [rep for name, rep in _rows(summary).items() if name.startswith("qubit_relative")]
 
 
 def test_qubit_classical_upper_worked_value():
@@ -76,7 +86,7 @@ def test_pinsker_lower_orientation():
 
 
 def test_sqrt_d_upper_worked_value():
-    rep = general_sqrt_d_upper(S, neg_log())
+    rep = _rows(S)["sqrt_d_upper"]
     assert rep.value == pytest.approx(math.sqrt(2.0) * math.log(2.0), rel=1e-12)
 
 
@@ -103,10 +113,12 @@ def test_ae11_exact_on_flat_qubit():
 
 
 def test_qubit_relative_worked_values():
-    tight, loose = qubit_relative_upper(S)
+    tight, loose = _qubit_relative_rows(S)
+    assert tight.bound_name == "qubit_relative_tight_upper"
     assert tight.value == pytest.approx(math.log(2.0), rel=1e-12)
     assert loose.value == pytest.approx(1.0, rel=1e-12)
-    for rep in qubit_relative_upper(summarize(random_pairs(3, trial_streams([42])))):
+    assert tight.applicable and loose.applicable
+    for rep in _qubit_relative_rows(summarize(random_pairs(3, trial_streams([42])))):
         assert not rep.applicable
 
 
@@ -142,15 +154,14 @@ def test_tsallis_q2_boundary_positive():
         assert rep.value > 0.0, rep.bound_name
 
 
-def test_tsallis_invalid_q_single_inapplicable_report():
-    # q = 2 is a valid order, so the reason states the range as (0, 2]
-    for bad, shown in ((0.0, "0"), (1.0, "1"), (2.5, "2.5")):
-        reps = tsallis_bounds(S, bad)
-        assert len(reps) == 1
-        assert reps[0].bound_name == "tsallis_bounds"
-        assert not reps[0].applicable
-        assert reps[0].reason == f"q={shown} outside (0, 2] excluding 1"
-        assert math.isnan(reps[0].value)
+def test_tsallis_invalid_q_raises():
+    # tsallis_f's error, the one every entry point gives; q = 2 is a valid order
+    for bad in (0.0, 1.0, 2.5):
+        with pytest.raises(ValueError, match="q must lie in"):
+            tsallis_bounds(S, bad)
+    assert [rep.bound_name for rep in tsallis_bounds(S, 2.0)] == [
+        "tsallis_ceil_upper", "tsallis_prior_upper", "tsallis_improved_upper",
+        "tsallis_qubit_tight_upper", "tsallis_qubit_loose_upper"]
 
 
 def test_guard_continuity_at_small_gap():
@@ -221,7 +232,7 @@ def test_sandwich_neg_log_report_set():
         "qubit_relative_tight_upper",
         "qubit_relative_loose_upper",
     }
-    assert not swr.vacuous
+    assert math.isfinite(swr.divergence.value)
     assert swr.violations == []
     for rep in swr.reports:
         if rep.applicable:
@@ -240,7 +251,7 @@ def test_sandwich_tsallis_report_set():
 
 def test_sandwich_vacuous_on_support_violation():
     swr = sandwich(example_pair(4), f=neg_log())
-    assert swr.vacuous
+    assert math.isinf(swr.divergence.value)
     assert swr.violations == []
     for rep in swr.reports:
         assert rep.slack is None  # nothing checkable against an infinity
@@ -270,8 +281,7 @@ def test_sandwich_is_index_n_of_sandwich_batch():
             for n, pair in enumerate(pairs):
                 swr = sandwich(pair, *route)
                 assert swr.divergence.value == divergence[n]
-                assert swr.divergence.f_name == gen.name
-                assert swr.vacuous == (not math.isfinite(divergence[n]))
+                assert math.isinf(swr.divergence.value) == (not math.isfinite(divergence[n]))
                 assert tuple(r.bound_name for r in swr.reports) == table.bound_names
                 for row, rep in enumerate(swr.reports):
                     assert rep.value == table.value[row, n]
@@ -285,7 +295,7 @@ def test_sandwich_is_index_n_of_sandwich_batch():
                 bad = violated(table.applicable, table.slack)[:, n]
                 assert swr.violations == [name for name, flagged
                                           in zip(table.bound_names, bad) if flagged]
-                seen["infinite"] += swr.vacuous
+                seen["infinite"] += math.isinf(swr.divergence.value)
                 seen["inapplicable"] += sum(not r.applicable for r in swr.reports)
     assert seen["infinite"] and seen["inapplicable"]
 
@@ -343,9 +353,10 @@ def test_bracket_core_once_per_route(monkeypatch):
             [gen.name] + ["guarded_log_diff_quot"] * (gen.name == "neg-log")
             + ["guarded_power_diff_quot"] * (q is not None and q < 1.0)), route
         by_name = dict(zip(table.bound_names, table.value))
-        for formula, name in ((qubit_classical_upper, "qubit_classical_upper"),
-                              (general_sqrt_d_upper, "sqrt_d_upper")):
-            assert list(formula(batch.summary, gen).value) == list(by_name[name])
+        assert (list(qubit_classical_upper(batch.summary, gen).value)
+                == list(by_name["qubit_classical_upper"]))
+        assert list(_rows(batch.summary, gen)["sqrt_d_upper"].value) == list(
+            by_name["sqrt_d_upper"])
 
 
 def test_sandwich_batch_reuses_the_tsallis_descriptor():
@@ -410,8 +421,9 @@ def test_summarize_keeps_an_int_dim():
         assert type(s.dim) is int and s.dim == dim
         assert pair.summary.dim.tolist() == [dim]
         for f in builtin_suite():
-            assert (general_sqrt_d_upper(s, f).value
-                    == general_sqrt_d_upper(pair.summary, f).value[0])
+            number, column = (_rows(summary, f)["sqrt_d_upper"].value
+                              for summary in (s, pair.summary))
+            assert _same_bits(number, column[0])
 
 
 def test_pinsker_squares_a_number_as_it_squares_a_column():
@@ -432,7 +444,7 @@ def _formula_reports(summary):
     for f in builtin_suite():
         reports += [bounds.pinsker_lower(summary, f), *bounds._bracket_uppers(summary, f)]
     reports += [*relative_entropy_upper(summary), ae11_upper(summary, "e"),
-                ae11_upper(summary, "2"), *qubit_relative_upper(summary)]
+                ae11_upper(summary, "2"), *_qubit_relative_rows(summary)]
     for q in _FORMULA_ORDERS:
         reports += tsallis_bounds(summary, q)
     return reports
@@ -481,7 +493,7 @@ def test_each_duplicate_row_has_its_source_bits(kind):
             assert (table.value[row["tsallis_prior_upper"]].view(np.uint64).tolist()
                     == prior.view(np.uint64).tolist())
         for n, pair in enumerate(pairs):
-            alone = qubit_relative_upper(summarize(pair)) if q is None else tsallis_bounds(
+            alone = _qubit_relative_rows(summarize(pair)) if q is None else tsallis_bounds(
                 summarize(pair), q)
             for rep in alone:
                 assert _same_bits(rep.value, table.value[row[rep.bound_name], n]), (

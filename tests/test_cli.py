@@ -1,5 +1,6 @@
 """Command line surface: parsing, output formats, exit codes, determinism."""
 
+import ast
 import csv
 import functools
 import io
@@ -7,11 +8,14 @@ import json
 import math
 import multiprocessing
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from quasirel import QuadratureError, bounds, cli, functions, sweeps
 from quasirel.cli import main, parse_dims, render_rows
 from quasirel.states import pair_to_dict, random_pairs, save_pair, state_pair, trial_streams
 from quasirel.sweeps import chunk_plan
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _csv_rows(text):
@@ -551,6 +557,75 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "1.2" in proc.stdout
+
+
+def test_jobs_default_is_the_cpus_this_process_may_run_on():
+    # pinned to one CPU, the default is one process on a host of any CPU
+    # count, and a sweep at the default gives the bytes of --jobs 1
+    if shutil.which("taskset") is None or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("needs taskset and os.sched_getaffinity")
+    pinned = ["taskset", "-c", str(min(os.sched_getaffinity(0))), sys.executable]
+    default = subprocess.run(
+        [*pinned, "-c", "from quasirel.cli import SETTINGS; print(SETTINGS['jobs'].default)"],
+        capture_output=True, text=True, timeout=60)
+    assert (default.returncode, default.stdout) == (0, "1\n"), default.stderr
+    argv = ["-m", "quasirel.cli", "sweep", "--dims", "3,2,3", "--trials", "300", "--f", "neg-log"]
+    runs = [subprocess.run(command, capture_output=True, timeout=120)
+            for command in ([*pinned, *argv], [sys.executable, *argv, "--jobs", "1"])]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+# Public names of src/ that nothing in src/, the acceptance gate or
+# perfbench/ names, kept because callers outside this code reach them.
+_REACHED_FROM_OUTSIDE = {
+    "make_custom": "the documented way to register a generator of one's own",
+    "save_pair": "CI's installed-script step writes the pair files it compares with it",
+}
+
+
+def _named(tree):
+    """Every identifier ``tree`` names: a name, an attribute, an imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_public_definition_of_src_has_a_caller_outside_tests():
+    # a public module-level function or class is named outside its own
+    # definition: in src/ (the package's re-exports aside), in the
+    # acceptance gate or in perfbench/; unit tests do not count
+    defined, named = set(), set()
+    for path in sorted((ROOT / "src" / "quasirel").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_"))
+            defined |= {node.name} if own else set()
+            named |= _named(node) - ({node.name} if own else set())
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        named |= _named(ast.parse(path.read_text()))
+    assert sorted(defined - named) == sorted(_REACHED_FROM_OUTSIDE)
+
+
+def test_readme_python_blocks_run_as_written(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    quick_start, search = {}, {}
+    exec(compile(blocks[0], "README.md", "exec"), quick_start)
+    value, *reports = capsys.readouterr().out.splitlines()
+    assert float(value) == pytest.approx(0.5 * math.log(4.0 / 3.0), rel=1e-15, abs=0.0)
+    assert reports and all(float(line.split()[2]) >= -1e-10 for line in reports)
+    exec(compile(blocks[1], "README.md", "exec"), search)
+    assert float(capsys.readouterr().out) == search["record"].max_ratio < 1.0
 
 
 def _config_run(tmp_path, capsys, argv, doc):

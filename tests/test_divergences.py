@@ -112,12 +112,8 @@ def test_superoperator_values_checks_the_whole_batch():
 
 def test_result_metadata():
     res = quasi_entropy_spectral(CLASSICAL, neg_log())
-    assert res.method == "spectral"
-    assert res.f_name == "neg-log"
-    assert res.finite
+    assert math.isfinite(res.value)
     assert CLASSICAL.summary.dim == 2  # the pair owns its summary
-    assert quasi_entropy_superoperator(CLASSICAL, neg_log()).method == "superoperator"
-    assert umegaki(CLASSICAL).method == "direct"
 
 
 def test_unitary_invariance():
@@ -151,12 +147,12 @@ def test_support_conventions():
     assert math.isinf(quasi_entropy_spectral(pair, tsallis_f(1.5)).value)
     assert math.isinf(tsallis_direct(pair, 1.5).value)
     # f finite at 0+ keeps the divergence finite despite the support gap
-    assert quasi_entropy_spectral(pair, neg_power(0.5)).finite
-    assert quasi_entropy_spectral(pair, tsallis_f(0.3)).finite
+    assert math.isfinite(quasi_entropy_spectral(pair, neg_power(0.5)).value)
+    assert math.isfinite(quasi_entropy_spectral(pair, tsallis_f(0.3)).value)
     # reversed roles: supp(rho) inside supp(sigma), everything finite
     rev = state_pair(pair.sigma[0], pair.rho[0])
-    assert umegaki(rev).finite
-    assert tsallis_direct(rev, 1.5).finite
+    assert math.isfinite(umegaki(rev).value)
+    assert math.isfinite(tsallis_direct(rev, 1.5).value)
 
 
 def test_dual_generator_swaps_arguments():
@@ -202,7 +198,7 @@ def test_modular_spectrum_diagonalized_once_per_pair(monkeypatch):
         pair = trial_pair(40, dim, 0)
         calls = []
         monkeypatch.setattr(states, "eigh",
-                            lambda a, **kwargs: calls.append(a.shape) or eigh(a, **kwargs))
+                            lambda a: calls.append(a.shape) or eigh(a))
         values = [quasi_entropy_superoperator(pair, f).value for f in builtin_suite()]
         monkeypatch.undo()
         assert calls == [(1, dim * dim, dim * dim)]
@@ -230,7 +226,7 @@ def test_tsallis_direct_domain():
     for bad in (0.0, 1.0, 2.5):
         with pytest.raises(ValueError):
             tsallis_direct(CLASSICAL, bad)
-    assert tsallis_direct(CLASSICAL, 2.0).finite
+    assert math.isfinite(tsallis_direct(CLASSICAL, 2.0).value)
 
 
 def test_batch_values_match_each_pair_alone():

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from quasirel import eigh, hermitian_part
 from quasirel import linalg, states
+from quasirel.linalg import eigh, hermitian_part
 from serial_search import trace_norm
 from spectral_oracle import SpectralDomainError, eigvalsh_desc, mat_func
 
@@ -56,16 +56,16 @@ def test_hermitian_part_rejects_non_finite_entries(bad):
 
 
 def test_hermitian_part_is_idempotent_bit_for_bit():
-    # eigh(h, symmetrized=True) skips the second symmetrization on this premise
+    # eigh decomposes an exactly Hermitian matrix as given on this premise
     rng = _rng(5)
     stack = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
     h = hermitian_part((stack + stack.conj().swapaxes(-1, -2)) / 2.0
                        + 1e-14 * rng.standard_normal((6, 5, 5)))
     assert hermitian_part(h).tobytes() == h.tobytes()
     for a in (h, h[0]):  # a stack and one matrix
-        skipped, checked = eigh(a, symmetrized=True), eigh(a)
-        assert skipped.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
-        assert skipped.eigenvectors.tobytes() == checked.eigenvectors.tobytes()
+        given, validated = eigh(a), eigh(hermitian_part(a))
+        assert given.eigenvalues.tobytes() == validated.eigenvalues.tobytes()
+        assert given.eigenvectors.tobytes() == validated.eigenvectors.tobytes()
 
 
 def test_state_stack_symmetrized_once(monkeypatch):

@@ -495,8 +495,8 @@ def test_double_stochastic_tolerance_both_sides(monkeypatch, scale, accepted):
     # rho's first eigenvector is lengthened by hand: overlap column 0 then
     # sums to 1 + scale * DOUBLE_STOCHASTIC_TOL. pair_batch diagonalizes
     # rho and sigma as one joined stack, rho's state first.
-    def stretched(a, **kwargs):
-        vals, vecs = eigh(a, **kwargs)
+    def stretched(a):
+        vals, vecs = eigh(a)
         if a.shape[0] == 2 and not stretched.done:
             stretched.done = True
             vecs = vecs.copy()
@@ -517,18 +517,17 @@ def test_double_stochastic_tolerance_both_sides(monkeypatch, scale, accepted):
 
 @pytest.mark.parametrize("kind", ["random", "classical"])
 def test_modular_half_power_is_exactly_hermitian(monkeypatch, kind):
-    # modular_spectrum decomposes its half power as it is: hermitian_part
-    # would return the same bytes, so skipping it moves no bit
+    # eigh decomposes the half power modular_spectrum gives it as it is:
+    # hermitian_part returns the same bytes, so validating it moves no bit
     halves = []
 
-    def recording(a, *, symmetrized=False):
-        halves.append((a, symmetrized))
-        return eigh(a, symmetrized=symmetrized)
+    def recording(a):
+        halves.append(a)
+        return eigh(a)
 
     monkeypatch.setattr(states, "eigh", recording)
     for dim in range(2, 9):
         halves.clear()
         trial_pair(5, dim, 0, kind).modular_spectrum
-        ((half, symmetrized),) = [(a, sym) for a, sym in halves if a.shape[-1] == dim * dim]
-        assert symmetrized
+        (half,) = [a for a in halves if a.shape[-1] == dim * dim]
         assert hermitian_part(half).tobytes() == half.tobytes()
