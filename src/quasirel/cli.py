@@ -421,7 +421,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
     route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
     chunk = render_columns([pair.dim], seed, [tag], sandwich_batch([pair], [route], cfg.log_base),
-                           [0], cfg.format)
+                           cfg.format)
     with _output(cfg.output_path) as out:
         _, violations = write_chunks(out, [chunk], cfg.format)
     if violations:

@@ -147,10 +147,7 @@ class SearchRecord:
     violations: tuple
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["dims"] = list(doc["dims"])
-        doc["violations"] = list(doc["violations"])
-        return json.dumps(doc, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
 
 def save_record(path, record: SearchRecord) -> None:
@@ -359,19 +356,6 @@ def _climb(inst: _Instances, ratio: float, rng: np.random.Generator, step: float
     return inst, ratio
 
 
-def check_search_arguments(trials: int, step: float, steps_per_restart: int,
-                           plateau: int) -> None:
-    """Raise ValueError unless the trial count and the climb settings are usable."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be a positive finite number, got {step}")
-    if steps_per_restart < 0:
-        raise ValueError(f"steps per restart must be >= 0, got {steps_per_restart}")
-    if plateau < 1:
-        raise ValueError(f"plateau must be >= 1, got {plateau}")
-
-
 def conjecture_search(dims, trials: int, strategy: str, seed: int,
                       weight_mode: str = "uniform", commuting: bool = False,
                       step: float = 0.05, steps_per_restart: int = 200,
@@ -422,7 +406,14 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         raise ValueError(f"unknown strategy {strategy!r}")
     if weight_mode not in ("uniform", "modular"):
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
-    check_search_arguments(trials, step, steps_per_restart, plateau)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
+    if steps_per_restart < 0:
+        raise ValueError(f"steps per restart must be >= 0, got {steps_per_restart}")
+    if plateau < 1:
+        raise ValueError(f"plateau must be >= 1, got {plateau}")
 
     tag = _TAG_RANDOM if strategy == "random" else _TAG_CLIMB
     draws = {dim: partial(_instance_draw, dim, weight_mode, commuting) for dim in dims}

@@ -71,6 +71,11 @@ def neg_log() -> OMDFunction:
     )
 
 
+def _order_text(x: float) -> str:
+    """An order's shortest round-trip text, 2 for 2.0: parse_f_spec reads it back exactly."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def neg_power(p: float) -> OMDFunction:
     """f(x) = 1 - x^p for p in (0, 1): the shifted power generator.
 
@@ -80,7 +85,7 @@ def neg_power(p: float) -> OMDFunction:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     return OMDFunction(
-        name=f"neg-power:p={p:g}",
+        name=f"neg-power:p={_order_text(p)}",
         eval=lambda x: 1.0 - np.power(x, p),
         a=0.0,
         b=math.cos(p * math.pi / 2.0),
@@ -123,7 +128,7 @@ def tsallis_f(q: float) -> OMDFunction:
     # b = -Re f(i) with i^(1-q) = exp(i pi (1-q)/2).
     b = (math.cos(r * math.pi / 2.0) - 1.0) / r
     return OMDFunction(
-        name=f"tsallis:q={q:g}",
+        name=f"tsallis:q={_order_text(q)}",
         eval=lambda x: (1.0 - np.power(x, r)) / r,
         a=0.0,
         b=b,

@@ -2,9 +2,9 @@
 
 A sweep evaluates every bound over a grid of (dimension, trial, generator) and
 streams the rows out as CSV or JSON; sweep_bounds checks every setting first.
-chunk_plan alone decides how the grid is cut and the order of its rows:
-dimensions ascending, then trials. Each dimension is cut into blocks of at
-most _CHUNK_TRIALS trials, and neighbouring blocks, of one dimension or
+chunk_plan alone decides how the grid is cut and the order of its rows: the
+set of dimensions ascending, then trials. Each dimension is cut into blocks of
+at most _CHUNK_TRIALS trials, and neighbouring blocks, of one dimension or
 several, share a chunk while it holds at most _CHUNK_TRIALS pairs and
 _CHUNK_SQUARES in the sum of d^2 over its pairs. Each block is one PairBatch,
 sampled, validated, diagonalized and summarized once. bounds.sandwich_batch
@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-from collections import Counter
 
 import numpy as np
 
@@ -191,19 +190,18 @@ def table_layout(columns: tuple, fmt: str) -> tuple:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt: str) -> tuple:
+def render_columns(dims: list, seed, tags: list, routes: list, fmt: str) -> tuple:
     """BOUNDS_COLUMNS rows of sandwich_batch's ``routes`` as ``fmt`` rows:
     (text, rows, violations).
 
     ``dims`` and ``tags`` give each pair its dimension and pair_tag, and
-    ``seed`` is an int, or "" for a pair from a file. Rows come pair by pair
-    in ``order``, a list of indices into the pairs (a pair listed twice gets
-    its rows twice), then route by route, then bound by bound.
-    ``violations`` holds the (bound_name, slack) of each applicable row with
-    slack below -1e-10. The cells a pair's rows share are formatted once per
-    pair and route, and every float cell of the chunk (each route's
-    divergences, bound values and slacks) in one call; each pair's rows are
-    then one %-format of those cells.
+    ``seed`` is an int, or "" for a pair from a file. Rows come pair by pair,
+    then route by route, then bound by bound, so ``rows`` is the pairs times
+    the rows of one pair. ``violations`` holds the (bound_name, slack) of
+    each applicable row with slack below -1e-10, in row order. The cells a
+    pair's rows share are formatted once per pair and route, and every float
+    cell of the chunk (each route's divergences, bound values and slacks) in
+    one call; each pair's rows are then one %-format of those cells.
     """
     cell, floats, b, end, sep, _, _ = table_layout(BOUNDS_COLUMNS, fmt)
     empty, flags, seed = cell(""), ("false", "true"), cell(seed)
@@ -235,9 +233,9 @@ def render_columns(dims: list, seed, tags: list, routes: list, order: list, fmt:
             flagged += [(name, table.slack[row].tolist(), bad[row].tolist())
                         for row, name in enumerate(table.bound_names) if bad[row].any()]
     form = sep.join(forms)  # all the rows of one pair
-    pair_text = [form % pair_cells for pair_cells in zip(*cells)]
-    violations = [(name, slack[n]) for n in order for name, slack, bad in flagged if bad[n]]
-    return sep.join([pair_text[n] for n in order]), len(order) * len(forms), violations
+    text = sep.join([form % pair_cells for pair_cells in zip(*cells)])
+    violations = [(name, slack[n]) for n in range(width) for name, slack, bad in flagged if bad[n]]
+    return text, width * len(forms), violations
 
 
 def write_chunks(out, chunks, fmt: str) -> tuple:
@@ -259,44 +257,35 @@ def sweep_chunk(seed: int, blocks: list, pair_kind: str,
     """One shard, rendered: a list of (dim, trials) blocks. Top level for pickling.
 
     Each block is sampled as one batch and its divergences run over it; the
-    bounds run once over the chunk. A trial listed more than once in a block
-    (its dimension was) is sampled and evaluated once, and its rows are
-    given once per listing.
+    bounds run once over the chunk, and each trial gets its rows once.
     """
     routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
-    spans, keys, dims, tags, order = [], [], [], [], []
+    spans, keys, dims, tags = [], [], [], []
     for dim, trials in blocks:
-        index = {trial: n for n, trial in enumerate(dict.fromkeys(trials), len(keys))}
-        spans.append((dim, range(len(keys), len(keys) + len(index))))
-        keys += [trial_key(seed, dim, trial) for trial in index]
-        dims += [dim] * len(index)
-        tags += [f"{pair_kind}:{trial:06d}" for trial in index]
-        order += [index[trial] for trial in trials]
+        spans.append((dim, range(len(keys), len(keys) + len(trials))))
+        keys += [trial_key(seed, dim, trial) for trial in trials]
+        dims += [dim] * len(trials)
+        tags += [f"{pair_kind}:{trial:06d}" for trial in trials]
     streams = trial_streams(keys)  # the whole chunk seeded in one pass
     batches = [trial_batch(dim, streams.take(span), pair_kind) for dim, span in spans]
-    return render_columns(dims, int(seed), tags, sandwich_batch(batches, routes, ae11_base),
-                          order, fmt)
+    return render_columns(dims, int(seed), tags, sandwich_batch(batches, routes, ae11_base), fmt)
 
 
 def chunk_plan(dims: list, trials: int) -> list:
-    """The chunks in row order, each a list of (dim, trials) blocks: dims
-    ascending, then trials, at most _CHUNK_TRIALS distinct trials a block.
+    """The chunks in row order, each a list of (dim, trials) blocks: the set
+    of ``dims`` ascending, then trials, at most _CHUNK_TRIALS trials a block.
     A block joins the chunk before it while that chunk then holds at most
-    _CHUNK_TRIALS distinct pairs and at most _CHUNK_SQUARES in the sum of d^2
-    over them. A dimension listed k times gives each of its trials k times
-    in a row, so each listing gets its own copy of the rows; sweep_chunk
-    still samples and evaluates the trial once."""
-    copies = Counter(dims)
+    _CHUNK_TRIALS pairs and at most _CHUNK_SQUARES in the sum of d^2 over
+    them. A dimension listed twice is planned once."""
     plan, pairs, squares = [], 0, 0
-    for dim in sorted(copies):
+    for dim in sorted(set(dims)):
         for start in range(0, trials, _CHUNK_TRIALS):
             block = range(start, min(start + _CHUNK_TRIALS, trials))
             n, weight = len(block), len(block) * dim ** 2
             if not plan or pairs + n > _CHUNK_TRIALS or squares + weight > _CHUNK_SQUARES:
                 plan.append([])
                 pairs = squares = 0
-            plan[-1].append((dim, block if copies[dim] == 1 else
-                             [t for t in block for _ in range(copies[dim])]))
+            plan[-1].append((dim, block))
             pairs, squares = pairs + n, squares + weight
     return plan
 
@@ -307,6 +296,7 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
     """Sandwich every bound over trials x dims x generators, writing the rows
     to the text stream ``out`` as ``fmt`` ("csv" or "json") chunk by chunk.
 
+    ``dims`` is taken as a set: a dimension listed twice gets its rows once.
     ``trials`` counts pairs per dimension, and ``jobs`` processes, this one
     included; the bytes do not depend on ``jobs``. Returns write_chunks'
     (rows, violations).

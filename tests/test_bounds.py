@@ -318,7 +318,7 @@ def test_slack_floor_both_sides(scale, flagged):
     table = BoundTable(("b",), ("",), (False,), np.array([[1.0]]), np.array([[True]]),
                        np.array([[slack]]))
     routes = [(neg_log(), None, np.array([1.0]), table)]
-    text, rows, violations = render_columns([3], 5, ["t"], routes, [0], "csv")
+    text, rows, violations = render_columns([3], 5, ["t"], routes, "csv")
     assert rows == 1 and ("%.17g" % slack) in text
     assert violations == ([("b", slack)] if flagged else [])
 

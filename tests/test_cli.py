@@ -192,6 +192,22 @@ def test_sweep_deterministic_across_jobs(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overlapping_dims_give_the_rows_of_their_union(tmp_path, capsys, fmt):
+    # 2..4,3..5 names d = 3 and d = 4 twice; a sweep takes the set of its
+    # dims, so the bytes and the row count are those of 2..5, at any jobs
+    argv = ["sweep", "--trials", "60", "--f", "neg-log", "--q", "0.3", "--format", fmt]
+    union = _run(capsys, argv + ["--dims", "2..5", "--jobs", "1"])
+    assert union[0] == 0 and union[2] == f"{4 * 60 * 16} rows, zero violations\n"
+    assert len(chunk_plan(range(2, 6), 60)) == 2  # --jobs 2 starts a child
+    for jobs in ("1", "2"):
+        assert _run(capsys, argv + ["--dims", "2..4,3..5", "--jobs", jobs]) == union
+        out = tmp_path / f"overlap{jobs}"
+        code, _, err = _run(capsys, argv + ["--dims", "3,2,4,5,3", "--jobs", jobs,
+                                            "--out", str(out)])
+        assert (code, out.read_text(), err) == union
+
+
 def test_sweep_classical_pairs(capsys):
     code, out, err = _run(
         capsys, ["sweep", "--dims", "4", "--trials", "5", "--seed", "3",

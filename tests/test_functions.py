@@ -181,9 +181,26 @@ def test_parse_f_spec():
     assert parse_f_spec("neg-log").name == "neg-log"
     assert parse_f_spec("neg-power:p=0.5").name == neg_power(0.5).name
     assert parse_f_spec(" tsallis:q=1.5 ").name == tsallis_f(1.5).name
+    # a name keeps every digit of its order, and 2.0 reads 2
+    assert [tsallis_f(q).name for q in (0.1234567, 0.1234568, 2.0, 2, 1e-05)] == [
+        "tsallis:q=0.1234567", "tsallis:q=0.1234568", "tsallis:q=2", "tsallis:q=2",
+        "tsallis:q=1e-05"]
+    assert neg_power(1 / 3).name == "neg-power:p=0.3333333333333333"
     for bad in ("sinh", "neg-power", "neg-power:q=0.5", "tsallis:p=1.5", "tsallis:q=zz"):
         with pytest.raises(ValueError):
             parse_f_spec(bad)
+
+
+@given(st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(neg_power),
+    st.floats(0.0, 2.0, exclude_min=True).filter(lambda q: q != 1.0).map(tsallis_f)))
+def test_a_generator_name_gives_back_its_generator(f):
+    # a name holds its order's shortest round-trip text, so parsing it
+    # rebuilds the generator bit for bit, past 6 significant digits too
+    g = parse_f_spec(f.name)
+    assert g.name == f.name
+    xs = np.array([0.1, 0.5, 3.0])
+    assert g.eval(xs).tobytes() == f.eval(xs).tobytes()
 
 
 @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])

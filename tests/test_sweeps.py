@@ -83,15 +83,15 @@ def test_sweep_chunk_evaluates_one_batch(monkeypatch):
     ([2, 3, 4, 5], 25, 1), ([2, 3, 4, 5], 25, 2), ([2, 3, 4, 5], 25, 3), ([2, 3, 3, 9], 40, 2)])
 def test_chunk_plan_covers_grid_once_in_order(monkeypatch, pools_started, dims, trials, jobs):
     plan = chunk_plan(dims, trials)
+    # a dimension listed twice is planned once: the plan of the set
+    assert plan == chunk_plan(sorted(set(dims)), trials)
     cells = [(dim, trial) for chunk in plan for dim, block in chunk for trial in block]
-    # dims ascending, then trials; a dimension listed k times gives each of
-    # its trials k times in a row, the interleaving the rows have always had
-    assert cells == [(dim, trial) for dim in sorted(set(dims)) for trial in range(trials)
-                     for _ in range(dims.count(dim))]
+    # dims ascending, then trials, each cell once
+    assert cells == [(dim, trial) for dim in sorted(set(dims)) for trial in range(trials)]
     for chunk in plan:
         for dim, block in chunk:
-            assert 0 < len(block) <= sweeps._CHUNK_TRIALS * dims.count(dim)
-        assert sum(len(set(block)) for _, block in chunk) <= sweeps._CHUNK_TRIALS
+            assert 0 < len(block) <= sweeps._CHUNK_TRIALS
+        assert sum(len(block) for _, block in chunk) <= sweeps._CHUNK_TRIALS
     # the sweep runs exactly this plan, in this order, at any number of jobs
     ran = []
     monkeypatch.setattr(sweeps, "sweep_chunk", lambda seed, chunk, **settings:
@@ -194,16 +194,17 @@ def test_repeated_dimension_is_sampled_once(monkeypatch):
         sizes.append(len(streams.states))
         return trial_batch(dim, streams, pair_kind)
 
+    def sweep_text(dims):
+        out = io.StringIO()
+        count, _ = sweep_bounds(dims, 300, seed=4, out=out, f_specs=["neg-log"], fmt="json")
+        return out.getvalue(), count
+
     monkeypatch.setattr(sweeps, "trial_batch", recording)
-    rows, _ = sweep_rows([3, 3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
-    assert sum(sizes) == 300  # not 600: each distinct (dim, trial) once
-    assert len(rows) == 2 * 8 * 300
-    # each pair's rows twice in a row, as separate rows
-    assert rows[:8] == rows[8:16] and rows[0] is not rows[8]
-    assert [r["pair_tag"] for r in rows[::8]][:4] == ["random:000000"] * 2 + ["random:000001"] * 2
+    twice = sweep_text([3, 3])
+    assert sum(sizes) == 300  # each distinct (dim, trial) once
     monkeypatch.undo()
-    once, _ = sweep_rows([3], trials=300, seed=4, f_specs=["neg-log"], jobs=1)
-    assert rows[::2 * 8] == once[::8]
+    # the rows of [3], byte for byte: one row per grid cell
+    assert twice == sweep_text([3]) and twice[1] == 8 * 300
 
 
 class _InlinePipe:
@@ -291,7 +292,7 @@ def test_rows_sorted_by_numeric_trial_past_a_million(monkeypatch, pools_started)
 
 def test_violations_come_in_row_order(monkeypatch):
     # with the floor above every finite slack, each applicable row with a
-    # slack is a violation, across chunks and repeated listings
+    # slack is a violation, across chunks and a repeated listing
     monkeypatch.setattr(bounds, "SLACK_FLOOR", math.inf)
     monkeypatch.setattr(sweeps, "_CHUNK_TRIALS", 2)
     rows, violations = sweep_rows([3, 2, 3], trials=3, seed=6, f_specs=["neg-log"], qs=[0.5])
