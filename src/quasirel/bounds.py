@@ -10,8 +10,8 @@ The dimension is a column like the rest, so one pass covers pairs of
 several dimensions. bound_reports lays a route's reports out as one
 BoundTable, a row per bound and a column per pair, and sets every slack in
 it at once. sandwich_batch, the one driver of sandwich, the bounds command
-and the sweep, runs every (f, q) route of one or more batches over their
-summary columns joined once; sandwich reads column 0 for a batch of one.
+and the sweep, runs the (generator, q) routes that routes makes, over one or
+more batches' summary columns joined once; sandwich reads a batch of one.
 
 sqrt_d_upper and the two qubit_relative rows have no function of their
 own: they reach a caller as rows of bound_reports' table.
@@ -36,7 +36,7 @@ from .divergences import (
     spectral_values,
     tsallis_values,
 )
-from .functions import OMDFunction, tsallis_f
+from .functions import OMDFunction, parse_f_spec, tsallis_f
 from .states import PairBatch, ScalarSummary, _single, joined_summary
 
 COMMUTING_TOL = 1e-10
@@ -255,27 +255,30 @@ def violated(applicable, slack):
     return applicable & (slack < SLACK_FLOOR)
 
 
+def routes(f_specs=(), qs=()) -> list:
+    """(generator, q) routes: each spec as (parse_f_spec(spec), None), by the
+    spectral route, then each order as (tsallis_f(q), q), by the direct one.
+    A route is listed once, where first named, keyed by (generator name, q)."""
+    named = [(parse_f_spec(s), None) for s in f_specs]
+    named += [(tsallis_f(q), q) for q in map(float, qs)]
+    return list({(gen.name, q): (gen, q) for gen, q in named}.values())
+
+
 def sandwich_batch(batches: list, routes: list, ae11_base: str = "e") -> list:
     """Each route's divergence column and bound table over the pairs of
     ``batches``, of any dimensions, end to end in batch order.
 
-    ``routes`` lists (f, q) choices, each with exactly one of ``f``, by the
-    spectral route, and ``q``, the Tsallis generator of that order by the
-    direct one. A Tsallis order q additionally attaches the Tsallis-specific
-    bounds; the relative-entropy-specific bounds attach only to neg-log.
-    The batches' summary columns are joined once, and each route's bounds
-    run once over them. Returns (generator, q, divergences, bound table)
-    per route.
+    ``routes`` lists (generator, q) routes as routes makes them: q is None
+    for the spectral route, and the generator's Tsallis order for the direct
+    one, which additionally attaches the Tsallis-specific bounds. The
+    relative-entropy-specific bounds attach only to neg-log. The batches'
+    summary columns are joined once, and each route's bounds run once over
+    them. Returns (generator, q, divergences, bound table) per route.
     """
     summary, results = joined_summary(batches), []
     for f, q in routes:
-        if (f is None) == (q is None):
-            raise ValueError("pass exactly one of f or q")
-        if f is None:
-            f, divergence = tsallis_f(q), [tsallis_values(batch, q) for batch in batches]
-        else:
-            divergence = [spectral_values(batch, f) for batch in batches]
-        divergence = np.concatenate(divergence)
+        divergence = np.concatenate([spectral_values(batch, f) if q is None
+                                     else tsallis_values(batch, q) for batch in batches])
         results.append((f, q, divergence, bound_reports(summary, f, divergence, q, ae11_base)))
     return results
 
@@ -291,11 +294,14 @@ def sandwich(pair: PairBatch, f: Optional[OMDFunction] = None,
              q: Optional[float] = None) -> SandwichReport:
     """Divergence plus every applicable bound, with signed slacks.
 
-    The view of sandwich_batch's one route (f, q) at column 0 for a batch
-    of one, read as numbers; see sandwich_batch for the bounds that attach.
+    The view of sandwich_batch's route of ``f`` or ``q`` at column 0 for a
+    batch of one, read as numbers; see sandwich_batch for the bounds that attach.
     Its AE11 row takes the natural log; sandwich_batch takes the base.
     """
-    ((_, _, divergence, table),) = sandwich_batch([_single(pair)], [(f, q)])
+    if (f is None) == (q is None):
+        raise ValueError("pass exactly one of f or q")
+    route = [(f, None)] if q is None else routes(qs=[q])
+    ((_, _, divergence, table),) = sandwich_batch([_single(pair)], route)
     result = DivergenceResult(float(divergence[0]))
     values, gates, slacks, bad = (column[:, 0].tolist() for column in (
         table.value, table.applicable, table.slack, violated(table.applicable, table.slack)))

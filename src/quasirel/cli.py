@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import sandwich_batch
+from .bounds import routes, sandwich_batch
 from .conjecture import conjecture_search
 from .divergences import (
     quasi_entropy_spectral,
@@ -51,7 +51,6 @@ from .functions import (
     is_tsallis_order,
     normalization_residual,
     parse_f_spec,
-    tsallis_f,
 )
 from .quadrature import QuadratureError
 from .states import load_pair
@@ -379,11 +378,9 @@ def _note(msg: str) -> None:
 
 def cmd_divergence(cfg: RunConfig) -> int:
     pair, seed, tag = _resolve_pair(cfg)
-    specs = cfg._f_list() or ["neg-log"]
-    q = cfg.qs[0] if cfg.qs else None
-    if q is not None and cfg.f_spec is not None:
+    if cfg.qs and cfg.f_spec is not None:
         raise ValueError("divergence takes --f or --q, not both")
-    gen = tsallis_f(q) if q is not None else parse_f_spec(specs[0])
+    ((gen, q),) = routes(cfg._f_list(), cfg.qs) or routes(["neg-log"])
 
     rows = []
 
@@ -416,11 +413,10 @@ def cmd_divergence(cfg: RunConfig) -> int:
 
 def cmd_bounds(cfg: RunConfig) -> int:
     pair, seed, tag = _resolve_pair(cfg)
-    specs = cfg._f_list()
-    if (len(specs) + len(cfg.qs)) != 1:
+    route = routes(cfg._f_list(), cfg.qs)
+    if len(route) != 1:
         raise ValueError("bounds takes exactly one generator: --f spec or --q value")
-    route = (parse_f_spec(specs[0]), None) if specs else (None, cfg.qs[0])
-    chunk = render_columns([pair.dim], seed, [tag], sandwich_batch([pair], [route], cfg.log_base),
+    chunk = render_columns([pair.dim], seed, [tag], sandwich_batch([pair], route, cfg.log_base),
                            cfg.format)
     with _output(cfg.output_path) as out:
         _, violations = write_chunks(out, [chunk], cfg.format)

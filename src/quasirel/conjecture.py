@@ -1,14 +1,14 @@
-"""Search harness for the open dimension-free trace-functional bound.
+"""Search harness for a dimension-free trace-functional bound.
 
-The object under study is D = sum_kj C_kj <psi_j|phi_k> |psi_j><phi_k| built
-from two orthonormal systems and weights 0 <= C_kj <= C. Two cases of
-|Tr(DX)| <= C ||X||_1 are proven (X diagonal in either basis; X a 2x2
-traceless Hermitian); whether it holds for X = rho - sigma with the pair's
-own eigenbases in dimension >= 3 is open. This module verifies the proven
-cases and searches for counterexamples with seeded random sampling and
-jitter-based hill climbing. A violation is a first-class result that gets
-serialized with full reproduction data; absence of violations is never
-asserted for the open case.
+D = sum_kj C_kj <psi_j|phi_k> |psi_j><phi_k| is built from two orthonormal
+systems and weights 0 <= C_kj <= C. |Tr(DX)| <= C ||X||_1 is proven for X
+diagonal in either basis or a 2x2 traceless Hermitian, and for X = rho - sigma
+with the pair's own eigenbases it is proven for d <= 8 and open from d = 9:
+the ratio is at most 1/2 ||P - Q||_1 / ||X||_1 <= 1/2 sqrt(d/2), with P, Q the
+pair's Nussbaum-Szkola distributions (Ann. Statist. 37, 1040, 2009). This
+module checks the proven cases and searches for counterexamples by seeded
+random sampling and jitter-based hill climbing; a violation is a result,
+saved with full reproduction data, and the search never asserts there is none.
 """
 
 from __future__ import annotations

@@ -30,8 +30,7 @@ import json
 
 import numpy as np
 
-from .bounds import ae11_upper, relative_entropy_upper, sandwich_batch, violated
-from .functions import parse_f_spec, tsallis_f
+from .bounds import ae11_upper, relative_entropy_upper, routes, sandwich_batch, violated
 from .states import (
     PairBatch,
     TrialStreams,
@@ -259,7 +258,7 @@ def sweep_chunk(seed: int, blocks: list, pair_kind: str,
     Each block is sampled as one batch and its divergences run over it; the
     bounds run once over the chunk, and each trial gets its rows once.
     """
-    routes = [(parse_f_spec(s), None) for s in f_specs] + [(None, float(q)) for q in qs]
+    resolved = routes(f_specs, qs)
     spans, keys, dims, tags = [], [], [], []
     for dim, trials in blocks:
         spans.append((dim, range(len(keys), len(keys) + len(trials))))
@@ -268,7 +267,7 @@ def sweep_chunk(seed: int, blocks: list, pair_kind: str,
         tags += [f"{pair_kind}:{trial:06d}" for trial in trials]
     streams = trial_streams(keys)  # the whole chunk seeded in one pass
     batches = [trial_batch(dim, streams.take(span), pair_kind) for dim, span in spans]
-    return render_columns(dims, int(seed), tags, sandwich_batch(batches, routes, ae11_base), fmt)
+    return render_columns(dims, int(seed), tags, sandwich_batch(batches, resolved, ae11_base), fmt)
 
 
 def chunk_plan(dims: list, trials: int) -> list:
@@ -296,7 +295,7 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
     """Sandwich every bound over trials x dims x generators, writing the rows
     to the text stream ``out`` as ``fmt`` ("csv" or "json") chunk by chunk.
 
-    ``dims`` is taken as a set: a dimension listed twice gets its rows once.
+    ``dims`` is taken as a set; a dimension or generator listed twice gets its rows once.
     ``trials`` counts pairs per dimension, and ``jobs`` processes, this one
     included; the bytes do not depend on ``jobs``. Returns write_chunks'
     (rows, violations).
@@ -306,12 +305,11 @@ def sweep_bounds(dims, trials: int, seed: int, out, f_specs=(), qs=(),
         raise ValueError("dims must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    f_specs = list(f_specs)
-    qs = [float(q) for q in qs]
-    if not f_specs and not qs:
+    resolved = routes(f_specs, qs)  # raises on a bad spec or order
+    if not resolved:
         raise ValueError("need at least one generator (f_specs or qs)")
-    for resolve, value in [(parse_f_spec, s) for s in f_specs] + [(tsallis_f, q) for q in qs]:
-        resolve(value)  # as each chunk will; it gets the text, which a child unpickles
+    f_specs = [gen.name for gen, q in resolved if q is None]
+    qs = [q for _, q in resolved if q is not None]  # a spawned child takes text, not generators
     table_layout(BOUNDS_COLUMNS, fmt)  # raises on an unknown format
 
     plan = chunk_plan(dims, trials)

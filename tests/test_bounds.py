@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirel import (
     ae11_upper,
@@ -13,6 +15,7 @@ from quasirel import (
     guarded_power_diff_quot,
     neg_log,
     neg_power,
+    parse_f_spec,
     qubit_classical_upper,
     relative_entropy_upper,
     sandwich,
@@ -29,12 +32,15 @@ from quasirel.bounds import (
     BoundTable,
     _bracket_core,
     bound_reports,
+    routes,
     sandwich_batch,
     violated,
 )
+from quasirel.divergences import spectral_values
 from quasirel.states import (example_pair, joined_summary, pair_batch, random_pairs, state_pair,
                              trial_streams)
 from quasirel.sweeps import render_columns, trial_batch, trial_key, trial_pair
+from nussbaum_szkola import ns_distance
 
 PAIR = state_pair(np.diag([0.5, 0.5]), np.diag([0.75, 0.25]))
 S = summarize(PAIR)
@@ -267,7 +273,7 @@ def test_sandwich_random_pairs_no_violations():
 def test_sandwich_is_index_n_of_sandwich_batch():
     # one batch per dimension mixes random and classical pairs, plus the
     # qubit PAIR at d = 2 and example_pair(4), whose divergence is infinite
-    routes = [(f, None) for f in builtin_suite()] + [(None, q) for q in (0.3, 1.5, 2.0)]
+    routes = [(f, None) for f in builtin_suite()] + [(tsallis_f(q), q) for q in (0.3, 1.5, 2.0)]
     seen = {"infinite": 0, "inapplicable": 0}
     for dim in range(2, 9):
         pairs = [trial_pair(44, dim, trial, kind)
@@ -279,7 +285,7 @@ def test_sandwich_is_index_n_of_sandwich_batch():
             ((gen, q, divergence, table),) = sandwich_batch([batch], [route])
             assert q == route[1]
             for n, pair in enumerate(pairs):
-                swr = sandwich(pair, *route)
+                swr = sandwich(pair, q=q) if q is not None else sandwich(pair, gen)
                 assert swr.divergence.value == divergence[n]
                 assert math.isinf(swr.divergence.value) == (not math.isfinite(divergence[n]))
                 assert tuple(r.bound_name for r in swr.reports) == table.bound_names
@@ -345,7 +351,8 @@ def test_bracket_core_once_per_route(monkeypatch):
     for name in ("guarded_log_diff_quot", "guarded_power_diff_quot"):
         monkeypatch.setattr(bounds, name, lambda *args, _name=name, _real=getattr(bounds, name):
                             calls.append(_name) or _real(*args))
-    routes = [(f, None) for f in builtin_suite()] + [(None, q) for q in (0.3, 0.7, 1.5, 2.0)]
+    routes = [(f, None) for f in builtin_suite()]
+    routes += [(tsallis_f(q), q) for q in (0.3, 0.7, 1.5, 2.0)]
     for route in routes:
         calls.clear()
         ((gen, q, _, table),) = sandwich_batch([batch], [route])
@@ -362,8 +369,25 @@ def test_bracket_core_once_per_route(monkeypatch):
 def test_sandwich_batch_reuses_the_tsallis_descriptor():
     batch = random_pairs(3, trial_streams([46]))
     for q in (0.3, 1.5):
-        gens = [sandwich_batch([batch], [(None, q)])[0][0] for _ in range(3)]
+        gens = [sandwich_batch([batch], routes(qs=[q]))[0][0] for _ in range(3)]
         assert gens[0] is gens[1] is gens[2] is tsallis_f(q)
+
+
+def test_routes_lists_each_generator_once_where_first_named():
+    # specs are keyed by their name after parsing, orders by their float;
+    # a spec and an order of one Tsallis generator are two routes
+    got = routes(["neg-power:p=.5", "neg-log", "tsallis:q=0.3", "neg-power:p=0.5", "neg-log"],
+                 [1.5, 0.3, 2, 1.50, 2.0])
+    assert [(gen.name, q) for gen, q in got] == [
+        ("neg-power:p=0.5", None), ("neg-log", None), ("tsallis:q=0.3", None),
+        ("tsallis:q=1.5", 1.5), ("tsallis:q=0.3", 0.3), ("tsallis:q=2", 2.0)]
+    assert [type(q) for _, q in got[3:]] == [float] * 3
+    assert all(gen is tsallis_f(q) for gen, q in got[3:])
+    assert routes() == []
+    with pytest.raises(ValueError, match="unknown function spec"):
+        routes(["neg-log", "bogus"])
+    with pytest.raises(ValueError, match="excluding 1"):
+        routes(qs=[1.0])
 
 
 @pytest.mark.parametrize("route", [(neg_log(), 0.3), (None, None)], ids=["both", "neither"])
@@ -371,8 +395,6 @@ def test_a_route_names_exactly_one_of_f_or_q(route):
     batch = random_pairs(3, trial_streams([47]))
     with pytest.raises(ValueError, match="pass exactly one of f or q"):
         sandwich(batch, *route)
-    with pytest.raises(ValueError, match="pass exactly one of f or q"):
-        sandwich_batch([batch], [(neg_log(), None), route])
 
 
 _QUBIT_GATED = ("qubit_classical_upper", "qubit_relative_tight_upper",
@@ -380,8 +402,8 @@ _QUBIT_GATED = ("qubit_classical_upper", "qubit_relative_tight_upper",
                 "tsallis_qubit_loose_upper")
 
 
-@pytest.mark.parametrize("route", [(neg_log(), None), (None, 0.3), (None, 1.5)],
-                         ids=["neg-log", "q0.3", "q1.5"])
+@pytest.mark.parametrize("route", [(neg_log(), None), (tsallis_f(0.3), 0.3),
+                                   (tsallis_f(1.5), 1.5)], ids=["neg-log", "q0.3", "q1.5"])
 def test_sandwich_batch_over_mixed_dimensions_is_exact(route):
     # one call over batches of d = 2, 3 and 5 gives every pair the bits it
     # gets in a call over its own batch
@@ -408,7 +430,7 @@ def test_sandwich_batch_over_mixed_dimensions_is_exact(route):
     np.testing.assert_allclose(ratio, np.sqrt(dims), rtol=1e-15)
     assert {name for name in _QUBIT_GATED if name in by_name} == (
         {"qubit_classical_upper", "qubit_relative_tight_upper", "qubit_relative_loose_upper"}
-        if route[0] is not None else
+        if route[1] is None else
         {"qubit_classical_upper", "tsallis_qubit_tight_upper", "tsallis_qubit_loose_upper"})
 
 
@@ -481,7 +503,7 @@ def test_each_duplicate_row_has_its_source_bits(kind):
     # (a = 0 for every builtin) and carry qubit_classical_upper's value and
     # slack bits; for q < 1 the prior bound is the qubit loose row over 1 - q
     pairs = [trial_pair(49, dim, trial, kind) for dim in range(2, 7) for trial in range(6)]
-    routes = [(neg_log(), None)] + [(None, q) for q in _FORMULA_ORDERS]
+    routes = [(neg_log(), None)] + [(tsallis_f(q), q) for q in _FORMULA_ORDERS]
     for _, q, _, table in sandwich_batch(pairs, routes):
         row = {name: i for i, name in enumerate(table.bound_names)}
         tight = row["qubit_relative_tight_upper" if q is None else "tsallis_qubit_tight_upper"]
@@ -498,3 +520,50 @@ def test_each_duplicate_row_has_its_source_bits(kind):
             for rep in alone:
                 assert _same_bits(rep.value, table.value[row[rep.bound_name], n]), (
                     q, n, rep.bound_name)
+
+
+def _ns_chain(batch, f):
+    """Per pair, the four sides of S_f <= 1/2 ||P - Q||_1 B
+    <= 1/2 sqrt(d) ||rho - sigma||_2 B <= sqrt(d/2) T B (see nussbaum_szkola),
+    with B the bracket of qubit_classical_upper."""
+    summary, root_d = batch.summary, math.sqrt(batch.dim)
+    bracket = _bracket_core(summary, f) - f.a
+    distance = ns_distance(batch.rho_spectral.eigenvalues, batch.sigma_spectral.eigenvalues,
+                           batch.overlaps)
+    frobenius = np.linalg.norm(batch.rho - batch.sigma, axis=(-2, -1))
+    return (spectral_values(batch, f), 0.5 * distance * bracket,
+            0.5 * root_d * frobenius * bracket, root_d / math.sqrt(2.0) * summary.T * bracket)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(2, 8), kind=st.sampled_from(["random", "classical"]),
+       spec=st.sampled_from(["neg-log", "neg-power:p=0.5", "tsallis:q=0.3", "tsallis:q=1.5",
+                             "tsallis:q=0.7", "tsallis:q=1.9", "neg-power:p=0.1"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ns_chain_bounds_every_generator_in_every_dimension(dim, kind, spec, seed):
+    # each link holds to 1e-12 relative; the last two hold with equality
+    # on qubits, where rounding alone separates their sides
+    batch = trial_batch(dim, trial_streams([trial_key(seed, dim, t) for t in range(16)]), kind)
+    sides = _ns_chain(batch, parse_f_spec(spec))
+    assert (sides[-1] > 0.0).all()  # so relative is upper * (1 + 1e-12)
+    for link, (lower, upper) in enumerate(zip(sides, sides[1:]), 1):
+        assert (lower <= upper * (1.0 + 1e-12)).all(), (link, (lower / upper).max())
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_ns_distance_is_the_trace_distance_on_commuting_pairs(dim):
+    # commuting pairs share a basis: O is a permutation, and P - Q holds
+    # the eigenvalue differences of rho - sigma
+    batch = trial_batch(dim, trial_streams([trial_key(50, dim, t) for t in range(64)]),
+                        "classical")
+    distance = ns_distance(batch.rho_spectral.eigenvalues, batch.sigma_spectral.eigenvalues,
+                           batch.overlaps)
+    np.testing.assert_allclose(distance, batch.summary.trace_distance_1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["random", "classical"])
+def test_qubit_frobenius_distance_is_the_trace_distance(kind):
+    # a traceless 2 x 2 Hermitian matrix has eigenvalues +x and -x
+    batch = trial_batch(2, trial_streams([trial_key(51, 2, t) for t in range(64)]), kind)
+    frobenius = np.linalg.norm(batch.rho - batch.sigma, axis=(-2, -1))
+    np.testing.assert_allclose(0.5 * math.sqrt(2.0) * frobenius, batch.summary.T, rtol=1e-12)

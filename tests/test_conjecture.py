@@ -1,10 +1,15 @@
 """Weighted overlap functionals, proven cases, counterexample search."""
 
+import gzip
 import json
+import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirel import (
     conjecture_search,
@@ -31,6 +36,7 @@ from quasirel.linalg import ZERO_EIG_THRESHOLD, dagger
 from quasirel.states import (_spectra_draw, _spectral_draws, random_pairs, state_pair,
                              trial_streams)
 from quasirel.sweeps import trial_pair
+from nussbaum_szkola import ns_distance
 from scripted_streams import ScriptedStream, own_stream
 from serial_search import Instance as SerialInstance
 from serial_search import _unitary_jitter as serial_unitary_jitter
@@ -533,3 +539,33 @@ def test_drawn_step_rotation_is_built_once(monkeypatch):
     # rounds score steps again after an accepted step; they build none again
     assert sum(len(np.concatenate(r["built"])) for r in restarts) < sum(
         r["scored"] for r in restarts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 10), weight_mode=st.sampled_from(["uniform", "modular"]),
+       commuting=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_search_ratio_is_under_half_the_ns_distance_and_its_cap(dim, weight_mode, commuting,
+                                                                 seed):
+    # ratio <= 1/2 ||P - Q||_1 / ||rho - sigma||_1 <= 1/2 sqrt(d/2) (see
+    # nussbaum_szkola), each to 1e-12: the search's inequality holds for
+    # d <= 8 with the pair's own eigenbases, and at 1/2 on commuting pairs
+    insts = _drawn_instances(dim, 16, weight_mode, commuting, seed)
+    overlaps = np.abs(dagger(insts.u_phi) @ insts.u_psi) ** 2
+    rho = (insts.u_psi * insts.lam[:, np.newaxis, :]) @ dagger(insts.u_psi)
+    sigma = (insts.u_phi * insts.mu[:, np.newaxis, :]) @ dagger(insts.u_phi)
+    dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
+    half = 0.5 * ns_distance(insts.lam, insts.mu, overlaps) / dist
+    assert (insts.ratios() <= half + 1e-12).all()
+    assert (half <= 0.5 * math.sqrt(dim / 2.0) + 1e-12).all()
+    if commuting:
+        np.testing.assert_allclose(half, 0.5, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (Path(__file__).resolve().parent / "data").glob("conjecture_*.gz")))
+def test_each_golden_search_stays_under_its_cap(name):
+    # the cap 1/2 sqrt(d/2) of the record's largest dimension, 1/2 when commuting
+    with gzip.open(Path(__file__).resolve().parent / "data" / name, "rt") as fh:
+        record = json.load(fh)
+    cap = 0.5 if record["commuting"] else 0.5 * math.sqrt(max(record["dims"]) / 2.0)
+    assert 0.0 < record["max_ratio"] <= cap + 1e-12

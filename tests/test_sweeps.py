@@ -207,6 +207,36 @@ def test_repeated_dimension_is_sampled_once(monkeypatch):
     assert twice == sweep_text([3]) and twice[1] == 8 * 300
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("twice, once, rows_per_pair", [
+    ({"f_specs": ["neg-log", "neg-log"]}, {"f_specs": ["neg-log"]}, 8),
+    ({"f_specs": ["neg-power:p=0.5", "neg-power:p=.5"]}, {"f_specs": ["neg-power:p=0.5"]}, 3),
+    ({"qs": [0.3, 0.30]}, {"qs": [0.3]}, 8),
+], ids=["neg-log", "neg-power", "q"])
+def test_repeated_generator_is_evaluated_once(twice, once, rows_per_pair, jobs):
+    # the generator-axis twin of a repeated dimension: a generator named
+    # twice in one list gives the rows of one listing, byte for byte; the
+    # grid is two chunks, so at two jobs a child resolves the routes too
+    def sweep_text(generators):
+        out = io.StringIO()
+        count, _ = sweep_bounds([2, 9], 30, seed=4, out=out, jobs=jobs, **generators)
+        return out.getvalue(), count
+
+    assert len(chunk_plan([2, 9], 30)) == 2
+    text, count = sweep_text(twice)
+    assert (text, count) == sweep_text(once)
+    assert count == rows_per_pair * 2 * 30 == text.count("\n") - 1
+
+
+def test_a_spec_and_an_order_of_one_generator_stay_two_routes():
+    # tsallis:q=0.3 by --f (spectral route, generic bounds) and 0.3 by --q
+    # (direct route, Tsallis bounds too) are not merged here
+    rows, _ = sweep_rows([2, 3], trials=2, seed=6, f_specs=["tsallis:q=0.3"], qs=[0.3])
+    assert len(rows) == 4 * (3 + 8)
+    assert {r["f_name"] for r in rows} == {"tsallis:q=0.3"}
+    assert Counter(r["q"] for r in rows) == {"": 4 * 3, 0.3: 4 * 8}
+
+
 class _InlinePipe:
     """Stands in for a child's pipe: runs the stripe's next chunk in-process
     when it is received, so a stub chunk's records stay in this process."""
