@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
-from functools import partial
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,8 +23,7 @@ import numpy as np
 from .linalg import ZERO_EIG_THRESHOLD, dagger, hermitian_part
 from .states import (
     TrialStreams,
-    _classical_batch,
-    _classical_draw,
+    _ClassicalDraw,
     _matrix_to_json,
     _spectra_draw,
     _spectral_draws,
@@ -147,7 +145,9 @@ class SearchRecord:
     violations: tuple
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
+        """The record as JSON, with the bytes of json.dumps(asdict(record),
+        indent=1) and without asdict's deep copy."""
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=1)
 
 
 def save_record(path, record: SearchRecord) -> None:
@@ -193,19 +193,28 @@ class _Instances(NamedTuple):
         return _Instances(*(field[n:n + 1] for field in self))
 
     def ratios(self) -> np.ndarray:
-        """|Tr(D(rho - sigma))| / (cap ||rho - sigma||_1) per instance, 0 where rho = sigma."""
+        """|Tr(D(rho - sigma))| / (cap ||rho - sigma||_1) per instance, 0 where rho = sigma.
+
+        The guard's np.where pair runs only when an instance hits it. In
+        uniform mode the cap is 1 and the division skips it: 1.0 * dist is
+        dist, bit for bit.
+        """
         lam, mu = self.lam, self.mu
         phi_dagger = dagger(self.u_phi)
         overlaps = np.abs(phi_dagger @ self.u_psi) ** 2
-        c, cap = (self.w, 1.0) if self.w.ndim > 1 else _modular_weights(lam, mu, self.w)
+        uniform = self.w.ndim > 1
+        c, cap = (self.w, 1.0) if uniform else _modular_weights(lam, mu, self.w)
         numerator = np.abs(_sum_formula(c, lam, mu, overlaps))
-        rho = (self.u_psi * lam[:, np.newaxis, :]) @ dagger(self.u_psi)
-        sigma = (self.u_phi * mu[:, np.newaxis, :]) @ phi_dagger
-        dist = np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
+        x = (self.u_psi * lam[:, np.newaxis, :]) @ dagger(self.u_psi)
+        x -= (self.u_phi * mu[:, np.newaxis, :]) @ phi_dagger  # rho - sigma
+        dist = np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
         equal = dist < 1e-14
-        return np.where(equal, 0.0, numerator / (cap * np.where(equal, 1.0, dist)))
+        if np.count_nonzero(equal):  # rare; count_nonzero costs a third of equal.any()
+            return np.where(equal, 0.0, numerator / (cap * np.where(equal, 1.0, dist)))
+        return numerator / (dist if uniform else cap * dist)
 
-    def to_dict(self, n: int, ratio: float) -> dict:
+    def to_dict(self, n: int, ratio: float, trial: int) -> dict:
+        """Instance n's record document, as the search found it at trial."""
         lam, mu, u_psi, u_phi, w = (field[n] for field in self)
         doc = {
             "dim": self.dim,
@@ -216,38 +225,52 @@ class _Instances(NamedTuple):
         }
         if w.ndim:
             doc["c_entries"] = [[float(v) for v in row] for row in w]
+        doc["trial"] = trial
         return doc
 
 
-def _instance_draw(dim: int, weight_mode: str, commuting: bool,
-                   rng: np.random.Generator, floor=None) -> tuple:
-    """One instance's draws in stream order, as _spectral_draws takes them:
-    the pair's (a shuffled commuting pair's, or two spectra and then the
-    Gaussians of two Haar bases), then its weights (d*d uniforms) or its
-    modular t."""
-    if commuting:
-        draws = _classical_draw(dim, rng, floor)
-    else:
-        draws = (_spectra_draw(rng, dim, floor), rng.standard_normal((2, 2, dim, dim)))
-    if weight_mode == "modular":
-        return (*draws, np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-    return (*draws, rng.random((dim, dim)))  # uniform(0, 1)'s bits, without its wrapper
+class _InstanceDraw:
+    """Stacks of count search instances' draws; calling it with (rng, n,
+    floor=None) makes instance n's draws in stream order, as _spectral_draws
+    takes them: the pair's (a shuffled commuting pair's, or two spectra into
+    e[n] and then the Gaussians of two Haar bases into z[n]), then its
+    weights (d*d uniforms) or its modular t into w[n]."""
+
+    def __init__(self, count: int, dim: int, weight_mode: str, commuting: bool):
+        if commuting:
+            self.pair = _ClassicalDraw(count, dim)
+            self.e = self.pair.e
+        else:
+            self.pair = None
+            self.e = np.empty((count, 2, dim))
+            self.z = np.empty((count, 2, 2, dim, dim))
+        self.w = np.empty((count, dim, dim) if weight_mode == "uniform" else count)
+
+    def __call__(self, rng: np.random.Generator, n: int, floor=None) -> None:
+        if self.pair is not None:
+            self.pair(rng, n, floor)
+        else:
+            _spectra_draw(rng, self.e[n], floor)
+            rng.standard_normal(out=self.z[n])
+        if self.w.ndim > 1:
+            rng.random(out=self.w[n])  # uniform(0, 1)'s bits, without its wrapper
+        else:
+            self.w[n] = np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))
 
 
-def _random_instances(streams: TrialStreams, draw, floor: float,
-                      commuting: bool) -> _Instances:
-    """One fresh instance per stream, each drawn by draw (an _instance_draw)
-    from its own stream with spectra above floor."""
-    spectra, (*pair_draws, w) = _spectral_draws(streams, draw, floor)
-    if commuting:
-        pairs = _classical_batch(spectra, *pair_draws)
+def _random_instances(streams: TrialStreams, draw: _InstanceDraw, floor: float) -> _Instances:
+    """One fresh instance per stream, drawn into draw's stacks from its own
+    stream with spectra above floor."""
+    spectra = _spectral_draws(streams, draw, draw.e, floor)
+    if draw.pair is not None:
+        pairs = draw.pair.batch(spectra)
         lam, mu = pairs.rho_spectral.eigenvalues, pairs.sigma_spectral.eigenvalues
         u_psi, u_phi = pairs.rho_spectral.eigenvectors, pairs.sigma_spectral.eigenvectors
     else:
         lam, mu = spectra[:, 0], spectra[:, 1]
-        u = haar_unitaries(*pair_draws)
+        u = haar_unitaries(draw.z)
         u_psi, u_phi = u[:, 0], u[:, 1]
-    return _Instances(lam, mu, u_psi, u_phi, w)
+    return _Instances(lam, mu, u_psi, u_phi, draw.w)
 
 
 def _rotations(z: np.ndarray, step: float, d: int, rotated: int) -> np.ndarray:
@@ -291,13 +314,17 @@ def _jitter(inst: _Instances, step: float, z: np.ndarray, rot: np.ndarray,
     psi's rotation only; phi's normals are still part of the row.
     """
     k, d, n = z.shape[0], inst.dim, inst.w[0].size  # n weight bumps per row
-    bumps = step * z[:, :n].reshape(k, *inst.w.shape[1:])
-    # np.clip's bits from the bare ufuncs, which skip its wrapper
-    w = (np.minimum(np.maximum(inst.w + bumps, 0.0), 1.0) if inst.w.ndim > 1
-         else inst.w * np.exp(bumps))
+    w = step * z[:, :n].reshape(k, *inst.w.shape[1:])
+    if inst.w.ndim > 1:
+        w += inst.w  # bump + C is C + bump, bit for bit
+        # np.clip's bits from the bare ufuncs, in place
+        np.maximum(w, 0.0, out=w)
+        np.minimum(w, 1.0, out=w)
+    else:
+        np.exp(w, out=w)
+        w *= inst.w
     spectra = step * z[:, n:n + 2 * d].reshape(k, 2, d)
-    spectra[:, 0] += inst.lam  # bump + lam is lam + bump, bit for bit
-    spectra[:, 1] += inst.mu
+    spectra += np.concatenate((inst.lam, inst.mu))  # bump + lam is lam + bump, bit for bit
     np.maximum(spectra, SPECTRUM_FLOOR, out=spectra)
     spectra /= spectra.sum(axis=-1, keepdims=True)
     spectra.sort(axis=-1)
@@ -416,11 +443,10 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         raise ValueError(f"plateau must be >= 1, got {plateau}")
 
     tag = _TAG_RANDOM if strategy == "random" else _TAG_CLIMB
-    draws = {dim: partial(_instance_draw, dim, weight_mode, commuting) for dim in dims}
     # a commuting pair's spectra stay above the rank threshold
     floor = ZERO_EIG_THRESHOLD if commuting else SPECTRUM_FLOOR
     best_ratio = -1.0
-    best_instance: Optional[dict] = None
+    best = None  # (instances, index, trial) of the first maximum
     violations = []
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
@@ -431,12 +457,15 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         outcomes: list = [None] * len(block)
         for dim in dict.fromkeys(block_dims):
             members = [i for i, d in enumerate(block_dims) if d == dim]
-            insts = _random_instances(streams.take(members), draws[dim], floor, commuting)
+            draw = _InstanceDraw(len(members), dim, weight_mode, commuting)
+            insts = _random_instances(streams.take(members), draw, floor)
             for n, (i, ratio) in enumerate(zip(members, insts.ratios().tolist())):
                 if strategy == "hill_climb":
-                    # the climb goes on with the trial's stream after its instance
+                    # the climb goes on with the trial's stream after its
+                    # instance: replaying its draws rewrites row n of the
+                    # stacks with the values it holds
                     rng = streams.restart(i)
-                    draws[dim](rng, floor)
+                    draw(rng, n, floor)
                     climbed, ratio = _climb(insts.take(n), ratio, rng, step,
                                             steps_per_restart, plateau, commuting)
                     outcomes[i] = (climbed, 0, ratio)
@@ -445,13 +474,9 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         # in trial order: the first maximum wins and violations keep their order
         for trial, (insts, n, ratio) in zip(block, outcomes):
             if ratio > best_ratio:
-                best_ratio = ratio
-                best_instance = insts.to_dict(n, ratio)
-                best_instance["trial"] = trial
+                best_ratio, best = ratio, (insts, n, trial)
             if ratio > VIOLATION_THRESHOLD:
-                doc = insts.to_dict(n, ratio)
-                doc["trial"] = trial
-                violations.append(doc)
+                violations.append(insts.to_dict(n, ratio, trial))
 
     return SearchRecord(
         seed=int(seed),
@@ -461,6 +486,6 @@ def conjecture_search(dims, trials: int, strategy: str, seed: int,
         weight_mode=weight_mode,
         commuting=bool(commuting),
         max_ratio=float(best_ratio),
-        argmax_instance=best_instance or {},
+        argmax_instance={} if best is None else best[0].to_dict(best[1], best_ratio, best[2]),
         violations=tuple(violations),
     )

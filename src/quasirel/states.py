@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -340,6 +340,9 @@ class TrialStreams:
         self.states = states
         self.rng = rng
 
+    def __len__(self) -> int:
+        return len(self.states)
+
     def __iter__(self):
         for n in range(len(self.states)):
             yield self.restart(n)
@@ -401,13 +404,15 @@ def random_pairs(dim: int, streams: TrialStreams) -> PairBatch:
     """One pair of independent random states per stream, as a batch.
 
     Pair n is stream n's first two accepted random_state draws, rho then
-    sigma. Both draws of every stream are made and validated together; a
-    pair with a rejected draw restarts its stream, replays them and
-    continues with random_state, and the batch is rebuilt.
+    sigma. Both draws of every stream are made into one stack and validated
+    together; a pair with a rejected draw restarts its stream, replays them
+    and continues with random_state, and the batch is rebuilt.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    z = np.array([rng.standard_normal((2, 2, dim, dim)) for rng in streams])
+    z = np.empty((len(streams), 2, 2, dim, dim))
+    for n, rng in enumerate(streams):
+        rng.standard_normal(out=z[n])
     m = _gaussian_states(z)
     batch = pair_batch(m[:, 0], m[:, 1])
     positive = batch.rho_positive & batch.sigma_positive
@@ -416,7 +421,7 @@ def random_pairs(dim: int, streams: TrialStreams) -> PairBatch:
     rho, sigma = batch.rho.copy(), batch.sigma.copy()
     for n in np.flatnonzero(~positive):
         rng = streams.restart(n)
-        rng.standard_normal((2, 2, dim, dim))  # the draws just validated
+        rng.standard_normal(out=z[n])  # the draws just validated
         accepted = [state[n] for state, ok in ((rho, batch.rho_positive[n]),
                                                (sigma, batch.sigma_positive[n])) if ok]
         while len(accepted) < 2:
@@ -432,53 +437,71 @@ def _dirichlet(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
 
 
-def _spectra_draw(rng: np.random.Generator, dim: int, floor=None) -> np.ndarray:
-    """The (2, dim) standard exponentials of a stream's two flat-Dirichlet
-    spectra. With a floor, a row whose spectrum has an entry at or below it
-    is passed over for the stream's next dim draws, as often as it takes."""
-    e = rng.standard_exponential((2, dim))
+def _spectra_draw(rng: np.random.Generator, e: np.ndarray, floor=None) -> None:
+    """Fill e, (2, dim), with the standard exponentials of a stream's two
+    flat-Dirichlet spectra. With a floor, a row whose spectrum has an entry
+    at or below it is passed over for the stream's next dim draws, as often
+    as it takes."""
+    rng.standard_exponential(out=e)
     if floor is None:
-        return e
-    rows = [row for row in e if _dirichlet(row).min() > floor]
-    while len(rows) < 2:
-        row = rng.standard_exponential(dim)
+        return
+    kept = 0
+    for row in e:
         if _dirichlet(row).min() > floor:
-            rows.append(row)
-    return np.array(rows)
+            e[kept] = row
+            kept += 1
+    while kept < 2:
+        rng.standard_exponential(out=e[kept])
+        if _dirichlet(e[kept]).min() > floor:
+            kept += 1
 
 
-def _spectral_draws(streams: TrialStreams, draw, floor: float) -> tuple:
-    """Every stream's draw(rng), stacked, with its two spectra made from them.
+def _spectral_draws(streams: TrialStreams, draw, e: np.ndarray, floor: float) -> np.ndarray:
+    """Every stream's draws, made into their stacks, and the two spectra made
+    from the exponentials e, (N, 2, d).
 
-    draw(rng, floor=None) makes one trial's draws in stream order and
-    returns them with its _spectra_draw exponentials first. The spectra are
-    normalized, floor-checked and sorted over the whole stack; a trial with
-    an entry at or below floor is drawn again from its restarted stream with
-    the floor applied. Returns the spectra, (N, 2, d) and descending, and a
-    list of the other draws' stacks.
+    draw(rng, n, floor=None) makes trial n's draws in stream order into row
+    n of each stack it fills, its _spectra_draw exponentials into e[n]. The
+    spectra are normalized, floor-checked and sorted over the whole stack; a
+    trial with an entry at or below floor is drawn again from its restarted
+    stream with the floor applied, over its rows. Returns the spectra, (N,
+    2, d) and descending.
     """
-    draws = [np.array(column) for column in zip(*[draw(rng) for rng in streams])]
-    p = _dirichlet(draws[0])
+    for n, rng in enumerate(streams):
+        draw(rng, n)
+    p = _dirichlet(e)
     for n in np.flatnonzero((p <= floor).any(axis=(-2, -1))):
-        for column, value in zip(draws, draw(streams.restart(n), floor)):
-            column[n] = value
-        p[n] = _dirichlet(draws[0][n])
-    return np.sort(p, axis=-1)[..., ::-1], draws[1:]
+        draw(streams.restart(n), n, floor)
+        p[n] = _dirichlet(e[n])
+    return np.sort(p, axis=-1)[..., ::-1]
 
 
-def _classical_draw(dim: int, rng: np.random.Generator, floor=None) -> tuple:
-    """A commuting pair's draws in stream order, as _spectral_draws takes
-    them: the Gaussians of its basis, its spectra, the shuffle of sigma's."""
-    z = rng.standard_normal((2, dim, dim))
-    return _spectra_draw(rng, dim, floor), z, rng.permutation(dim)
+class _ClassicalDraw:
+    """Stacks of count commuting pairs' draws; calling it with (rng, n,
+    floor=None) makes pair n's draws in stream order, as _spectral_draws
+    takes them: the Gaussians of its basis into z[n], its spectra into e[n],
+    then the shuffle of sigma's into perm[n], an arange row shuffled in
+    place as rng.permutation shuffles one."""
 
+    def __init__(self, count: int, dim: int):
+        self.e = np.empty((count, 2, dim))
+        self.z = np.empty((count, 2, dim, dim))
+        self.perm = np.empty((count, dim), dtype=np.intp)
+        self._order = np.arange(dim)
 
-def _classical_batch(spectra: np.ndarray, z: np.ndarray, perm: np.ndarray) -> PairBatch:
-    """The commuting pairs of _classical_draw's stacked draws."""
-    u = haar_unitaries(z)
-    p = spectra[:, 0, np.newaxis, :]
-    q = np.take_along_axis(spectra[:, 1], perm, axis=-1)[:, np.newaxis, :]
-    return pair_batch((u * p) @ dagger(u), (u * q) @ dagger(u))
+    def __call__(self, rng: np.random.Generator, n: int, floor=None) -> None:
+        rng.standard_normal(out=self.z[n])
+        _spectra_draw(rng, self.e[n], floor)
+        perm = self.perm[n]
+        perm[:] = self._order
+        rng.shuffle(perm)
+
+    def batch(self, spectra: np.ndarray) -> PairBatch:
+        """The commuting pairs of the draws made, with their spectra."""
+        u = haar_unitaries(self.z)
+        p = spectra[:, 0, np.newaxis, :]
+        q = np.take_along_axis(spectra[:, 1], self.perm, axis=-1)[:, np.newaxis, :]
+        return pair_batch((u * p) @ dagger(u), (u * q) @ dagger(u))
 
 
 def random_classical_pairs(dim: int, streams: TrialStreams) -> PairBatch:
@@ -488,9 +511,8 @@ def random_classical_pairs(dim: int, streams: TrialStreams) -> PairBatch:
     permutation matrix."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    spectra, (z, perm) = _spectral_draws(streams, partial(_classical_draw, dim),
-                                         ZERO_EIG_THRESHOLD)
-    return _classical_batch(spectra, z, perm)
+    draw = _ClassicalDraw(len(streams), dim)
+    return draw.batch(_spectral_draws(streams, draw, draw.e, ZERO_EIG_THRESHOLD))
 
 
 def example_pair(dim: int) -> PairBatch:

@@ -1,9 +1,9 @@
 """Weighted overlap functionals, proven cases, counterexample search."""
 
+import dataclasses
 import gzip
 import json
 import math
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +24,21 @@ from quasirel.conjecture import (
     SPECTRUM_FLOOR,
     VIOLATION_THRESHOLD,
     WeightedOverlapFunctional,
+    _InstanceDraw,
     _Instances,
-    _instance_draw,
     _jitter,
     _modular_weights,
     _random_instances,
     _rotations,
     _sum_formula,
 )
+from quasirel import states
 from quasirel.linalg import ZERO_EIG_THRESHOLD, dagger
 from quasirel.states import (_spectra_draw, _spectral_draws, random_pairs, state_pair,
                              trial_streams)
 from quasirel.sweeps import trial_pair
 from nussbaum_szkola import ns_distance
-from scripted_streams import ScriptedStream, own_stream
+from scripted_streams import EndStates, ScriptedStream, own_stream
 from serial_search import Instance as SerialInstance
 from serial_search import _unitary_jitter as serial_unitary_jitter
 from serial_search import haar_unitary as serial_haar_unitary, serial_search, trace_norm
@@ -57,8 +58,7 @@ def _drawn_instances(dim, count, weight_mode, commuting, seed):
     """count search instances of one dimension, drawn as conjecture_search draws them."""
     floor = ZERO_EIG_THRESHOLD if commuting else SPECTRUM_FLOOR
     return _random_instances(trial_streams([(seed, dim, n) for n in range(count)]),
-                             partial(_instance_draw, dim, weight_mode, commuting),
-                             floor, commuting)
+                             _InstanceDraw(count, dim, weight_mode, commuting), floor)
 
 
 def _explicit_ratios(insts):
@@ -394,6 +394,91 @@ def test_hill_climb_matches_oracle_at_edges(monkeypatch, steps, plateau):
                   seed=44, steps_per_restart=steps, plateau=plateau)
 
 
+@pytest.mark.parametrize("first_round", [1, 3, 64])
+@pytest.mark.parametrize("draw_steps", [1, 5, 256])
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_climb_schedule_is_exact_for_any_round_size(monkeypatch, first_round, draw_steps,
+                                                    weight_mode, commuting):
+    # rounds of one candidate, of an odd count, and of more than the plateau
+    # allows; steps drawn one, five and more than a restart takes at a time
+    monkeypatch.setattr(conjecture, "_FIRST_ROUND", first_round)
+    monkeypatch.setattr(conjecture, "_DRAW_STEPS", draw_steps)
+    _same_records(monkeypatch, dims=(2, 3, 4), trials=3, strategy="hill_climb", seed=46,
+                  weight_mode=weight_mode, commuting=commuting)
+
+
+def _one_instance_at_a_time(key, dim, weight_mode, commuting, floor):
+    """The draws of key's search instance, one array at a time from
+    default_rng(key) in stream order, as the stacks hold them; the count of
+    exponential rows passed over, and the generator where the draws end."""
+    rng = default_rng(key)
+    draws, rows, passed = {}, [], 0
+
+    def spectra():
+        nonlocal passed
+        while len(rows) < 2:
+            e = rng.standard_exponential(dim)
+            if (e * (1.0 / np.cumsum(e)[-1])).min() > floor:
+                rows.append(e)
+            else:
+                passed += 1
+        return np.array(rows)
+
+    if commuting:
+        draws["z"] = rng.standard_normal((2, dim, dim))
+        draws["e"] = spectra()
+        draws["perm"] = rng.permutation(dim)
+    else:
+        draws["e"] = spectra()
+        draws["z"] = rng.standard_normal((2, 2, dim, dim))
+    if weight_mode == "uniform":
+        draws["w"] = rng.uniform(0.0, 1.0, (dim, dim))
+    else:
+        draws["w"] = np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))
+    return draws, passed, rng
+
+
+# 7 keys are seeded by PCG64 itself, 8 by the array pass
+@pytest.mark.parametrize("count", [7, 8])
+@pytest.mark.parametrize("weight_mode,commuting", [
+    ("uniform", False), ("modular", False), ("uniform", True), ("modular", True)])
+def test_in_place_instance_draws_match_default_rng(weight_mode, commuting, count):
+    # a raised floor passes over some spectra, so their trials are drawn
+    # again from their restarted streams; every trial's draws still land in
+    # its rows of the stacks, and its stream ends, as one at a time
+    assert 7 < states._ARRAY_SEEDING_MIN <= 8
+    dim, floor = 3, 0.05
+    keys = [(48, count, dim, trial) for trial in range(count)]
+    draw = _InstanceDraw(count, dim, weight_mode, commuting)
+    streams = EndStates(keys)
+    insts = _random_instances(streams, draw, floor)
+    ends = streams.end_states()
+    stacks = {"e": draw.e, "w": draw.w}
+    stacks.update({"z": draw.pair.z, "perm": draw.pair.perm} if commuting else {"z": draw.z})
+    passed = 0
+    for n, key in enumerate(keys):
+        expected, over, rng = _one_instance_at_a_time(key, dim, weight_mode, commuting, floor)
+        passed += over
+        for name, stack in stacks.items():
+            assert stack[n].tobytes() == np.asarray(expected[name]).tobytes(), name
+        assert ends[n] == rng.bit_generator.state
+    assert passed > 0
+    assert (np.minimum(insts.lam, insts.mu).min(axis=-1) > floor).all()
+
+
+@pytest.mark.parametrize("strategy,violations", [
+    ("random", False), ("hill_climb", False), ("random", True)])
+def test_record_json_is_json_dumps_of_asdict(monkeypatch, strategy, violations):
+    # to_json skips asdict's deep copy and keeps its bytes
+    if violations:
+        monkeypatch.setattr(conjecture, "VIOLATION_THRESHOLD", 0.0)
+    record = conjecture_search((3, 4), 40 if strategy == "random" else 3, strategy, seed=49,
+                               steps_per_restart=40)
+    assert len(record.violations) == (record.trial_count if violations else 0)
+    assert record.to_json() == json.dumps(dataclasses.asdict(record), indent=1)
+
+
 def test_search_argument_bounds():
     base = dict(dims=(3,), strategy="hill_climb", seed=0, steps_per_restart=2)
     for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -0.05):
@@ -427,8 +512,10 @@ def test_spectrum_floor_both_sides():
     # drawn spectra: an entry at 0.9 * SPECTRUM_FLOOR is passed over, one at 1.1x kept
     low, high = 0.9 * SPECTRUM_FLOOR, 1.1 * SPECTRUM_FLOOR
     rng = ScriptedStream(exponentials=[[low, 1.0 - low], [high, 1.0 - high], [high, 1.0 - high]])
-    spectra, _ = _spectral_draws(
-        own_stream(rng), lambda rng, floor=None: (_spectra_draw(rng, 2, floor),), SPECTRUM_FLOOR)
+    e = np.empty((1, 2, 2))
+    spectra = _spectral_draws(
+        own_stream(rng), lambda rng, n, floor=None: _spectra_draw(rng, e[n], floor), e,
+        SPECTRUM_FLOOR)
     np.testing.assert_array_equal(spectra[0], [[1.0 - high, high]] * 2)
     assert rng.exponentials_used == rng.exponentials.size
     # jittered spectra: a bump to 0.9x is clipped up to the floor, one to 1.1x is kept

@@ -1,12 +1,12 @@
 """CLI output against golden files recorded before each batched rewrite.
 
-Each case reruns a recorded `quasirel sweep` command (recorded before the
-batched core) or `quasirel conjecture --strategy random` command (recorded
-before the batched search) and compares it with its file under tests/data/
-the way the benchmark's reference gate does: text and integers exactly,
-floating-point tokens within 1e-13 relative. The `--strategy hill_climb`
-records, recorded before the climb's numpy calls were trimmed, must match
-byte for byte.
+Each case reruns a recorded command and compares its output with its file
+under tests/data/. The `quasirel sweep` outputs, recorded before the
+batched core, are compared the way the benchmark's reference gate compares
+them: text and integers exactly, floating-point tokens within 1e-13
+relative. The `quasirel conjecture` records, recorded before the batched
+search (`--strategy random`) and before the climb's numpy calls were
+trimmed (`--strategy hill_climb`), must match byte for byte.
 """
 
 import gzip
@@ -83,9 +83,8 @@ def test_search_matches_golden_record(name, tmp_path, capsys):
     argv = ["conjecture", "--strategy", "random", *SEARCH_CASES[name], "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
-    with gzip.open(DATA / f"{name}.gz", "rt") as fh:
-        expected = fh.read()
-    assert worst_deviation(expected, out.read_text()) <= RTOL
+    with gzip.open(DATA / f"{name}.gz", "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CLIMB_CASES))

@@ -42,7 +42,7 @@ from quasirel.states import (
     trial_streams,
 )
 from quasirel.sweeps import trial_pair
-from scripted_streams import ScriptedStream, own_stream
+from scripted_streams import EndStates, ScriptedStream, own_stream
 from serial_search import haar_unitary as serial_haar_unitary
 
 
@@ -215,8 +215,9 @@ def _one_spectrum(rng, dim, floor):
 
 def _stream_spectra(stream, dim, floor):
     """A stream's two spectra, through the stacked sampler's draw and floor check."""
-    spectra, _ = _spectral_draws(
-        own_stream(stream), lambda rng, floor=None: (_spectra_draw(rng, dim, floor),), floor)
+    e = np.empty((1, 2, dim))
+    spectra = _spectral_draws(
+        own_stream(stream), lambda rng, n, floor=None: _spectra_draw(rng, e[n], floor), e, floor)
     return spectra[0]
 
 
@@ -240,7 +241,9 @@ def test_exponential_spectra_match_dirichlet(dim):
     for seed in range(200):
         one, block = default_rng((seed, dim)), default_rng((seed, dim))
         expected = [one.dirichlet(np.ones(dim)) for _ in range(2)]
-        np.testing.assert_array_equal(_dirichlet(_spectra_draw(block, dim)), expected)
+        e = np.empty((2, dim))
+        _spectra_draw(block, e)
+        np.testing.assert_array_equal(_dirichlet(e), expected)
         assert one.bit_generator.state == block.bit_generator.state
 
 
@@ -282,6 +285,24 @@ def _keys(n, dim):
     return [(7001, 5, dim, trial) for trial in range(n)]
 
 
+def _one_pair_at_a_time(kind, key, dim, threshold):
+    """The pair of key's trial, one draw at a time from default_rng(key), the
+    generator where it ends, and one that made only the trial's first draws."""
+    rng, first = default_rng(key), default_rng(key)
+    if kind == "random":
+        rho, sigma = random_state(dim, rng), random_state(dim, rng)
+        first.standard_normal((2, 2, dim, dim))
+    else:
+        u = haar_unitaries(rng.standard_normal((2, dim, dim)))
+        p = _one_spectrum(rng, dim, threshold)
+        q = _one_spectrum(rng, dim, threshold)[rng.permutation(dim)]
+        rho, sigma = (u * p) @ u.conj().T, (u * q) @ u.conj().T
+        first.standard_normal((2, dim, dim))
+        first.standard_exponential((2, dim))
+        first.permutation(dim)
+    return density_matrix(rho)[0], density_matrix(sigma)[0], rng, first
+
+
 @pytest.mark.parametrize("kind", ["random", "classical"])
 def test_keyed_batch_resumes_rejected_trial_streams(monkeypatch, kind):
     # a raised rank threshold rejects the first draws of some trials of a
@@ -294,23 +315,36 @@ def test_keyed_batch_resumes_rejected_trial_streams(monkeypatch, kind):
     batch = sample(dim, trial_streams(keys))
     rejected = 0
     for n, key in enumerate(keys):
-        rng, first = default_rng(key), default_rng(key)
-        if kind == "random":
-            rho, sigma = random_state(dim, rng), random_state(dim, rng)
-            first.standard_normal((2, 2, dim, dim))
-        else:
-            u = haar_unitaries(rng.standard_normal((2, dim, dim)))
-            p = _one_spectrum(rng, dim, threshold)
-            q = _one_spectrum(rng, dim, threshold)[rng.permutation(dim)]
-            rho, sigma = (u * p) @ u.conj().T, (u * q) @ u.conj().T
-            first.standard_normal((2, dim, dim))
-            first.standard_exponential((2, dim))
-            first.permutation(dim)
+        rho, sigma, rng, first = _one_pair_at_a_time(kind, key, dim, threshold)
         # a trial drew past its first draws only if one of them was rejected
         rejected += rng.bit_generator.state != first.bit_generator.state
-        np.testing.assert_array_equal(batch.rho[n], density_matrix(rho)[0])
-        np.testing.assert_array_equal(batch.sigma[n], density_matrix(sigma)[0])
+        np.testing.assert_array_equal(batch.rho[n], rho)
+        np.testing.assert_array_equal(batch.sigma[n], sigma)
     assert 0 < rejected < len(keys)
+
+
+# 7 keys are seeded by PCG64 itself, 8 by the array pass
+@pytest.mark.parametrize("count", [7, 8])
+@pytest.mark.parametrize("kind", ["random", "classical"])
+def test_in_place_draws_end_each_stream_where_default_rng_does(monkeypatch, kind, count):
+    # every trial's draws land in its row of the sampler's stacks, and its
+    # stream ends where one draw at a time from default_rng(key) ends it,
+    # the trials whose first draws were rejected and drawn again included
+    assert 7 < states._ARRAY_SEEDING_MIN <= 8
+    dim, threshold = 3, 0.05
+    monkeypatch.setattr(states, "ZERO_EIG_THRESHOLD", threshold)
+    keys = [(7002, count, dim, trial) for trial in range(count)]
+    streams = EndStates(keys)
+    batch = (random_pairs if kind == "random" else random_classical_pairs)(dim, streams)
+    ends = streams.end_states()
+    rejected = 0
+    for n, key in enumerate(keys):
+        rho, sigma, rng, first = _one_pair_at_a_time(kind, key, dim, threshold)
+        rejected += rng.bit_generator.state != first.bit_generator.state
+        assert batch.rho[n].tobytes() == rho.tobytes()
+        assert batch.sigma[n].tobytes() == sigma.tobytes()
+        assert ends[n] == rng.bit_generator.state
+    assert rejected > 0
 
 
 def test_pcg64_states_match_seed_sequence():
